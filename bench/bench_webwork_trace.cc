@@ -28,6 +28,7 @@ struct RunResult
     double events = 0;
     double requests = 0;
     double spans = 0;
+    double completionVisits = 0;
 };
 
 RunResult
@@ -39,11 +40,13 @@ runWorkload(bool traced)
     wl::ServerWorld world(hw::sandyBridgeConfig(), model);
 
     trace::SpanCollector spans;
+    telemetry::Registry metrics;
     std::unique_ptr<trace::SpanTracer> tracer;
     if (traced) {
         tracer = std::make_unique<trace::SpanTracer>(
             world.kernel(), world.manager(), spans, 0);
         tracer->traceAll();
+        tracer->bindMetrics(metrics);
         world.kernel().addHooks(tracer.get());
     }
 
@@ -63,6 +66,8 @@ runWorkload(bool traced)
     out.requests =
         static_cast<double>(world.manager().records().size());
     out.spans = static_cast<double>(spans.size());
+    out.completionVisits = static_cast<double>(
+        metrics.counter("trace.completion_span_visits").value());
     return out;
 }
 
@@ -107,6 +112,14 @@ main()
         if (last.requests > 0)
             suite.addCount("webwork.spans_per_request", "spans/req",
                            last.spans / last.requests);
+
+        // Spans walked per request completion: the request's own
+        // spans. A scan of the whole store would make this grow with
+        // the number of requests recorded before it.
+        if (last.requests > 0)
+            suite.addCount("webwork.span_visits_per_completion",
+                           "spans/completion",
+                           last.completionVisits / last.requests);
     }
 
     suite.writeJson();

@@ -11,7 +11,7 @@
  * The demo then checks the plane's guarantees and exits nonzero if
  * any fails:
  *
- *  - live index totals match the collector's own O(trace) scans
+ *  - live index totals match the collector's own per-request sums
  *    exactly (same floating-point additions, not approximately);
  *  - the ranking puts a heavy checkout above every browse, and the
  *    quota view flags checkouts over a budget browses fit inside;

@@ -19,7 +19,7 @@ EnergyIndex::attach(trace::SpanCollector &collector)
         collector_ = &collector;
         // Absorb already-recorded spans in id order — the same
         // floating-point addition sequence the collector's own
-        // O(trace) scans perform, so rebuilt rollups match them
+        // per-request sums perform, so rebuilt rollups match them
         // bit-for-bit (the byte-identity contract of obs/report.h).
         for (const trace::Span &s : collector.spans()) {
             absorbOpen(s);
@@ -43,6 +43,7 @@ EnergyIndex::detach()
         collector_ = nullptr;
         requests_.clear();
         ranking_.clear();
+        unranked_.clear();
         machineEnergy_.clear();
         totalEnergyJ_ = util::Joules{0};
         spanCount_ = 0;
@@ -68,8 +69,7 @@ EnergyIndex::entryFor(os::RequestId request)
     if (it != requests_.end())
         return it->second;
     PerRequest &entry = requests_[request];
-    entry.rootName = "?";
-    ranking_.insert(RankKey{util::Joules{0}, request});
+    ranking_.insert(RankKey{entry.rankedJ, request});
     return entry;
 }
 
@@ -81,21 +81,36 @@ EnergyIndex::find(os::RequestId request) const
 }
 
 void
-EnergyIndex::reRank(os::RequestId request, util::Joules old_energy,
-                    util::Joules new_energy)
+EnergyIndex::markUnranked(os::RequestId request, PerRequest &entry)
 {
-    if (old_energy == new_energy)
+    if (entry.unranked || entry.energyJ == entry.rankedJ)
         return;
-    ranking_.erase(RankKey{old_energy, request});
-    ranking_.insert(RankKey{new_energy, request});
+    entry.unranked = true;
+    unranked_.push_back(request);
+}
+
+void
+EnergyIndex::rankChanged() const
+{
+    for (os::RequestId id : unranked_) {
+        const PerRequest &entry = requests_.find(id)->second;
+        entry.unranked = false;
+        if (entry.energyJ == entry.rankedJ)
+            continue;
+        // Re-key the existing node: no allocation per re-rank.
+        auto node = ranking_.extract(RankKey{entry.rankedJ, id});
+        node.value().energyJ = entry.energyJ;
+        ranking_.insert(std::move(node));
+        entry.rankedJ = entry.energyJ;
+    }
+    unranked_.clear();
 }
 
 void
 EnergyIndex::absorbOpen(const trace::Span &span)
 {
     PerRequest &entry = entryFor(span.request);
-    util::Joules before = entry.energyJ;
-    entry.spans.push_back(span.id);
+    ++entry.spanCount;
     ++entry.open;
     ++openSpans_;
     ++spanCount_;
@@ -124,7 +139,7 @@ EnergyIndex::absorbOpen(const trace::Span &span)
     }
     machineEnergy_[span.machine] += span.energyJ;
     totalEnergyJ_ += span.energyJ;
-    reRank(span.request, before, entry.energyJ);
+    markUnranked(span.request, entry);
 }
 
 void
@@ -163,7 +178,6 @@ EnergyIndex::onSpanCharged(const trace::Span &span,
 {
     util::LockGuard lock(mu_);
     PerRequest &entry = entryFor(span.request);
-    util::Joules before = entry.energyJ;
     entry.energyJ += energy_delta;
     entry.cpuTimeNs += cpu_delta_ns;
     auto slot = std::find_if(
@@ -175,7 +189,7 @@ EnergyIndex::onSpanCharged(const trace::Span &span,
         slot->second += energy_delta;
     machineEnergy_[span.machine] += energy_delta;
     totalEnergyJ_ += energy_delta;
-    reRank(span.request, before, entry.energyJ);
+    markUnranked(span.request, entry);
 }
 
 std::vector<os::RequestId>
@@ -193,6 +207,7 @@ std::vector<os::RequestId>
 EnergyIndex::ranked() const
 {
     util::LockGuard lock(mu_);
+    rankChanged();
     std::vector<os::RequestId> out;
     out.reserve(ranking_.size());
     for (const RankKey &key : ranking_)
@@ -204,6 +219,7 @@ std::vector<os::RequestId>
 EnergyIndex::topRequests(std::size_t n) const
 {
     util::LockGuard lock(mu_);
+    rankChanged();
     std::vector<os::RequestId> out;
     for (const RankKey &key : ranking_) {
         if (out.size() >= n)
@@ -230,7 +246,7 @@ EnergyIndex::rollup(os::RequestId request) const
     if (entry == nullptr)
         return out;
     out.rootName = entry->rootName;
-    out.spanCount = entry->spans.size();
+    out.spanCount = entry->spanCount;
     out.openSpans = entry->open;
     out.energyJ = entry->energyJ;
     out.cpuTimeNs = entry->cpuTimeNs;
@@ -271,9 +287,9 @@ EnergyIndex::requestWall(os::RequestId request) const
 std::vector<trace::SpanId>
 EnergyIndex::requestSpans(os::RequestId request) const
 {
-    util::LockGuard lock(mu_);
-    const PerRequest *entry = find(request);
-    return entry != nullptr ? entry->spans
+    // Asked outside mu_: the only lock order is collector -> index.
+    const trace::SpanCollector *spans = collector();
+    return spans != nullptr ? spans->requestSpans(request)
                             : std::vector<trace::SpanId>{};
 }
 

@@ -5,15 +5,18 @@
  * to a trace::SpanCollector as its SpanObserver and folds every
  * open/charge/close into per-request and per-machine rollups, a
  * ranking ordered by attributed energy, and quota-headroom views, so
- * any query is O(answer) at any simulated time instead of O(trace)
- * after the run. tools/trace_report is a thin CLI over this library
- * (obs/report.h); the same index answers the same questions online.
+ * a query costs about its answer at any simulated time (plus, for a
+ * ranking query, re-ranking the requests charged since the last one)
+ * instead of O(trace) after the run. tools/trace_report is a thin CLI
+ * over this library (obs/report.h); the same index answers the same
+ * questions online.
  *
  * Rebuild parity: attach() absorbs already-recorded spans in id
  * order, which performs the exact floating-point additions the
- * collector's own O(trace) queries perform — so a report rendered
- * over a freshly attached index is byte-identical to one computed
- * from the collector directly (pinned by the golden fixtures).
+ * collector's own per-request queries perform (ascending span id) —
+ * so a report rendered over a freshly attached index is
+ * byte-identical to one computed from the collector directly (pinned
+ * by the golden fixtures).
  */
 
 #ifndef PCON_OBS_ENERGY_INDEX_H
@@ -72,8 +75,12 @@ struct QuotaHeadroom
 /**
  * The incremental index. Attach to one collector (live tracing or a
  * reloaded dump); every query then reads maintained rollups under the
- * index's own mutex. Maintenance is O(log R) per span event (ranking
- * reinsertion), R = requests seen.
+ * index's own mutex. Maintenance is O(log R) per span event (the
+ * request lookup), R = requests seen. A charge does not re-sort: it
+ * only notes that the request's energy moved. ranked() and
+ * topRequests() first re-rank the requests noted since the last
+ * ranking query, so they cost O(changed requests × log R + answer)
+ * and return exactly the order eager re-ranking would.
  *
  * Thread safety: observer callbacks arrive under the collector's
  * lock from whichever shard mutates a span; all index state is
@@ -129,7 +136,8 @@ class EnergyIndex : public trace::SpanObserver
     /** Closed-span first-open to last-close envelope. */
     sim::SimTime requestWall(os::RequestId request) const;
 
-    /** Span ids of a request, ascending. */
+    /** Span ids of a request, ascending: the attached collector's
+     * per-request entry (empty when detached). */
     std::vector<trace::SpanId> requestSpans(os::RequestId request) const;
 
     /** Root span name ("?" when the request has no root span). */
@@ -175,16 +183,22 @@ class EnergyIndex : public trace::SpanObserver
   private:
     struct PerRequest
     {
-        std::string rootName;
-        std::vector<trace::SpanId> spans;
+        std::string rootName = "?";
+        /** Spans recorded; their ids live in the collector's entry. */
+        std::size_t spanCount = 0;
         std::size_t open = 0;
         util::Joules energyJ{0};
         double cpuTimeNs = 0;
         /** (machine, energy), sorted by machine; small in practice. */
         std::vector<std::pair<int, util::Joules>> machineEnergy;
         bool anyClosed = false;
+        /** Queued in unranked_. */
+        mutable bool unranked = false;
         sim::SimTime firstOpen = 0;
         sim::SimTime lastClose = 0;
+        /** Energy of this request's ranking_ key; lags energyJ until
+         * the next ranking query (rankChanged). */
+        mutable util::Joules rankedJ{0};
     };
 
     /** Ranking key: energy desc, id asc. */
@@ -205,15 +219,22 @@ class EnergyIndex : public trace::SpanObserver
     PerRequest &entryFor(os::RequestId request) PCON_REQUIRES(mu_);
     const PerRequest *find(os::RequestId request) const
         PCON_REQUIRES(mu_);
-    void reRank(os::RequestId request, util::Joules old_energy,
-                util::Joules new_energy) PCON_REQUIRES(mu_);
+    /** Queue the request for re-ranking once its energy leaves
+     * rankedJ. */
+    void markUnranked(os::RequestId request, PerRequest &entry)
+        PCON_REQUIRES(mu_);
+    /** Move each queued request's ranking_ key to its energy now. */
+    void rankChanged() const PCON_REQUIRES(mu_);
     void absorbOpen(const trace::Span &span) PCON_REQUIRES(mu_);
     void absorbClose(const trace::Span &span) PCON_REQUIRES(mu_);
 
     mutable util::Mutex mu_;
     trace::SpanCollector *collector_ PCON_GUARDED_BY(mu_) = nullptr;
     std::map<os::RequestId, PerRequest> requests_ PCON_GUARDED_BY(mu_);
-    std::set<RankKey> ranking_ PCON_GUARDED_BY(mu_);
+    /** One key per request, holding its rankedJ. */
+    mutable std::set<RankKey> ranking_ PCON_GUARDED_BY(mu_);
+    /** Requests whose energy moved since the last ranking query. */
+    mutable std::vector<os::RequestId> unranked_ PCON_GUARDED_BY(mu_);
     std::map<int, util::Joules> machineEnergy_ PCON_GUARDED_BY(mu_);
     util::Joules totalEnergyJ_ PCON_GUARDED_BY(mu_){0};
     std::size_t spanCount_ PCON_GUARDED_BY(mu_) = 0;

@@ -42,11 +42,11 @@ SpanCollector::SpanCollector(SpanCollector &&other)
 {
     util::LockGuard lock(other.mu_);
     spans_ = std::move(other.spans_);
-    roots_ = std::move(other.roots_);
+    requests_ = std::move(other.requests_);
     openCount_ = other.openCount_;
     observer_ = other.observer_;
     other.spans_.clear();
-    other.roots_.clear();
+    other.requests_.clear();
     other.openCount_ = 0;
     other.observer_ = nullptr;
 }
@@ -62,11 +62,11 @@ SpanCollector::operator=(SpanCollector &&other)
     util::LockGuard source(other.mu_);
     util::LockGuard dest(mu_);
     spans_ = std::move(other.spans_);
-    roots_ = std::move(other.roots_);
+    requests_ = std::move(other.requests_);
     openCount_ = other.openCount_;
     observer_ = other.observer_;
     other.spans_.clear();
-    other.roots_.clear();
+    other.requests_.clear();
     other.openCount_ = 0;
     other.observer_ = nullptr;
     return *this;
@@ -90,11 +90,7 @@ SpanCollector::open(os::RequestId request, int machine,
     s.kind = kind;
     s.openedAt = now;
     s.open = true;
-    if (kind == SpanKind::Root) {
-        panicIf(roots_.count(request) != 0,
-                "second root span for request ", request);
-        roots_[request] = s.id;
-    }
+    indexLocked(s);
     spans_.push_back(std::move(s));
     ++openCount_;
     if (observer_ != nullptr)
@@ -208,23 +204,41 @@ SpanCollector::mutableSpan(SpanId id)
     return spans_[static_cast<std::size_t>(id) - 1];
 }
 
+const SpanCollector::RequestEntry *
+SpanCollector::entryLocked(os::RequestId request) const
+{
+    auto it = requests_.find(request);
+    return it == requests_.end() ? nullptr : &it->second;
+}
+
+void
+SpanCollector::indexLocked(const Span &span)
+{
+    auto it = requests_.find(span.request);
+    bool root = span.kind == SpanKind::Root;
+    panicIf(root && it != requests_.end() && it->second.root != NoSpan,
+            "second root span for request ", span.request);
+    if (it == requests_.end())
+        it = requests_.emplace(span.request, RequestEntry{}).first;
+    if (root)
+        it->second.root = span.id;
+    it->second.spans.push_back(span.id);
+}
+
 SpanId
 SpanCollector::rootOf(os::RequestId request) const
 {
     util::LockGuard lock(mu_);
-    auto it = roots_.find(request);
-    return it == roots_.end() ? NoSpan : it->second;
+    const RequestEntry *entry = entryLocked(request);
+    return entry == nullptr ? NoSpan : entry->root;
 }
 
 std::vector<SpanId>
 SpanCollector::requestSpans(os::RequestId request) const
 {
     util::LockGuard lock(mu_);
-    std::vector<SpanId> out;
-    for (const Span &s : spans_)
-        if (s.request == request)
-            out.push_back(s.id);
-    return out;
+    const RequestEntry *entry = entryLocked(request);
+    return entry == nullptr ? std::vector<SpanId>{} : entry->spans;
 }
 
 std::vector<SpanId>
@@ -243,11 +257,9 @@ SpanCollector::requests() const
 {
     util::LockGuard lock(mu_);
     std::vector<os::RequestId> out;
-    for (const Span &s : spans_)
-        if (out.empty() ||
-            std::find(out.begin(), out.end(), s.request) == out.end())
-            out.push_back(s.request);
-    std::sort(out.begin(), out.end());
+    out.reserve(requests_.size());
+    for (const auto &kv : requests_)
+        out.push_back(kv.first);
     return out;
 }
 
@@ -256,9 +268,9 @@ SpanCollector::requestEnergyJ(os::RequestId request) const
 {
     util::LockGuard lock(mu_);
     util::Joules total{0};
-    for (const Span &s : spans_)
-        if (s.request == request)
-            total += s.energyJ;
+    if (const RequestEntry *entry = entryLocked(request))
+        for (SpanId id : entry->spans)
+            total += spanLocked(id).energyJ;
     return total;
 }
 
@@ -268,9 +280,13 @@ SpanCollector::machineEnergyJ(os::RequestId request,
 {
     util::LockGuard lock(mu_);
     util::Joules total{0};
-    for (const Span &s : spans_)
-        if (s.request == request && s.machine == machine)
-            total += s.energyJ;
+    if (const RequestEntry *entry = entryLocked(request)) {
+        for (SpanId id : entry->spans) {
+            const Span &s = spanLocked(id);
+            if (s.machine == machine)
+                total += s.energyJ;
+        }
+    }
     return total;
 }
 
@@ -302,11 +318,15 @@ std::vector<SpanId>
 SpanCollector::criticalPath(os::RequestId request) const
 {
     util::LockGuard lock(mu_);
+    const RequestEntry *entry = entryLocked(request);
+    if (entry == nullptr)
+        return {};
     SpanId last = NoSpan;
     sim::SimTime last_close = 0;
     std::size_t last_depth = 0;
-    for (const Span &s : spans_) {
-        if (s.request != request || s.open)
+    for (SpanId id : entry->spans) {
+        const Span &s = spanLocked(id);
+        if (s.open)
             continue;
         // Ties (several spans closed at the same instant — e.g. the
         // completion sweep) break leaf-ward, then to the smallest id
@@ -336,11 +356,7 @@ SpanCollector::addSpan(const Span &span)
     panicIf(span.id != spans_.size() + 1,
             "non-dense span id in addSpan: ", span.id);
     panicIf(span.request == os::NoRequest, "span without a request");
-    if (span.kind == SpanKind::Root) {
-        panicIf(roots_.count(span.request) != 0,
-                "second root span for request ", span.request);
-        roots_[span.request] = span.id;
-    }
+    indexLocked(span);
     spans_.push_back(span);
     if (span.open)
         ++openCount_;

@@ -157,6 +157,13 @@ struct Span
  * charge() on the same span is still a race; exports and queries over
  * returned references run at shard barriers, when no tracer is
  * mutating.
+ *
+ * Per-request queries (rootOf, requestSpans, requests, requestEnergyJ,
+ * machineEnergyJ, criticalPath) read one ordered entry per request —
+ * its root and its span ids, ascending — so they cost O(log R) plus
+ * that request's spans, never a scan of the whole store. Sums walk
+ * the ids in ascending order, the same floating-point additions a
+ * scan in id order performs.
  */
 class SpanCollector
 {
@@ -217,7 +224,11 @@ class SpanCollector
     /** Root span of a request (NoSpan when never traced). */
     SpanId rootOf(os::RequestId request) const;
 
-    /** All span ids of a request, ascending. */
+    /**
+     * All span ids of a request, ascending. A copy of the request's
+     * own index entry: O(that request's spans), whatever the number
+     * of spans recorded for other requests.
+     */
     std::vector<SpanId> requestSpans(os::RequestId request) const;
 
     /** Direct children of a span, ascending id. */
@@ -258,15 +269,29 @@ class SpanCollector
     void setObserver(SpanObserver *observer);
 
   private:
+    /** One request's spans. Ids are handed out in ascending order,
+     * so appending keeps `spans` sorted. */
+    struct RequestEntry
+    {
+        SpanId root = NoSpan;
+        std::vector<SpanId> spans;
+    };
+
     bool validLocked(SpanId id) const PCON_REQUIRES(mu_);
     const Span &spanLocked(SpanId id) const PCON_REQUIRES(mu_);
     Span &mutableSpan(SpanId id) PCON_REQUIRES(mu_);
     std::size_t depthLocked(SpanId id) const PCON_REQUIRES(mu_);
+    /** The request's entry; nullptr when it has no span. */
+    const RequestEntry *entryLocked(os::RequestId request) const
+        PCON_REQUIRES(mu_);
+    /** Record a new span (id = size() + 1) in its request's entry;
+     * panics on a second root before changing anything. */
+    void indexLocked(const Span &span) PCON_REQUIRES(mu_);
 
     mutable util::Mutex mu_;
     /** Arena-chunked so node addresses never move (see class doc). */
     util::ChunkedVector<Span> spans_ PCON_GUARDED_BY(mu_);
-    std::map<os::RequestId, SpanId> roots_ PCON_GUARDED_BY(mu_);
+    std::map<os::RequestId, RequestEntry> requests_ PCON_GUARDED_BY(mu_);
     std::size_t openCount_ PCON_GUARDED_BY(mu_) = 0;
     /** Notified under mu_; see SpanObserver's contract. */
     SpanObserver *observer_ PCON_GUARDED_BY(mu_) = nullptr;

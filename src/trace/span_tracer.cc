@@ -105,6 +105,27 @@ SpanTracer::closeSpan(SpanId id, sim::SimTime at)
         closed_->add();
 }
 
+void
+SpanTracer::linkTask(os::TaskId task, SpanId span)
+{
+    auto [it, fresh] = taskSpans_.try_emplace(task, span);
+    if (!fresh) {
+        spanTasks_.erase(it->second);
+        it->second = span;
+    }
+    spanTasks_[span] = task;
+}
+
+void
+SpanTracer::unlinkTask(os::TaskId task)
+{
+    auto it = taskSpans_.find(task);
+    if (it == taskSpans_.end())
+        return;
+    spanTasks_.erase(it->second);
+    taskSpans_.erase(it);
+}
+
 SpanId
 SpanTracer::ensureTaskSpan(os::Task &task, RequestState &st)
 {
@@ -113,13 +134,12 @@ SpanTracer::ensureTaskSpan(os::Task &task, RequestState &st)
         const Span &s = collector_.span(it->second);
         if (s.open && s.request == task.context)
             return it->second;
-        taskSpans_.erase(it);
     }
     // Lazy stage spans hang off the root; precise causal parents
     // (fork, segment receipt) are set by the dedicated hooks.
     SpanId sp = openSpan(task.context, task.name, SpanKind::Stage,
                          st.root, now());
-    taskSpans_[task.id] = sp;
+    linkTask(task.id, sp);
     return sp;
 }
 
@@ -157,7 +177,7 @@ SpanTracer::onContextSwitch(int core, os::Task *prev, os::Task *next)
             st->current = sp;
             if (pendingExit_.erase(prev->id) != 0) {
                 closeSpan(sp, now());
-                taskSpans_.erase(prev->id);
+                unlinkTask(prev->id);
             }
         }
     }
@@ -181,7 +201,7 @@ SpanTracer::onContextRebind(os::Task &task, os::RequestId old_ctx,
             // delta belongs to the stage that ends here.
             chargeDelta(*st_old, old_ctx, it->second);
             closeSpan(it->second, now());
-            taskSpans_.erase(it);
+            unlinkTask(task.id);
         }
     }
     // The hook fires before task.context is reassigned, so the new
@@ -191,16 +211,14 @@ SpanTracer::onContextRebind(os::Task &task, os::RequestId old_ctx,
         auto it = taskSpans_.find(task.id);
         if (it != taskSpans_.end()) {
             const Span &s = collector_.span(it->second);
-            if (!s.open || s.request != new_ctx)
-                taskSpans_.erase(it);
-            else {
+            if (s.open && s.request == new_ctx) {
                 st_new->current = it->second;
                 return;
             }
         }
         SpanId sp = openSpan(new_ctx, task.name, SpanKind::Stage,
                              st_new->root, now());
-        taskSpans_[task.id] = sp;
+        linkTask(task.id, sp);
         st_new->current = sp;
     }
 }
@@ -258,7 +276,7 @@ SpanTracer::onTaskExit(os::Task &task)
     if (st != nullptr && !st->completed)
         chargeDelta(*st, task.context, it->second);
     closeSpan(it->second, now());
-    taskSpans_.erase(it);
+    unlinkTask(task.id);
 }
 
 void
@@ -278,7 +296,7 @@ SpanTracer::onFork(os::Task &parent, os::Task &child)
     } else {
         SpanId sp = openSpan(child.context, child.name,
                              SpanKind::Fork, parent_span, now());
-        taskSpans_[child.id] = sp;
+        linkTask(child.id, sp);
     }
     if (forkLinks_ != nullptr)
         forkLinks_->add();
@@ -321,7 +339,7 @@ SpanTracer::onSegmentReceived(os::Task &task,
         sp = openSpan(segment.context, task.name, kind, sender, t);
         if (cross)
             collector_.reparent(sp, sender, kind, remote);
-        taskSpans_[task.id] = sp;
+        linkTask(task.id, sp);
     }
     st->current = sp;
     if (cross) {
@@ -367,20 +385,23 @@ SpanTracer::completeRequest(const os::RequestInfo &info)
     st.completed = true;
     // Close every span this machine still has open for the request
     // and drop the task-span links (tasks may outlive the request).
-    for (auto ts = taskSpans_.begin(); ts != taskSpans_.end();) {
-        const Span &s = collector_.span(ts->second);
-        if (s.request == info.id && s.machine == machine_) {
-            pendingExit_.erase(ts->first);
-            ts = taskSpans_.erase(ts);
-        } else {
-            ++ts;
-        }
-    }
+    // Only this request's spans are visited; task links are found
+    // through their span, so the cost does not grow with run length.
+    std::uint64_t visited = 0;
     for (SpanId id : collector_.requestSpans(info.id)) {
+        ++visited;
+        auto link = spanTasks_.find(id);
+        if (link != spanTasks_.end()) {
+            pendingExit_.erase(link->second);
+            taskSpans_.erase(link->second);
+            spanTasks_.erase(link);
+        }
         const Span &s = collector_.span(id);
         if (s.open && s.machine == machine_)
             closeSpan(id, info.completed);
     }
+    if (completionVisits_ != nullptr)
+        completionVisits_->add(visited);
 }
 
 void
@@ -392,6 +413,8 @@ SpanTracer::bindMetrics(telemetry::Registry &registry)
     remoteLinks_ = &registry.counter("trace.remote_links");
     ioSpans_ = &registry.counter("trace.io_spans");
     requestsTraced_ = &registry.counter("trace.requests_traced");
+    completionVisits_ =
+        &registry.counter("trace.completion_span_visits");
     telemetry::Gauge &open_gauge = registry.gauge("trace.open_spans");
     telemetry::Gauge &total_gauge =
         registry.gauge("trace.spans_total");

@@ -66,8 +66,11 @@ class SpanTracer : public os::KernelHooks
 
     /**
      * Publish trace.* metrics: spans_opened/spans_closed/fork_links/
-     * remote_links/io_spans/requests_traced counters and an
-     * open_spans gauge refreshed on every registry collect.
+     * remote_links/io_spans/requests_traced counters, a
+     * completion_span_visits counter (spans walked at request
+     * completion: each completion walks only its own request's
+     * spans), and an open_spans gauge refreshed on every registry
+     * collect.
      */
     void bindMetrics(telemetry::Registry &registry);
 
@@ -121,6 +124,15 @@ class SpanTracer : public os::KernelHooks
     SpanId openSpan(os::RequestId request, const std::string &name,
                     SpanKind kind, SpanId parent, sim::SimTime at);
     void closeSpan(SpanId id, sim::SimTime at);
+    /** Point the task's stage link at `span`, replacing any other. */
+    void linkTask(os::TaskId task, SpanId span);
+    /** Drop the task's stage link, if it has one. */
+    void unlinkTask(os::TaskId task);
+    /**
+     * Settle, then close the request's open spans on this machine and
+     * drop their task links: O(that request's spans), found through
+     * the collector's per-request entry and spanTasks_.
+     */
     void completeRequest(const os::RequestInfo &info);
 
     os::Kernel &kernel_;
@@ -131,6 +143,8 @@ class SpanTracer : public os::KernelHooks
     std::map<os::RequestId, RequestState> requests_;
     /** Open stage span of each task (this machine). */
     std::map<os::TaskId, SpanId> taskSpans_;
+    /** The inverse of taskSpans_ (each span has at most one task). */
+    std::map<SpanId, os::TaskId> spanTasks_;
     /** Tasks whose span closes at the exit switch-out. */
     std::set<os::TaskId> pendingExit_;
     core::RemoteRequestLedger remoteLedger_;
@@ -141,6 +155,7 @@ class SpanTracer : public os::KernelHooks
     telemetry::Counter *remoteLinks_ = nullptr;
     telemetry::Counter *ioSpans_ = nullptr;
     telemetry::Counter *requestsTraced_ = nullptr;
+    telemetry::Counter *completionVisits_ = nullptr;
 };
 
 } // namespace trace

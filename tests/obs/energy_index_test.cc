@@ -1,13 +1,16 @@
 /**
  * @file
  * EnergyIndex tests: live incremental maintenance must agree with
- * the collector's own O(trace) scans, attach() must absorb an
+ * the collector's own per-request queries, attach() must absorb an
  * already-populated collector exactly (same floating-point order,
  * so bitwise-equal totals), and the ranking/quota views must track
- * charges as they land.
+ * charges as they land — the lazy ranking in the same order as a
+ * sort from scratch.
  */
 
+#include <algorithm>
 #include <map>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -102,6 +105,88 @@ TEST(EnergyIndex, RankingTracksChargesAsTheyLand)
     EXPECT_EQ(index.topRequests(0).size(), 0u);
     c.close(a, msec(1));
     c.close(b, msec(1));
+}
+
+/** The ranking contract computed from scratch: every request by the
+ * collector's own span sum, energy descending, then id ascending. */
+std::vector<os::RequestId>
+referenceRanking(const SpanCollector &c)
+{
+    std::vector<os::RequestId> ids = c.requests();
+    std::sort(ids.begin(), ids.end(),
+              [&c](os::RequestId a, os::RequestId b) {
+                  double ea = c.requestEnergyJ(a).value();
+                  double eb = c.requestEnergyJ(b).value();
+                  return ea != eb ? ea > eb : a < b;
+              });
+    return ids;
+}
+
+TEST(EnergyIndex, LazyRankingMatchesAReferenceSort)
+{
+    // Every charge is a multiple of 1/8 J, so every sum is exact in
+    // any order: the index's charge-order totals equal the
+    // collector's id-order sums, and equal energies really tie.
+    SpanCollector c;
+    EnergyIndex index;
+    index.attach(c);
+    std::mt19937 rng(1213);
+    auto pick = [&rng](std::size_t n) {
+        return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+    };
+    auto expectRanked = [&](const std::string &when) {
+        std::vector<os::RequestId> want = referenceRanking(c);
+        EXPECT_EQ(index.ranked(), want) << when;
+        std::size_t n = pick(want.size() + 2);
+        std::vector<os::RequestId> top(
+            want.begin(), want.begin() + std::min(n, want.size()));
+        EXPECT_EQ(index.topRequests(n), top) << when << ", n=" << n;
+    };
+    auto charge = [&c](SpanId span, double joules) {
+        c.charge(span, util::Joules(joules), 0, util::Cycles(0), 0);
+    };
+
+    std::vector<SpanId> spans;
+    os::RequestId next = 1;
+    for (int step = 0; step < 3000; ++step) {
+        std::size_t op = pick(16);
+        if (spans.empty() || (op == 0 && next <= 50)) {
+            spans.push_back(
+                c.open(next++, 0, "r", SpanKind::Root, NoSpan, 0));
+        } else if (op == 1) {
+            SpanId parent = spans[pick(spans.size())];
+            spans.push_back(c.open(c.span(parent).request, 0, "s",
+                                   SpanKind::Stage, parent, 0));
+        } else if (op < 14) {
+            // One charge in four is a zero delta.
+            charge(spans[pick(spans.size())],
+                   static_cast<double>(pick(4)) / 8);
+        } else {
+            expectRanked("step " + std::to_string(step));
+        }
+        if (step == 1500) {
+            index.detach();
+            EXPECT_TRUE(index.ranked().empty());
+            index.attach(c);
+            expectRanked("after re-attach");
+        }
+    }
+    ASSERT_EQ(c.requests().size(), 50u);
+
+    // Two charges that return the last-ranked request to the total
+    // it was ranked at: queued, then found unchanged.
+    std::vector<os::RequestId> before = index.ranked();
+    SpanId last = c.rootOf(before.back());
+    charge(last, 0.5);
+    charge(last, -0.5);
+    EXPECT_EQ(index.ranked(), before);
+    // The same round trip with a query in between.
+    charge(last, 1000);
+    EXPECT_EQ(index.topRequests(1),
+              std::vector<os::RequestId>{before.back()});
+    charge(last, -1000);
+    EXPECT_EQ(index.ranked(), before);
+    expectRanked("after the round trips");
 }
 
 TEST(EnergyIndex, RollupCarriesCountsEnvelopeAndMachines)

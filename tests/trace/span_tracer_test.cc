@@ -252,5 +252,32 @@ TEST(SpanTracer, BindMetricsPublishesTraceCounters)
                      static_cast<double>(w.spans.size()));
 }
 
+TEST(SpanTracer, CompletionVisitsOnlyTheCompletingRequestsSpans)
+{
+    TracedWorld w;
+    telemetry::Registry registry;
+    w.tracer.bindMetrics(registry);
+    w.tracer.traceAll();
+    const telemetry::Counter &visits =
+        registry.counter("trace.completion_span_visits");
+    auto runRequest = [&w] {
+        RequestId req = w.requests.create("r", w.sim.now());
+        w.kernel.spawn(forkAndIo(), "parent", req);
+        w.sim.run(w.sim.now() + sim::msec(50));
+        w.requests.complete(req, w.sim.now());
+        return req;
+    };
+    for (int i = 0; i < 1000; ++i)
+        runRequest();
+    std::uint64_t before = visits.value();
+    RequestId last = runRequest();
+    std::size_t own = w.spans.requestSpans(last).size();
+    // Completion walks the request's own spans, not the ~1000x more
+    // recorded before it.
+    EXPECT_EQ(visits.value() - before, own);
+    EXPECT_GE(w.spans.size(), 1000 * own);
+    EXPECT_EQ(w.spans.openCount(), 0u);
+}
+
 } // namespace
 } // namespace pcon::trace
