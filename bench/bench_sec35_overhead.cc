@@ -110,21 +110,23 @@ BENCHMARK(BM_DutyCycleAdjust);
 
 /**
  * One online model recalibration: a non-negative least-squares fit
- * over a calibration-sized sample set (576 offline + 128 online
- * samples, 8 features).
+ * over 576 offline calibration samples plus the online samples, 8
+ * features. The argument is the total row count: 704 (128 online
+ * samples, just past warm-up) and 4,672 (a full 4,096-sample online
+ * ring, RecalibratorConfig::maxOnlineSamples: every refit at steady
+ * state).
  */
 void
 BM_RecalibrationFit(benchmark::State &state)
 {
     sim::Rng rng(77);
-    linalg::Matrix design;
-    linalg::Vector target;
-    for (int i = 0; i < 704; ++i) {
-        linalg::Vector row;
-        for (int f = 0; f < 8; ++f)
-            row.push_back(rng.uniform(0.0, f < 2 ? 4.0 : 0.1));
-        design.appendRow(row);
-        target.push_back(rng.uniform(5.0, 60.0));
+    const auto rows = static_cast<std::size_t>(state.range(0));
+    linalg::Matrix design(rows, 8);
+    linalg::Vector target(rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t f = 0; f < 8; ++f)
+            design(r, f) = rng.uniform(0.0, f < 2 ? 4.0 : 0.1);
+        target[r] = rng.uniform(5.0, 60.0);
     }
     for (auto _ : state) {
         linalg::LsqResult fit =
@@ -132,7 +134,7 @@ BM_RecalibrationFit(benchmark::State &state)
         benchmark::DoNotOptimize(fit.coefficients.data());
     }
 }
-BENCHMARK(BM_RecalibrationFit);
+BENCHMARK(BM_RecalibrationFit)->Arg(704)->Arg(4672);
 
 /**
  * A world where the container manager is decorated by the telemetry

@@ -337,24 +337,23 @@ OnlineRecalibrator::refitNow()
     }
     double online_scale = std::sqrt(online_weight);
 
-    linalg::Matrix design;
-    linalg::Vector target;
+    std::size_t rows = offline_.size() + online_.size();
+    if (rows < cols.size() + 1) {
+        ++refitsSkipped_;
+        return;
+    }
+    linalg::Matrix design(rows, cols.size());
+    linalg::Vector target(rows);
+    std::size_t r = 0;
     auto add_sample = [&](const CalibrationSample &s, double scale) {
-        linalg::Vector row;
-        row.reserve(cols.size());
-        for (Metric m : cols)
-            row.push_back(s.metrics.get(m) * scale);
-        design.appendRow(row);
-        target.push_back(s.measuredFullW * scale); // active watts
+        for (std::size_t c = 0; c < cols.size(); ++c)
+            design(r, c) = s.metrics.get(cols[c]) * scale;
+        target[r++] = s.measuredFullW * scale; // active watts
     };
     for (const CalibrationSample &s : offline_)
         add_sample(s, 1.0);
     for (const CalibrationSample &s : online_)
         add_sample(s, online_scale);
-    if (design.rows() < cols.size() + 1) {
-        ++refitsSkipped_;
-        return;
-    }
 
     linalg::LsqResult fit =
         linalg::solveNonNegativeLeastSquares(design, target);

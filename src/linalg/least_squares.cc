@@ -19,48 +19,60 @@ namespace {
  * applying the same transformations to b. On return the upper
  * triangle of A holds R. Returns false when a diagonal of R is
  * (near-)zero, i.e. the design is rank deficient.
+ *
+ * Each column k costs two sweeps over rows k..m-1 in storage order.
+ * The first accumulates v^T v and v^T x for every column x >= k and
+ * for b; the second applies the reflector row by row and accumulates
+ * the next column's squared norm from the rows it has just updated.
+ * Every sum adds its terms in ascending row order, as a
+ * column-at-a-time loop does, so the factors are bit-identical to
+ * one.
  */
 bool
 householderQr(Matrix &a, Vector &b)
 {
     std::size_t m = a.rows();
     std::size_t n = a.cols();
+    // proj[j] = v^T (column j) for j >= k; proj[n] = v^T b.
+    Vector proj(n + 1);
+    double col_norm2 = 0.0;
+    for (std::size_t i = 0; i < m; ++i)
+        col_norm2 += a(i, 0) * a(i, 0);
     for (std::size_t k = 0; k < n; ++k) {
         // Norm of column k below (and including) the diagonal.
-        double col_norm = 0.0;
-        for (std::size_t i = k; i < m; ++i)
-            col_norm += a(i, k) * a(i, k);
-        col_norm = std::sqrt(col_norm);
+        double col_norm = std::sqrt(col_norm2);
         if (col_norm < 1e-12)
             return false;
 
+        // Householder vector v = x - alpha*e1: v0 on the diagonal,
+        // column k itself below it.
         double alpha = a(k, k) > 0 ? -col_norm : col_norm;
-        // Householder vector v = x - alpha*e1, stored locally.
-        std::vector<double> v(m - k);
-        v[0] = a(k, k) - alpha;
-        for (std::size_t i = k + 1; i < m; ++i)
-            v[i - k] = a(i, k);
+        double v0 = a(k, k) - alpha;
         double v_norm2 = 0.0;
-        for (double x : v)
-            v_norm2 += x * x;
+        std::fill(proj.begin() + static_cast<std::ptrdiff_t>(k),
+                  proj.end(), 0.0);
+        for (std::size_t i = k; i < m; ++i) {
+            double vi = i == k ? v0 : a(i, k);
+            v_norm2 += vi * vi;
+            for (std::size_t j = k; j < n; ++j)
+                proj[j] += vi * a(i, j);
+            proj[n] += vi * b[i];
+        }
         if (v_norm2 < 1e-24)
             return false;
+        for (std::size_t j = k; j <= n; ++j)
+            proj[j] = 2.0 * proj[j] / v_norm2;
 
         // Apply H = I - 2 v v^T / (v^T v) to A[k:, k:] and b[k:].
-        for (std::size_t j = k; j < n; ++j) {
-            double proj = 0.0;
-            for (std::size_t i = k; i < m; ++i)
-                proj += v[i - k] * a(i, j);
-            proj = 2.0 * proj / v_norm2;
-            for (std::size_t i = k; i < m; ++i)
-                a(i, j) -= proj * v[i - k];
+        col_norm2 = 0.0;
+        for (std::size_t i = k; i < m; ++i) {
+            double vi = i == k ? v0 : a(i, k);
+            for (std::size_t j = k; j < n; ++j)
+                a(i, j) -= proj[j] * vi;
+            b[i] -= proj[n] * vi;
+            if (i > k && k + 1 < n)
+                col_norm2 += a(i, k + 1) * a(i, k + 1);
         }
-        double proj = 0.0;
-        for (std::size_t i = k; i < m; ++i)
-            proj += v[i - k] * b[i];
-        proj = 2.0 * proj / v_norm2;
-        for (std::size_t i = k; i < m; ++i)
-            b[i] -= proj * v[i - k];
     }
     return true;
 }
@@ -88,10 +100,12 @@ computeRmse(const Matrix &a, const Vector &b, const Vector &x)
 {
     if (a.rows() == 0)
         return 0.0;
-    Vector pred = a * x;
     double sse = 0.0;
     for (std::size_t i = 0; i < b.size(); ++i) {
-        double r = pred[i] - b[i];
+        double pred = 0.0;
+        for (std::size_t c = 0; c < a.cols(); ++c)
+            pred += a(i, c) * x[c];
+        double r = pred - b[i];
         sse += r * r;
     }
     return std::sqrt(sse / static_cast<double>(b.size()));
@@ -137,10 +151,28 @@ choleskySolve(Matrix m, Vector rhs, Vector &x)
     return true;
 }
 
-} // namespace
+/** Ridge coefficients from the normal equations, without the RMSE. */
+Vector
+ridgeCoefficients(const Matrix &a, const Vector &b, double lambda)
+{
+    Matrix at = a.transposed();
+    Matrix ata = at * a;
+    for (std::size_t i = 0; i < ata.rows(); ++i)
+        ata(i, i) += lambda;
+    Vector atb = at * b;
+    Vector x;
+    if (!choleskySolve(ata, atb, x))
+        util::panic("ridge normal equations not SPD despite penalty");
+    return x;
+}
 
+/**
+ * solveLeastSquares without the RMSE, for the weighted and
+ * non-negative solvers: they score other coefficients or another
+ * problem than the one solved here.
+ */
 LsqResult
-solveLeastSquares(const Matrix &a, const Vector &b)
+fitLeastSquares(const Matrix &a, const Vector &b)
 {
     fatalIf(a.rows() != b.size(),
             "least squares: ", a.rows(), " rows vs ", b.size(),
@@ -154,10 +186,8 @@ solveLeastSquares(const Matrix &a, const Vector &b)
     Vector qtb = b;
     LsqResult result;
     if (householderQr(qr, qtb) &&
-        backSubstitute(qr, qtb, result.coefficients)) {
-        result.rmse = computeRmse(a, b, result.coefficients);
+        backSubstitute(qr, qtb, result.coefficients))
         return result;
-    }
 
     // Rank-deficient design: fall back to a mild ridge penalty scaled
     // to the average squared feature magnitude.
@@ -167,8 +197,18 @@ solveLeastSquares(const Matrix &a, const Vector &b)
             scale += a(r, c) * a(r, c);
     scale /= static_cast<double>(std::max<std::size_t>(1, a.rows()));
     double lambda = std::max(1e-9, 1e-6 * scale);
-    result = solveRidge(a, b, lambda);
+    result.coefficients = ridgeCoefficients(a, b, lambda);
     result.rankDeficient = true;
+    return result;
+}
+
+} // namespace
+
+LsqResult
+solveLeastSquares(const Matrix &a, const Vector &b)
+{
+    LsqResult result = fitLeastSquares(a, b);
+    result.rmse = computeRmse(a, b, result.coefficients);
     return result;
 }
 
@@ -187,7 +227,7 @@ solveWeightedLeastSquares(const Matrix &a, const Vector &b,
             wa(r, c) = a(r, c) * s;
         wb[r] = b[r] * s;
     }
-    LsqResult result = solveLeastSquares(wa, wb);
+    LsqResult result = fitLeastSquares(wa, wb);
     // Report RMSE on the unweighted problem for interpretability.
     result.rmse = computeRmse(a, b, result.coefficients);
     return result;
@@ -198,7 +238,7 @@ solveNonNegativeLeastSquares(const Matrix &a, const Vector &b)
 {
     // Start from the unconstrained solution; repeatedly clamp negative
     // coefficients to zero and refit the remaining free columns.
-    LsqResult result = solveLeastSquares(a, b);
+    LsqResult result = fitLeastSquares(a, b);
     std::vector<bool> frozen(a.cols(), false);
     for (std::size_t iter = 0; iter < a.cols(); ++iter) {
         bool any_negative = false;
@@ -221,7 +261,7 @@ solveNonNegativeLeastSquares(const Matrix &a, const Vector &b)
             for (std::size_t r = 0; r < a.rows(); ++r)
                 for (std::size_t j = 0; j < free_cols.size(); ++j)
                     sub(r, j) = a(r, free_cols[j]);
-            LsqResult sub_fit = solveLeastSquares(sub, b);
+            LsqResult sub_fit = fitLeastSquares(sub, b);
             for (std::size_t j = 0; j < free_cols.size(); ++j)
                 coeffs[free_cols[j]] = sub_fit.coefficients[j];
             result.rankDeficient |= sub_fit.rankDeficient;
@@ -239,14 +279,8 @@ solveRidge(const Matrix &a, const Vector &b, double lambda)
 {
     fatalIf(lambda <= 0.0, "ridge lambda must be positive");
     fatalIf(a.rows() != b.size(), "ridge: shape mismatch");
-    Matrix at = a.transposed();
-    Matrix ata = at * a;
-    for (std::size_t i = 0; i < ata.rows(); ++i)
-        ata(i, i) += lambda;
-    Vector atb = at * b;
     LsqResult result;
-    if (!choleskySolve(ata, atb, result.coefficients))
-        util::panic("ridge normal equations not SPD despite penalty");
+    result.coefficients = ridgeCoefficients(a, b, lambda);
     result.rmse = computeRmse(a, b, result.coefficients);
     return result;
 }

@@ -14,18 +14,6 @@ Matrix::Matrix(std::size_t rows, std::size_t cols)
 {}
 
 double &
-Matrix::operator()(std::size_t r, std::size_t c)
-{
-    return data_[r * cols_ + c];
-}
-
-double
-Matrix::operator()(std::size_t r, std::size_t c) const
-{
-    return data_[r * cols_ + c];
-}
-
-double &
 Matrix::at(std::size_t r, std::size_t c)
 {
     panicIf(r >= rows_ || c >= cols_,

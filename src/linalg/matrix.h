@@ -18,8 +18,11 @@ namespace linalg {
 using Vector = std::vector<double>;
 
 /**
- * Dense row-major matrix of doubles with bounds-checked access in
- * debug form via at().
+ * Dense row-major matrix of doubles. operator() is the unchecked
+ * access the solvers use, defined inline: their loops call it for
+ * every element of a ~4,700 x 8 refit design on each pass, and an
+ * out-of-line call per access would cost more than the arithmetic.
+ * at() is the bounds-checked form.
  */
 class Matrix
 {
@@ -37,10 +40,16 @@ class Matrix
     std::size_t cols() const { return cols_; }
 
     /** Unchecked element access. */
-    double &operator()(std::size_t r, std::size_t c);
+    double &operator()(std::size_t r, std::size_t c)
+    {
+        return data_[r * cols_ + c];
+    }
 
     /** Unchecked element access (const). */
-    double operator()(std::size_t r, std::size_t c) const;
+    double operator()(std::size_t r, std::size_t c) const
+    {
+        return data_[r * cols_ + c];
+    }
 
     /** Checked element access; panics out of range. */
     double &at(std::size_t r, std::size_t c);

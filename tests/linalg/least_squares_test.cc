@@ -1,4 +1,10 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iomanip>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -165,6 +171,195 @@ TEST(Ridge, ShrinksTowardZeroAsLambdaGrows)
     EXPECT_NEAR(small.coefficients[0], 3.0, 1e-6);
     EXPECT_LT(big.coefficients[0], 1.0);
     EXPECT_THROW(solveRidge(a, b, 0.0), util::FatalError);
+}
+
+// ---------------------------------------------------------------------
+// Exact-output pins. The solver's cost may change but its output may
+// not (docs/PERFORMANCE.md "Exact refits"): each test below compares
+// the IEEE-754 bit patterns of every result field with values recorded
+// from the column-at-a-time Householder solver. A sum taken in a
+// different order generally changes some of these bits.
+
+std::string
+hexBits(double x)
+{
+    std::ostringstream os;
+    os << std::hex << std::setw(16) << std::setfill('0')
+       << std::bit_cast<std::uint64_t>(x);
+    return os.str();
+}
+
+struct PinnedFit
+{
+    std::vector<std::string> coefficients;
+    std::string rmse;
+    bool rankDeficient = false;
+};
+
+void
+expectBitIdentical(const LsqResult &fit, const PinnedFit &pin)
+{
+    ASSERT_EQ(fit.coefficients.size(), pin.coefficients.size());
+    for (std::size_t i = 0; i < pin.coefficients.size(); ++i)
+        EXPECT_EQ(hexBits(fit.coefficients[i]), pin.coefficients[i])
+            << "coefficient " << i;
+    EXPECT_EQ(hexBits(fit.rmse), pin.rmse) << "rmse";
+    EXPECT_EQ(fit.rankDeficient, pin.rankDeficient) << "rankDeficient";
+}
+
+struct Design
+{
+    Matrix a;
+    Vector b;
+};
+
+/**
+ * The shape of one online refit at its steady state: 576 offline
+ * calibration samples plus a full 4,096-sample online ring
+ * (RecalibratorConfig::maxOnlineSamples), 8 metric columns at
+ * machine-level magnitudes (core and instruction rates summed over 8
+ * cores, cache/memory rates per cycle, disk/net busy fractions).
+ */
+Design
+refitShapedDesign()
+{
+    constexpr std::size_t Offline = 576, Online = 4096, Cols = 8;
+    const double scale[Cols] = {8.0, 12.0, 1.0, 0.2, 0.05, 4.0, 1.0, 1.0};
+    const double watts[Cols] = {8.0, 1.5, 3.0, 70.0, 205.0, 5.6, 4.0, 3.0};
+    sim::Rng rng(2013);
+    Design d{Matrix(Offline + Online, Cols), Vector(Offline + Online)};
+    for (std::size_t r = 0; r < d.a.rows(); ++r) {
+        // Calibration sweeps each metric's whole range; the online
+        // workload sits in a narrower, busier band.
+        double lo = r < Offline ? 0.0 : 0.3;
+        double hi = r < Offline ? 1.0 : 0.8;
+        double active_w = 0.0;
+        for (std::size_t c = 0; c < Cols; ++c) {
+            d.a(r, c) = scale[c] * rng.uniform(lo, hi);
+            active_w += watts[c] * d.a(r, c);
+        }
+        d.b[r] = active_w + rng.uniform(-1.0, 1.0);
+    }
+    return d;
+}
+
+/** A minimal system: n + 1 samples for n = 4 features. */
+Design
+minimalDesign()
+{
+    sim::Rng rng(5);
+    Design d{Matrix(5, 4), Vector(5)};
+    for (std::size_t r = 0; r < 5; ++r) {
+        for (std::size_t c = 0; c < 4; ++c)
+            d.a(r, c) = rng.uniform(0.0, 2.0);
+        d.b[r] = rng.uniform(1.0, 10.0);
+    }
+    return d;
+}
+
+/** Column 2 duplicates column 0, so QR detects rank deficiency. */
+Design
+duplicateColumnDesign()
+{
+    sim::Rng rng(17);
+    Design d{Matrix(40, 3), Vector(40)};
+    for (std::size_t r = 0; r < 40; ++r) {
+        d.a(r, 0) = rng.uniform(0.0, 4.0);
+        d.a(r, 1) = rng.uniform(0.0, 1.0);
+        d.a(r, 2) = d.a(r, 0);
+        d.b[r] = 3.0 * d.a(r, 0) + 2.0 * d.a(r, 1) +
+            rng.uniform(-0.1, 0.1);
+    }
+    return d;
+}
+
+/**
+ * The unconstrained fit of this design has negative coefficients, so
+ * the non-negative solver freezes columns and refits sub-problems.
+ */
+Design
+negativeCoefficientDesign()
+{
+    sim::Rng rng(29);
+    Design d{Matrix(300, 4), Vector(300)};
+    for (std::size_t r = 0; r < 300; ++r) {
+        for (std::size_t c = 0; c < 4; ++c)
+            d.a(r, c) = rng.uniform(0.0, 1.0);
+        d.b[r] = 2.0 * d.a(r, 0) - 0.7 * d.a(r, 1) +
+            1.2 * d.a(r, 2) - 0.05 * d.a(r, 3) +
+            rng.uniform(-0.2, 0.2);
+    }
+    return d;
+}
+
+TEST(LeastSquaresBits, RefitShapedDesign)
+{
+    Design d = refitShapedDesign();
+    expectBitIdentical(solveLeastSquares(d.a, d.b),
+                       {{"401ff88180bc524c", "3ff8113878b5c463",
+                         "4007fc00d4cb1129", "4051984745f121cc",
+                         "4069d43b03ba5384", "40165b30500a2418",
+                         "400fcbff74b4186e", "4007777deb8cf995"},
+                        "3fe2549ff15e810c", false});
+    expectBitIdentical(solveNonNegativeLeastSquares(d.a, d.b),
+                       {{"401ff88180bc524c", "3ff8113878b5c463",
+                         "4007fc00d4cb1129", "4051984745f121cc",
+                         "4069d43b03ba5384", "40165b30500a2418",
+                         "400fcbff74b4186e", "4007777deb8cf995"},
+                        "3fe2549ff15e810c", false});
+}
+
+TEST(LeastSquaresBits, MinimalSystem)
+{
+    Design d = minimalDesign();
+    expectBitIdentical(solveLeastSquares(d.a, d.b),
+                       {{"3ffe0a6403e55ade", "4012d6d2d9c7a01c",
+                         "c00090284b90d634", "3febde00874efc15"},
+                        "3fd4f3395aefc7ef", false});
+    expectBitIdentical(solveNonNegativeLeastSquares(d.a, d.b),
+                       {{"3ff27ac9f08abb23", "40004a015e9554d9",
+                         "0000000000000000", "3ffea9df48dbfd3e"},
+                        "3fe48ce2876f77d7", false});
+}
+
+TEST(LeastSquaresBits, DuplicateColumnTakesRidgeFallback)
+{
+    Design d = duplicateColumnDesign();
+    expectBitIdentical(solveLeastSquares(d.a, d.b),
+                       {{"3ff7f824202bd73f", "40004a1f1b0bbc2a",
+                         "3ff7f8241edaa055"},
+                        "3fadce85a72b5a39", true});
+    expectBitIdentical(solveNonNegativeLeastSquares(d.a, d.b),
+                       {{"3ff7f824202bd73f", "40004a1f1b0bbc2a",
+                         "3ff7f8241edaa055"},
+                        "3fadce85a72b5a39", true});
+}
+
+TEST(LeastSquaresBits, NegativeCoefficientsIterateNnls)
+{
+    Design d = negativeCoefficientDesign();
+    expectBitIdentical(solveLeastSquares(d.a, d.b),
+                       {{"3fffbccbf0a120c0", "bfe68081e46ab72c",
+                         "3ff2ddadd378dc71", "bf89f074d06ba1b3"},
+                        "3fbc49f7129052be", false});
+    expectBitIdentical(solveNonNegativeLeastSquares(d.a, d.b),
+                       {{"3ffab5bf777237d5", "0000000000000000",
+                         "3febc1ebcf77f6f9", "0000000000000000"},
+                        "3fd0bbebf38139fb", false});
+}
+
+TEST(LeastSquaresBits, WeightedFitOfTheRefitShape)
+{
+    Design d = refitShapedDesign();
+    Vector w(d.a.rows(), 1.0);
+    for (std::size_t r = 0; r < 576; ++r)
+        w[r] = 4096.0 / 576.0;
+    expectBitIdentical(solveWeightedLeastSquares(d.a, d.b, w),
+                       {{"401ffb9ecf7442b4", "3ff8007d619f9d6f",
+                         "40078996179d5501", "4051b425ddd7c5c8",
+                         "4069beeddd39b827", "401653bd391c0e0e",
+                         "40100be0faed7936", "4007bd7651cdc70e"},
+                        "3fe258e2c1d603de", false});
 }
 
 } // namespace
