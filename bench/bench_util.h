@@ -29,7 +29,7 @@ class CsvSink
   public:
     explicit CsvSink(const std::string &name)
     {
-        const char *dir = std::getenv("PCON_CSV_DIR");  // NOLINT(concurrency-mt-unsafe): read once at bench startup
+        const char *dir = std::getenv("PCON_CSV_DIR");
         if (dir != nullptr && *dir != '\0')
             writer_.emplace(std::string(dir) + "/" + name + ".csv");
     }

@@ -31,7 +31,6 @@ namespace {
 std::uint64_t
 envU64(const char *name, std::uint64_t fallback)
 {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read once at startup
     const char *v = std::getenv(name);
     if (v == nullptr || *v == '\0')
         return fallback;
@@ -41,7 +40,6 @@ envU64(const char *name, std::uint64_t fallback)
 bool
 envFlag(const char *name)
 {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read once at startup
     const char *v = std::getenv(name);
     return v != nullptr && *v != '\0' &&
         std::string(v) != "0";
@@ -77,7 +75,6 @@ HarnessOptions::fromEnv()
     }
     opts.warmupReps = envU64("PCON_BENCH_WARMUP", opts.warmupReps);
     opts.measuredReps = envU64("PCON_BENCH_REPS", opts.measuredReps);
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read once at startup
     const char *dir = std::getenv("PCON_BENCH_JSON_DIR");
     if (dir != nullptr && *dir != '\0')
         opts.outDir = dir;
@@ -292,7 +289,6 @@ scenarioMain(const std::string &name,
                 static_cast<unsigned long long>(reps),
                 static_cast<unsigned long long>(warmup));
 
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read once at startup
     const char *dir = std::getenv("PCON_BENCH_JSON_DIR");
     if (dir != nullptr && *dir != '\0') {
         double sum = 0;

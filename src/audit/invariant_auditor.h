@@ -113,9 +113,6 @@ class InvariantAuditor : public sim::Auditor
   private:
     struct ManagerState
     {
-        // The auditor reads manager accounts inside its own audit
-        // event, which the PDES engine will run at a barrier.
-        // pcon-lint: allow(shard-escape) audit-only barrier view
         core::ContainerManager *manager;
         /** accountedEnergyJ at the watch() baseline. */
         double baseAccountedJ;
@@ -138,7 +135,6 @@ class InvariantAuditor : public sim::Auditor
     void checkModels();
     void checkManager(ManagerState &state);
 
-    // pcon-lint: allow(shard-escape) read at audit events only (a PDES barrier)
     os::Kernel &kernel_;
     InvariantAuditorConfig cfg_;
     sim::SimTime lastNow_;
@@ -146,7 +142,6 @@ class InvariantAuditor : public sim::Auditor
     util::Joules lastMachineEnergyJ_{0};
     std::vector<util::Joules> lastPackageEnergyJ_;
     std::vector<ManagerState> managers_;
-    // pcon-lint: allow(shard-escape) const views read at audit events only
     std::vector<const core::LinearPowerModel *> models_;
     std::uint64_t auditsRun_ = 0;
     std::uint64_t violations_ = 0;

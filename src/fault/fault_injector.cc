@@ -24,23 +24,12 @@ FaultInjector::FaultInjector(sim::Simulation &sim,
     : sim_(sim), plan_(plan), rng_(plan.seed)
 {}
 
-FaultCounts
-FaultInjector::counts() const
-{
-    util::LockGuard lock(countsMu_);
-    return counts_;
-}
-
 void
 FaultInjector::note(const char *kind,
                     std::uint64_t FaultCounts::*field,
                     const char *metric)
 {
-    std::uint64_t tally;
-    {
-        util::LockGuard lock(countsMu_);
-        tally = ++(counts_.*field);
-    }
+    std::uint64_t tally = ++(counts_.*field);
     if (registry_ != nullptr)
         registry_->counter(metric).add(1);
     if (perfetto_ != nullptr)

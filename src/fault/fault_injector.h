@@ -27,7 +27,6 @@
 #include "sim/rng.h"
 #include "telemetry/perfetto.h"
 #include "telemetry/registry.h"
-#include "util/sync.h"
 
 namespace pcon {
 namespace fault {
@@ -94,13 +93,8 @@ class FaultInjector
      */
     void arm();
 
-    /**
-     * Snapshot of the injection tallies so far. Returned by value:
-     * perturbation hooks on other shards keep bumping the live
-     * tallies (behind the counts mutex), so a reference would escape
-     * the lock.
-     */
-    FaultCounts counts() const;
+    /** Snapshot of the injection tallies so far. */
+    FaultCounts counts() const { return counts_; }
 
     /** The plan being executed. */
     const FaultPlan &plan() const { return plan_; }
@@ -115,46 +109,28 @@ class FaultInjector
     void startForkStorm();
 
     /**
-     * Count one injected event: bump the named tally under the counts
-     * mutex, then publish to the registry counter and the Perfetto
-     * track outside it (both have their own thread-safe surfaces).
+     * Count one injected event: bump the named tally, then publish
+     * it to the registry counter and the Perfetto track.
      */
     void note(const char *kind, std::uint64_t FaultCounts::*field,
               const char *metric);
 
-    // Wiring-phase state: set while the harness is single-threaded
-    // (construction, attach*(), arm()), read-only while traffic
-    // flows. The perturbation state below (rng_, stuck snapshot,
-    // stale-tag replay map) is shard-local by design: one injector's
-    // hooks fire on the shard that owns the attached interfaces.
-    // pcon-lint: shard-local(bound at construction, never reseated)
     sim::Simulation &sim_;
-    // pcon-lint: shard-local(copied at construction, read-only after)
     FaultPlan plan_;
-    // pcon-lint: shard-local(drawn only by this injector's hooks)
     sim::Rng rng_;
-    // pcon-lint: shard-local(flipped once by arm() during wiring)
     bool armed_ = false;
-    // pcon-lint: shard-local(set by attachTasks() during wiring)
     os::Kernel *taskKernel_ = nullptr;
-    // pcon-lint: shard-local(set by attachTelemetry() during wiring)
     telemetry::Registry *registry_ = nullptr;
-    // pcon-lint: shard-local(set by attachPerfetto() during wiring)
     telemetry::PerfettoExporter *perfetto_ = nullptr;
 
     /** Frozen snapshot for the stuck-at counter fault. */
-    // pcon-lint: shard-local(touched only by the attached machine's counter hook)
     bool stuckCaptured_ = false;
-    // pcon-lint: shard-local(touched only by the attached machine's counter hook)
     hw::CounterSnapshot stuckSnapshot_{};
 
     /** Last genuine stats tag seen per context (stale-tag replay). */
-    // pcon-lint: shard-local(touched only by the attached kernel's segment hook)
     std::map<os::RequestId, os::RequestStatsTag> lastTags_;
 
-    /** Tallies are read cross-shard (counts(), telemetry pulls). */
-    mutable util::Mutex countsMu_;
-    FaultCounts counts_ PCON_GUARDED_BY(countsMu_);
+    FaultCounts counts_;
 };
 
 } // namespace fault

@@ -21,7 +21,6 @@
 #include "hw/config.h"
 #include "hw/counters.h"
 #include "sim/simulation.h"
-#include "util/sync.h"
 #include "util/units.h"
 
 namespace pcon {
@@ -39,7 +38,7 @@ enum class DeviceKind {
  * time first, so power is integrated exactly over piecewise-constant
  * activity intervals.
  */
-class PCON_SHARD_OWNED Machine
+class Machine
 {
   public:
     /**

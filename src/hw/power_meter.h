@@ -36,7 +36,6 @@ enum class MeterScope {
  * average power over the elapsed interval from cumulative ground-truth
  * energy, then delivers the sample to subscribers `delay` later.
  */
-// pcon-lint: shard-owned
 class PowerMeter
 {
   public:

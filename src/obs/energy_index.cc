@@ -14,52 +14,32 @@ void
 EnergyIndex::attach(trace::SpanCollector &collector)
 {
     detach();
-    {
-        util::LockGuard lock(mu_);
-        collector_ = &collector;
-        // Absorb already-recorded spans in id order — the same
-        // floating-point addition sequence the collector's own
-        // per-request sums perform, so rebuilt rollups match them
-        // bit-for-bit (the byte-identity contract of obs/report.h).
-        for (const trace::Span &s : collector.spans()) {
-            absorbOpen(s);
-            if (!s.open)
-                absorbClose(s);
-        }
+    collector_ = &collector;
+    // Absorb already-recorded spans in id order — the same
+    // floating-point addition sequence the collector's own
+    // per-request sums perform, so rebuilt rollups match them
+    // bit-for-bit (the byte-identity contract of obs/report.h).
+    for (const trace::Span &s : collector.spans()) {
+        absorbOpen(s);
+        if (!s.open)
+            absorbClose(s);
     }
-    // Install the hook after absorbing: attach() runs at wiring or
-    // reload time, when no tracer is mutating the collector (the
-    // same single-threaded contract as SpanCollector moves).
     collector.setObserver(this);
 }
 
 void
 EnergyIndex::detach()
 {
-    trace::SpanCollector *old = nullptr;
-    {
-        util::LockGuard lock(mu_);
-        old = collector_;
-        collector_ = nullptr;
-        requests_.clear();
-        ranking_.clear();
-        unranked_.clear();
-        machineEnergy_.clear();
-        totalEnergyJ_ = util::Joules{0};
-        spanCount_ = 0;
-        openSpans_ = 0;
-    }
-    // Outside mu_: the collector lock is acquired before the index
-    // lock on the callback path, never after.
-    if (old != nullptr)
-        old->setObserver(nullptr);
-}
-
-const trace::SpanCollector *
-EnergyIndex::collector() const
-{
-    util::LockGuard lock(mu_);
-    return collector_;
+    if (collector_ != nullptr)
+        collector_->setObserver(nullptr);
+    collector_ = nullptr;
+    requests_.clear();
+    ranking_.clear();
+    unranked_.clear();
+    machineEnergy_.clear();
+    totalEnergyJ_ = util::Joules{0};
+    spanCount_ = 0;
+    openSpans_ = 0;
 }
 
 EnergyIndex::PerRequest &
@@ -160,14 +140,12 @@ EnergyIndex::absorbClose(const trace::Span &span)
 void
 EnergyIndex::onSpanOpened(const trace::Span &span)
 {
-    util::LockGuard lock(mu_);
     absorbOpen(span);
 }
 
 void
 EnergyIndex::onSpanClosed(const trace::Span &span)
 {
-    util::LockGuard lock(mu_);
     absorbClose(span);
 }
 
@@ -176,7 +154,6 @@ EnergyIndex::onSpanCharged(const trace::Span &span,
                            util::Joules energy_delta,
                            double cpu_delta_ns)
 {
-    util::LockGuard lock(mu_);
     PerRequest &entry = entryFor(span.request);
     entry.energyJ += energy_delta;
     entry.cpuTimeNs += cpu_delta_ns;
@@ -195,7 +172,6 @@ EnergyIndex::onSpanCharged(const trace::Span &span,
 std::vector<os::RequestId>
 EnergyIndex::requests() const
 {
-    util::LockGuard lock(mu_);
     std::vector<os::RequestId> out;
     out.reserve(requests_.size());
     for (const auto &kv : requests_)
@@ -206,7 +182,6 @@ EnergyIndex::requests() const
 std::vector<os::RequestId>
 EnergyIndex::ranked() const
 {
-    util::LockGuard lock(mu_);
     rankChanged();
     std::vector<os::RequestId> out;
     out.reserve(ranking_.size());
@@ -218,7 +193,6 @@ EnergyIndex::ranked() const
 std::vector<os::RequestId>
 EnergyIndex::topRequests(std::size_t n) const
 {
-    util::LockGuard lock(mu_);
     rankChanged();
     std::vector<os::RequestId> out;
     for (const RankKey &key : ranking_) {
@@ -232,14 +206,12 @@ EnergyIndex::topRequests(std::size_t n) const
 bool
 EnergyIndex::known(os::RequestId request) const
 {
-    util::LockGuard lock(mu_);
     return find(request) != nullptr;
 }
 
 RequestRollup
 EnergyIndex::rollup(os::RequestId request) const
 {
-    util::LockGuard lock(mu_);
     RequestRollup out;
     out.id = request;
     const PerRequest *entry = find(request);
@@ -259,7 +231,6 @@ EnergyIndex::rollup(os::RequestId request) const
 util::Joules
 EnergyIndex::requestEnergyJ(os::RequestId request) const
 {
-    util::LockGuard lock(mu_);
     const PerRequest *entry = find(request);
     return entry != nullptr ? entry->energyJ : util::Joules{0};
 }
@@ -267,7 +238,6 @@ EnergyIndex::requestEnergyJ(os::RequestId request) const
 util::Watts
 EnergyIndex::requestAvgPowerW(os::RequestId request) const
 {
-    util::LockGuard lock(mu_);
     const PerRequest *entry = find(request);
     if (entry == nullptr || entry->cpuTimeNs <= 0)
         return util::Watts{0};
@@ -277,7 +247,6 @@ EnergyIndex::requestAvgPowerW(os::RequestId request) const
 sim::SimTime
 EnergyIndex::requestWall(os::RequestId request) const
 {
-    util::LockGuard lock(mu_);
     const PerRequest *entry = find(request);
     if (entry == nullptr || !entry->anyClosed)
         return 0;
@@ -287,7 +256,6 @@ EnergyIndex::requestWall(os::RequestId request) const
 std::vector<trace::SpanId>
 EnergyIndex::requestSpans(os::RequestId request) const
 {
-    // Asked outside mu_: the only lock order is collector -> index.
     const trace::SpanCollector *spans = collector();
     return spans != nullptr ? spans->requestSpans(request)
                             : std::vector<trace::SpanId>{};
@@ -296,7 +264,6 @@ EnergyIndex::requestSpans(os::RequestId request) const
 std::string
 EnergyIndex::rootName(os::RequestId request) const
 {
-    util::LockGuard lock(mu_);
     const PerRequest *entry = find(request);
     return entry != nullptr ? entry->rootName : "?";
 }
@@ -304,7 +271,6 @@ EnergyIndex::rootName(os::RequestId request) const
 util::Joules
 EnergyIndex::machineEnergyJ(os::RequestId request, int machine) const
 {
-    util::LockGuard lock(mu_);
     const PerRequest *entry = find(request);
     if (entry == nullptr)
         return util::Joules{0};
@@ -317,7 +283,6 @@ EnergyIndex::machineEnergyJ(os::RequestId request, int machine) const
 std::vector<int>
 EnergyIndex::machines() const
 {
-    util::LockGuard lock(mu_);
     std::vector<int> out;
     out.reserve(machineEnergy_.size());
     for (const auto &kv : machineEnergy_)
@@ -328,30 +293,8 @@ EnergyIndex::machines() const
 util::Joules
 EnergyIndex::machineTotalEnergyJ(int machine) const
 {
-    util::LockGuard lock(mu_);
     auto it = machineEnergy_.find(machine);
     return it == machineEnergy_.end() ? util::Joules{0} : it->second;
-}
-
-util::Joules
-EnergyIndex::totalEnergyJ() const
-{
-    util::LockGuard lock(mu_);
-    return totalEnergyJ_;
-}
-
-std::size_t
-EnergyIndex::spanCount() const
-{
-    util::LockGuard lock(mu_);
-    return spanCount_;
-}
-
-std::size_t
-EnergyIndex::openSpanCount() const
-{
-    util::LockGuard lock(mu_);
-    return openSpans_;
 }
 
 std::vector<QuotaHeadroom>
@@ -359,7 +302,6 @@ EnergyIndex::quotaHeadroom(
     const std::map<std::string, double> &budget_j_by_type,
     double default_budget_j) const
 {
-    util::LockGuard lock(mu_);
     std::vector<QuotaHeadroom> out;
     out.reserve(requests_.size());
     for (const auto &kv : requests_) {

@@ -32,7 +32,6 @@
 #include "os/request_context.h"
 #include "sim/time.h"
 #include "trace/span.h"
-#include "util/sync.h"
 #include "util/units.h"
 
 namespace pcon {
@@ -74,18 +73,14 @@ struct QuotaHeadroom
 
 /**
  * The incremental index. Attach to one collector (live tracing or a
- * reloaded dump); every query then reads maintained rollups under the
- * index's own mutex. Maintenance is O(log R) per span event (the
+ * reloaded dump); every query then reads maintained rollups.
+ * Maintenance is O(log R) per span event (the
  * request lookup), R = requests seen. A charge does not re-sort: it
  * only notes that the request's energy moved. ranked() and
  * topRequests() first re-rank the requests noted since the last
  * ranking query, so they cost O(changed requests × log R + answer)
- * and return exactly the order eager re-ranking would.
- *
- * Thread safety: observer callbacks arrive under the collector's
- * lock from whichever shard mutates a span; all index state is
- * guarded by mu_. The index never calls back into the collector from
- * a callback, so the only lock order is collector -> index.
+ * and return exactly the order eager re-ranking would. The index
+ * never calls back into the collector from an observer callback.
  */
 class EnergyIndex : public trace::SpanObserver
 {
@@ -108,7 +103,7 @@ class EnergyIndex : public trace::SpanObserver
 
     /** The attached collector (nullptr when detached). Span detail
      * queries (stage fields, critical paths) read through it. */
-    const trace::SpanCollector *collector() const;
+    const trace::SpanCollector *collector() const { return collector_; }
 
     // --- queries (all O(answer), plus O(log R) lookups) ------------
 
@@ -154,13 +149,13 @@ class EnergyIndex : public trace::SpanObserver
     util::Joules machineTotalEnergyJ(int machine) const;
 
     /** Total attributed energy across every span. */
-    util::Joules totalEnergyJ() const;
+    util::Joules totalEnergyJ() const { return totalEnergyJ_; }
 
     /** Spans indexed so far. */
-    std::size_t spanCount() const;
+    std::size_t spanCount() const { return spanCount_; }
 
     /** Spans currently open. */
-    std::size_t openSpanCount() const;
+    std::size_t openSpanCount() const { return openSpans_; }
 
     /**
      * Energy-quota headroom of every known request, ascending id:
@@ -216,29 +211,28 @@ class EnergyIndex : public trace::SpanObserver
         }
     };
 
-    PerRequest &entryFor(os::RequestId request) PCON_REQUIRES(mu_);
+    PerRequest &entryFor(os::RequestId request);
     const PerRequest *find(os::RequestId request) const
-        PCON_REQUIRES(mu_);
+       ;
     /** Queue the request for re-ranking once its energy leaves
      * rankedJ. */
     void markUnranked(os::RequestId request, PerRequest &entry)
-        PCON_REQUIRES(mu_);
+       ;
     /** Move each queued request's ranking_ key to its energy now. */
-    void rankChanged() const PCON_REQUIRES(mu_);
-    void absorbOpen(const trace::Span &span) PCON_REQUIRES(mu_);
-    void absorbClose(const trace::Span &span) PCON_REQUIRES(mu_);
+    void rankChanged() const;
+    void absorbOpen(const trace::Span &span);
+    void absorbClose(const trace::Span &span);
 
-    mutable util::Mutex mu_;
-    trace::SpanCollector *collector_ PCON_GUARDED_BY(mu_) = nullptr;
-    std::map<os::RequestId, PerRequest> requests_ PCON_GUARDED_BY(mu_);
+    trace::SpanCollector *collector_ = nullptr;
+    std::map<os::RequestId, PerRequest> requests_;
     /** One key per request, holding its rankedJ. */
-    mutable std::set<RankKey> ranking_ PCON_GUARDED_BY(mu_);
+    mutable std::set<RankKey> ranking_;
     /** Requests whose energy moved since the last ranking query. */
-    mutable std::vector<os::RequestId> unranked_ PCON_GUARDED_BY(mu_);
-    std::map<int, util::Joules> machineEnergy_ PCON_GUARDED_BY(mu_);
-    util::Joules totalEnergyJ_ PCON_GUARDED_BY(mu_){0};
-    std::size_t spanCount_ PCON_GUARDED_BY(mu_) = 0;
-    std::size_t openSpans_ PCON_GUARDED_BY(mu_) = 0;
+    mutable std::vector<os::RequestId> unranked_;
+    std::map<int, util::Joules> machineEnergy_;
+    util::Joules totalEnergyJ_{0};
+    std::size_t spanCount_ = 0;
+    std::size_t openSpans_ = 0;
 };
 
 } // namespace obs

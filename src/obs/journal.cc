@@ -90,7 +90,6 @@ recordKindName(RecordKind kind)
 Journal::Journal(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity)
 {
-    util::LockGuard lock(mu_);
     ring_ = static_cast<JournalRecord *>(arena_.allocate(
         capacity_ * sizeof(JournalRecord), alignof(JournalRecord)));
     for (std::size_t i = 0; i < capacity_; ++i)
@@ -103,7 +102,6 @@ Journal::append(RecordKind kind, Severity severity, sim::SimTime at,
                 const std::string &what, const std::string &detail,
                 double value)
 {
-    util::LockGuard lock(mu_);
     JournalRecord &slot = ring_[total_ % capacity_];
     slot.seq = total_;
     slot.at = at;
@@ -117,6 +115,8 @@ Journal::append(RecordKind kind, Severity severity, sim::SimTime at,
     ++total_;
     if (live_ < capacity_)
         ++live_;
+    else
+        ++dropped_; // overwrote the oldest retained record
     ++bySeverity_[static_cast<std::size_t>(severity)];
     ++byKind_[static_cast<std::size_t>(kind)];
 }
@@ -124,7 +124,6 @@ Journal::append(RecordKind kind, Severity severity, sim::SimTime at,
 std::vector<JournalRecord>
 Journal::snapshot() const
 {
-    util::LockGuard lock(mu_);
     std::vector<JournalRecord> out;
     out.reserve(live_);
     for (std::uint64_t seq = total_ - live_; seq < total_; ++seq)
@@ -155,48 +154,6 @@ Journal::writeJsonl(const std::string &path) const
     std::ofstream out(path, std::ios::trunc);
     util::fatalIf(!out, "cannot open '", path, "' for writing");
     out << jsonl();
-}
-
-std::size_t
-Journal::size() const
-{
-    util::LockGuard lock(mu_);
-    return live_;
-}
-
-std::uint64_t
-Journal::totalAppended() const
-{
-    util::LockGuard lock(mu_);
-    return total_;
-}
-
-std::uint64_t
-Journal::dropped() const
-{
-    util::LockGuard lock(mu_);
-    return total_ > capacity_ ? total_ - capacity_ : 0;
-}
-
-std::uint64_t
-Journal::countBySeverity(Severity severity) const
-{
-    util::LockGuard lock(mu_);
-    return bySeverity_[static_cast<std::size_t>(severity)];
-}
-
-std::uint64_t
-Journal::countByKind(RecordKind kind) const
-{
-    util::LockGuard lock(mu_);
-    return byKind_[static_cast<std::size_t>(kind)];
-}
-
-void
-Journal::clear()
-{
-    util::LockGuard lock(mu_);
-    live_ = 0;
 }
 
 } // namespace obs

@@ -29,7 +29,6 @@
 #include "os/request_context.h"
 #include "sim/time.h"
 #include "util/slab_arena.h"
-#include "util/sync.h"
 
 namespace pcon {
 namespace obs {
@@ -90,11 +89,7 @@ struct JournalRecord
 static_assert(std::is_trivially_destructible<JournalRecord>::value,
               "ring slots are arena storage; no destructors run");
 
-/**
- * The bounded journal. All appends and reads are mutex-guarded, so
- * kernel hooks, watchdogs, and exporters on different shards can
- * share one journal.
- */
+/** The bounded journal. */
 class Journal
 {
   public:
@@ -134,39 +129,46 @@ class Journal
     std::size_t capacity() const { return capacity_; }
 
     /** Records currently retained (<= capacity). */
-    std::size_t size() const;
+    std::size_t size() const { return live_; }
 
     /** Records ever appended. */
-    std::uint64_t totalAppended() const;
+    std::uint64_t totalAppended() const { return total_; }
 
-    /** Records overwritten after the ring wrapped. */
-    std::uint64_t dropped() const;
+    /** Retained records overwritten by a later append once the ring
+     * was full (records removed by clear() are not counted). */
+    std::uint64_t dropped() const { return dropped_; }
 
     /** Appends seen with the given severity (includes dropped). */
-    std::uint64_t countBySeverity(Severity severity) const;
+    std::uint64_t
+    countBySeverity(Severity severity) const
+    {
+        return bySeverity_[static_cast<std::size_t>(severity)];
+    }
 
     /** Appends seen with the given kind (includes dropped). */
-    std::uint64_t countByKind(RecordKind kind) const;
+    std::uint64_t
+    countByKind(RecordKind kind) const
+    {
+        return byKind_[static_cast<std::size_t>(kind)];
+    }
 
     /** Drop every retained record (counts keep accumulating). */
-    void clear();
+    void clear() { live_ = 0; }
 
   private:
     /** Backing storage for the ring slots. */
-    // pcon-lint: shard-local(written only in the constructor)
     util::SlabArena arena_;
     /** Ring capacity; immutable after construction. */
-    // pcon-lint: shard-local(set in the ctor, read-only afterwards)
     std::size_t capacity_;
 
-    mutable util::Mutex mu_;
-    JournalRecord *ring_ PCON_GUARDED_BY(mu_) = nullptr;
+    JournalRecord *ring_ = nullptr;
     /** Records ever appended; head slot is total_ % capacity_. */
-    std::uint64_t total_ PCON_GUARDED_BY(mu_) = 0;
+    std::uint64_t total_ = 0;
     /** Retained count (== min(total_, capacity_) unless cleared). */
-    std::size_t live_ PCON_GUARDED_BY(mu_) = 0;
-    std::uint64_t bySeverity_[3] PCON_GUARDED_BY(mu_) = {};
-    std::uint64_t byKind_[5] PCON_GUARDED_BY(mu_) = {};
+    std::size_t live_ = 0;
+    std::uint64_t dropped_ = 0;
+    std::uint64_t bySeverity_[3] = {};
+    std::uint64_t byKind_[5] = {};
 };
 
 } // namespace obs

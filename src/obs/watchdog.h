@@ -152,17 +152,13 @@ class WatchdogSet
 
     Journal &journal_;
     telemetry::Registry &registry_;
-    // Watchdogs probe shard state from their own periodic events;
-    // under the PDES engine those events pin to the owning shard's
-    // thread (or a barrier).
-    // pcon-lint: allow(shard-escape) probed from shard-pinned watchdog events
     os::Kernel &kernel_;
     WatchdogConfig cfg_;
 
-    core::ContainerManager *manager_ = nullptr;  // pcon-lint: allow(shard-escape) see kernel_ above
-    hw::Machine *machine_ = nullptr;  // pcon-lint: allow(shard-escape) see kernel_ above
-    core::OnlineRecalibrator *recalibrator_ = nullptr;  // pcon-lint: allow(shard-escape) see kernel_ above
-    core::PowerAnomalyDetector *anomalies_ = nullptr;  // pcon-lint: allow(shard-escape) see kernel_ above
+    core::ContainerManager *manager_ = nullptr;
+    hw::Machine *machine_ = nullptr;
+    core::OnlineRecalibrator *recalibrator_ = nullptr;
+    core::PowerAnomalyDetector *anomalies_ = nullptr;
 
     /** Drift baseline captured by watchGroundTruth. */
     sim::SimTime driftStart_ = 0;

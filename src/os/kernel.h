@@ -23,7 +23,6 @@
 #include "os/socket.h"
 #include "os/task.h"
 #include "sim/simulation.h"
-#include "util/sync.h"
 
 namespace pcon {
 namespace os {
@@ -63,7 +62,7 @@ struct KernelConfig
  * hw::Machine; multiplexes the per-core sampling timers; invokes
  * KernelHooks at accounting boundaries.
  */
-class PCON_SHARD_OWNED Kernel
+class Kernel
 {
   public:
     /**

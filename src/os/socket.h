@@ -74,7 +74,6 @@ struct Segment
  * die with the owning kernel's arena, so sockets need no drain-on-
  * destroy pass (Segment is trivially destructible — enforced below).
  */
-// pcon-lint: cross-shard
 class SegmentQueue
 {
   public:

@@ -227,7 +227,6 @@ enum class TaskState {
  * One schedulable entity. Owned by the kernel; workloads interact
  * with tasks through ids and the TaskLogic callbacks.
  */
-// pcon-lint: shard-owned
 class Task
 {
   public:

@@ -8,237 +8,43 @@
 namespace pcon {
 namespace sim {
 
-namespace {
-
-/** Smallest wheel; grows/shrinks by powers of two from here. */
-constexpr std::size_t kMinBuckets = 64;
-
-/** Starting bucket span before the first gap-derived rebuild. */
-constexpr SimTime kInitialWidth = 4096;
-
-/** Gap-sample cap for width derivation (keeps rebuilds O(n)). */
-constexpr std::size_t kWidthSamples = 64;
-
-/** Floor division that is exact for negative times too. */
-std::int64_t
-floorDiv(std::int64_t a, std::int64_t b)
-{
-    std::int64_t q = a / b;
-    if ((a % b) != 0 && ((a < 0) != (b < 0)))
-        --q;
-    return q;
-}
-
-} // namespace
-
-EventQueue::EventQueue()
-    : buckets_(kMinBuckets), width_(kInitialWidth),
-      curTop_(kInitialWidth)
-{
-}
-
-std::uint32_t
-EventQueue::acquireSlot()
-{
-    if (!freeSlots_.empty()) {
-        std::uint32_t slot = freeSlots_.back();
-        freeSlots_.pop_back();
-        return slot;
-    }
-    nodes_.emplace_back();
-    util::panicIf(nodes_.size() >
-                      std::numeric_limits<std::uint32_t>::max() - 1,
-                  "event queue slot space exhausted");
-    return static_cast<std::uint32_t>(nodes_.size() - 1);
-}
-
 void
-EventQueue::releaseSlot(std::uint32_t slot) const
+EventQueue::releaseSlot(std::uint32_t slot)
 {
     Node &n = nodes_[slot];
     n.cb = nullptr; // drop the closure eagerly
-    ++n.gen;        // invalidates the handle and any wheel entry
+    ++n.gen;        // invalidates the handle and the heap entry
     freeSlots_.push_back(slot);
 }
 
-bool
-EventQueue::stale(const WheelEntry &e) const
-{
-    return nodes_[e.slot].gen != e.gen;
-}
-
-std::size_t
-EventQueue::bucketIndex(SimTime when) const
-{
-    std::int64_t vb = floorDiv(when, width_);
-    return static_cast<std::size_t>(
-        static_cast<std::uint64_t>(vb) & (buckets_.size() - 1));
-}
-
 void
-EventQueue::heapPush(const WheelEntry &e) const
+EventQueue::pruneTop()
 {
-    curHeap_.push_back(e);
-    std::push_heap(curHeap_.begin(), curHeap_.end(), Later{});
-}
-
-void
-EventQueue::pruneHeapTop() const
-{
-    while (!curHeap_.empty() && stale(curHeap_.front())) {
-        std::pop_heap(curHeap_.begin(), curHeap_.end(), Later{});
-        curHeap_.pop_back();
+    while (!heap_.empty() && stale(heap_.front())) {
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
+        heap_.pop_back();
     }
-}
-
-void
-EventQueue::sweepBucket(std::size_t b) const
-{
-    std::vector<WheelEntry> &bucket = buckets_[b];
-    std::size_t keep = 0;
-    for (const WheelEntry &e : bucket) {
-        if (stale(e))
-            continue; // cancelled: drop lazily
-        if (e.when < curTop_)
-            heapPush(e);
-        else
-            bucket[keep++] = e;
-    }
-    bucket.resize(keep);
-}
-
-void
-EventQueue::jumpToMin() const
-{
-    SimTime min_when = std::numeric_limits<SimTime>::max();
-    for (const std::vector<WheelEntry> &bucket : buckets_)
-        for (const WheelEntry &e : bucket)
-            if (!stale(e) && e.when < min_when)
-                min_when = e.when;
-    util::panicIf(min_when == std::numeric_limits<SimTime>::max(),
-                  "event queue lost a live event");
-    curTop_ = floorDiv(min_when, width_) * width_ + width_;
-    cursor_ = bucketIndex(min_when);
-    sweepBucket(cursor_);
-}
-
-void
-EventQueue::advanceToMin() const
-{
-    pruneHeapTop();
-    std::size_t steps = 0;
-    while (curHeap_.empty()) {
-        if (steps++ >= buckets_.size()) {
-            // A whole lap was empty: the population is sparse
-            // relative to the wheel span. Re-anchor directly on the
-            // earliest entry instead of spinning lap after lap —
-            // and when that keeps happening, the width no longer
-            // matches the inter-event gaps (the size-triggered
-            // rebuilds never fire on small populations), so re-derive
-            // it from the current population.
-            if (++jumps_ >= 8) {
-                jumps_ = 0;
-                rebuild(buckets_.size());
-            } else {
-                jumpToMin();
-            }
-            steps = 0;
-        } else {
-            cursor_ = (cursor_ + 1) & (buckets_.size() - 1);
-            curTop_ += width_;
-            sweepBucket(cursor_);
-        }
-        pruneHeapTop();
-    }
-}
-
-SimTime
-EventQueue::chooseWidth(const std::vector<WheelEntry> &all) const
-{
-    // Derive the bucket span from observed inter-event gaps (Brown's
-    // calendar-queue heuristic): sample, sort, average the positive
-    // gaps, and spread a few events per bucket. Deterministic — the
-    // inputs are event times only.
-    std::size_t stride = std::max<std::size_t>(
-        1, all.size() / kWidthSamples);
-    std::vector<SimTime> sample;
-    sample.reserve(kWidthSamples + 1);
-    for (std::size_t i = 0; i < all.size(); i += stride)
-        sample.push_back(all[i].when);
-    std::sort(sample.begin(), sample.end());
-    SimTime total = 0;
-    std::int64_t gaps = 0;
-    for (std::size_t i = 1; i < sample.size(); ++i) {
-        SimTime d = sample[i] - sample[i - 1];
-        if (d > 0) {
-            total += d;
-            ++gaps;
-        }
-    }
-    if (gaps == 0)
-        return width_; // same-time flood: keep the current span
-    // Cap the span so cursor arithmetic (curTop_ += width_ per step)
-    // cannot overflow even with far-future outliers in the sample.
-    constexpr SimTime kMaxWidth = SimTime(1) << 40;
-    SimTime avg = total / gaps;
-    if (avg >= kMaxWidth / 4)
-        return kMaxWidth;
-    return std::max<SimTime>(1, 4 * avg);
-}
-
-void
-EventQueue::rebuild(std::size_t nbuckets) const
-{
-    std::vector<WheelEntry> all;
-    all.reserve(live_);
-    for (const std::vector<WheelEntry> &bucket : buckets_)
-        for (const WheelEntry &e : bucket)
-            if (!stale(e))
-                all.push_back(e);
-    for (const WheelEntry &e : curHeap_)
-        if (!stale(e))
-            all.push_back(e);
-
-    buckets_.assign(nbuckets, {});
-    curHeap_.clear();
-    if (all.empty()) {
-        cursor_ = 0;
-        curTop_ = floorDiv(curTop_, width_) * width_ + width_;
-        return;
-    }
-
-    width_ = chooseWidth(all);
-    SimTime min_when = all.front().when;
-    for (const WheelEntry &e : all)
-        min_when = std::min(min_when, e.when);
-    curTop_ = floorDiv(min_when, width_) * width_ + width_;
-    cursor_ = bucketIndex(min_when);
-    for (const WheelEntry &e : all) {
-        if (e.when < curTop_)
-            curHeap_.push_back(e);
-        else
-            buckets_[bucketIndex(e.when)].push_back(e);
-    }
-    std::make_heap(curHeap_.begin(), curHeap_.end(), Later{});
 }
 
 EventId
 EventQueue::schedule(SimTime when, Callback cb)
 {
-    util::SpinGuard lock(mu_);
-    std::uint32_t slot = acquireSlot();
+    std::uint32_t slot;
+    if (!freeSlots_.empty()) {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+    } else {
+        util::panicIf(nodes_.size() >=
+                          std::numeric_limits<std::uint32_t>::max() - 1,
+                      "event queue slot space exhausted");
+        slot = static_cast<std::uint32_t>(nodes_.size());
+        nodes_.emplace_back();
+    }
     Node &n = nodes_[slot];
     n.cb = std::move(cb);
-    n.when = when;
-    n.seq = nextSeq_++;
-    WheelEntry e{when, n.seq, slot, n.gen};
-    if (when < curTop_)
-        heapPush(e); // due in (or before) the cursor bucket
-    else
-        buckets_[bucketIndex(when)].push_back(e);
+    heap_.push_back(Entry{when, nextSeq_++, slot, n.gen});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
     ++live_;
-    if (live_ > buckets_.size() * 2)
-        rebuild(buckets_.size() * 2);
     return (static_cast<EventId>(n.gen) << 32) |
         static_cast<EventId>(slot + 1);
 }
@@ -246,74 +52,59 @@ EventQueue::schedule(SimTime when, Callback cb)
 bool
 EventQueue::cancel(EventId id)
 {
-    if (id == InvalidEventId)
-        return false;
-    util::SpinGuard lock(mu_);
     std::uint64_t low = id & 0xffffffffULL;
     if (low == 0 || low > nodes_.size())
         return false;
     std::uint32_t slot = static_cast<std::uint32_t>(low - 1);
     if (nodes_[slot].gen != static_cast<std::uint32_t>(id >> 32))
         return false; // already fired, cancelled, or recycled
-    releaseSlot(slot); // the wheel entry goes stale and is swept later
+    releaseSlot(slot);
     --live_;
+    if (heap_.size() > 2 * live_) {
+        // Stale entries outnumber live ones: drop them all at once.
+        heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
+                                   [this](const Entry &e) {
+                                       return stale(e);
+                                   }),
+                    heap_.end());
+        std::make_heap(heap_.begin(), heap_.end(), Later{});
+    } else {
+        pruneTop();
+    }
     return true;
-}
-
-bool
-EventQueue::empty() const
-{
-    util::SpinGuard lock(mu_);
-    return live_ == 0;
-}
-
-std::size_t
-EventQueue::size() const
-{
-    util::SpinGuard lock(mu_);
-    return live_;
 }
 
 SimTime
 EventQueue::nextTime() const
 {
-    util::SpinGuard lock(mu_);
     util::panicIf(live_ == 0, "nextTime on empty event queue");
-    advanceToMin();
-    return curHeap_.front().when;
+    return heap_.front().when;
 }
 
 std::pair<SimTime, EventQueue::Callback>
 EventQueue::popTop()
 {
-    WheelEntry top = curHeap_.front();
-    std::pop_heap(curHeap_.begin(), curHeap_.end(), Later{});
-    curHeap_.pop_back();
+    Entry top = heap_.front();
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
     Callback cb = std::move(nodes_[top.slot].cb);
     releaseSlot(top.slot);
     --live_;
-    if (buckets_.size() > kMinBuckets && live_ < buckets_.size() / 8)
-        rebuild(buckets_.size() / 2);
+    pruneTop();
     return {top.when, std::move(cb)};
 }
 
 std::pair<SimTime, EventQueue::Callback>
 EventQueue::pop()
 {
-    util::SpinGuard lock(mu_);
     util::panicIf(live_ == 0, "pop on empty event queue");
-    advanceToMin();
     return popTop();
 }
 
 std::optional<std::pair<SimTime, EventQueue::Callback>>
 EventQueue::popDue(SimTime until)
 {
-    util::SpinGuard lock(mu_);
-    if (live_ == 0)
-        return std::nullopt;
-    advanceToMin();
-    if (curHeap_.front().when > until)
+    if (live_ == 0 || heap_.front().when > until)
         return std::nullopt;
     return popTop();
 }

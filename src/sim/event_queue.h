@@ -4,46 +4,24 @@
  * stable FIFO ordering among same-time events and O(1) cancel
  * support via generation-checked event handles.
  *
- * Structure (ISSUE 8 hot-path pass): a calendar-queue / timing-wheel
- * hybrid replacing the former std::priority_queue. Pending events
- * live in one of two places:
+ * Structure: one binary min-heap of (when, seq, slot, gen) entries
+ * in a std::vector. seq is handed out monotonically, so (when, seq)
+ * is a total order and every pop is determined by it alone, not by
+ * the heap's shape. The workloads keep a few dozen events pending
+ * (docs/PERFORMANCE.md), where a plain heap is as fast as any
+ * bucketed structure.
  *
- *  - `curHeap_`, a small binary min-heap ordered by (when, seq),
- *    holding every event due before `curTop_` (the upper edge of the
- *    wheel bucket the cursor is on). Its top is always the global
- *    minimum, so peek/pop are O(log h) in the handful of events due
- *    "now" — and same-timestamp floods degrade gracefully to plain
- *    heap behavior instead of quadratic bucket scans.
+ * Callbacks live in a flat slot vector recycled through an index
+ * free list; EventId packs (generation << 32 | slot), so cancel() is
+ * an O(1) exact test: it returns true iff the event is still
+ * pending, and cancelling an already-fired or already-cancelled id
+ * is a clean false. A cancelled event's heap entry goes stale (its
+ * generation no longer matches the slot's) and is dropped when it
+ * reaches the top; a cancel that leaves stale entries outnumbering
+ * live ones compacts the heap, so cancelled events cannot pile up.
  *
- *  - the wheel: `buckets_[i]` is an unsorted vector of entries with
- *    `when >= curTop_`, hashed by (when / width_) % buckets. As the
- *    cursor advances bucket by bucket, each bucket's newly due
- *    entries are swept into curHeap_. The bucket count is resized
- *    (and width_ re-derived from observed inter-event gaps) as the
- *    population grows/shrinks, giving O(1) amortized insert and pop.
- *    A direct-search fallback re-anchors the cursor after a full
- *    empty lap, so sparse far-future schedules never spin.
- *
- * The (when, seq) total order — and therefore every pop — is
- * byte-identical to the old heap's ordering: seq is handed out
- * monotonically under the lock exactly as before.
- *
- * Nodes (callback + bookkeeping) are recycled through a flat slot
- * vector with an index free list; EventId packs
- * (generation << 32 | slot), so cancel() is an O(1) exact test: it
- * returns true iff the event is still pending, and cancelling an
- * already-fired or already-cancelled id is a clean false (the old
- * implementation's lazy blacklist miscounted that case).
- *
- * Thread safety (shard-readiness, ROADMAP Open item 1): the insertion
- * surface — schedule()/cancel() — is what other shards touch when
- * they post cross-shard events (conservative PDES null messages,
- * remote segment deliveries), so the whole queue serializes on one
- * annotated util::SpinLock (critical sections are a few dozen
- * nanoseconds; a futex mutex costs more than the work it guards).
- * Pop ordering stays deterministic: the
- * (time, sequence) total order is unaffected by which thread inserted
- * an entry, only by the sequence numbers handed out under the lock.
+ * Not thread-safe: the queue belongs to one sim::Simulation, which
+ * is single-threaded by contract (DESIGN.md §2b).
  */
 
 #ifndef PCON_SIM_EVENT_QUEUE_H
@@ -56,7 +34,6 @@
 
 #include "sim/time.h"
 #include "util/inline_fn.h"
-#include "util/sync.h"
 
 namespace pcon {
 namespace sim {
@@ -68,11 +45,11 @@ using EventId = std::uint64_t;
 constexpr EventId InvalidEventId = 0;
 
 /**
- * A calendar queue of (time, sequence, callback) entries. Events at
- * equal times fire in scheduling order. Cancellation is exact and
- * O(1) via generation-checked handles.
+ * A min-heap of (time, sequence, callback) entries. Events at equal
+ * times fire in scheduling order. Cancellation is exact and O(1) via
+ * generation-checked handles.
  */
-class PCON_CROSS_SHARD EventQueue
+class EventQueue
 {
   public:
     /**
@@ -82,8 +59,6 @@ class PCON_CROSS_SHARD EventQueue
      * fall back to one heap cell. See util/inline_fn.h.
      */
     using Callback = util::InlineFunction<void(), 32>;
-
-    EventQueue();
 
     /** Schedule a callback at absolute time `when`. */
     EventId schedule(SimTime when, Callback cb);
@@ -97,10 +72,10 @@ class PCON_CROSS_SHARD EventQueue
     bool cancel(EventId id);
 
     /** True when no live events remain. O(1). */
-    bool empty() const;
+    bool empty() const { return live_ == 0; }
 
     /** Number of live (non-cancelled) pending events. O(1). */
-    std::size_t size() const;
+    std::size_t size() const { return live_; }
 
     /** Time of the earliest live event; panics when empty. */
     SimTime nextTime() const;
@@ -113,27 +88,23 @@ class PCON_CROSS_SHARD EventQueue
 
     /**
      * Fused empty/nextTime/pop for the simulation run loop: pop the
-     * earliest live event iff its time is <= `until`. One lock
-     * acquisition and one min lookup per event instead of three.
+     * earliest live event iff its time is <= `until`.
      * @return nullopt when the queue is empty or the head is later
      *         than `until`.
      */
     std::optional<std::pair<SimTime, Callback>> popDue(SimTime until);
 
   private:
-    /** Pooled event record; the slot index never moves. */
+    /** Pooled callback; the slot index never moves. */
     struct Node
     {
         Callback cb;
-        SimTime when = 0;
-        std::uint64_t seq = 0;
-        /** Bumped on fire/cancel so stale handles and wheel entries
+        /** Bumped on fire/cancel so stale handles and heap entries
          *  are detected exactly. */
         std::uint32_t gen = 1;
     };
 
-    /** Lightweight handle stored in buckets and the due-heap. */
-    struct WheelEntry
+    struct Entry
     {
         SimTime when;
         std::uint64_t seq;
@@ -144,13 +115,12 @@ class PCON_CROSS_SHARD EventQueue
     /**
      * Min-heap comparator: true when `a` fires after `b`. A functor
      * (not a function pointer) so std::push_heap/pop_heap inline the
-     * comparison — as a pointer it was an indirect call per compare,
-     * tens of millions of them per benchmark run.
+     * comparison.
      */
     struct Later
     {
         bool
-        operator()(const WheelEntry &a, const WheelEntry &b) const
+        operator()(const Entry &a, const Entry &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
@@ -158,45 +128,22 @@ class PCON_CROSS_SHARD EventQueue
         }
     };
 
-    std::uint32_t acquireSlot() PCON_REQUIRES(mu_);
-    void releaseSlot(std::uint32_t slot) const PCON_REQUIRES(mu_);
-    bool stale(const WheelEntry &e) const PCON_REQUIRES(mu_);
-    std::size_t bucketIndex(SimTime when) const PCON_REQUIRES(mu_);
-    void heapPush(const WheelEntry &e) const PCON_REQUIRES(mu_);
-    void pruneHeapTop() const PCON_REQUIRES(mu_);
-    /** Sweep bucket `b`'s entries due before curTop_ into the heap. */
-    void sweepBucket(std::size_t b) const PCON_REQUIRES(mu_);
-    /** Advance the cursor until curHeap_ holds the global minimum.
-     *  Requires live_ > 0. */
-    void advanceToMin() const PCON_REQUIRES(mu_);
-    /** Re-anchor the cursor directly on the earliest wheel entry. */
-    void jumpToMin() const PCON_REQUIRES(mu_);
-    /** Rehash into `nbuckets` buckets with a freshly derived width. */
-    void rebuild(std::size_t nbuckets) const PCON_REQUIRES(mu_);
-    SimTime chooseWidth(const std::vector<WheelEntry> &all) const
-        PCON_REQUIRES(mu_);
-    std::pair<SimTime, Callback> popTop() PCON_REQUIRES(mu_);
+    bool stale(const Entry &e) const { return nodes_[e.slot].gen != e.gen; }
+    void releaseSlot(std::uint32_t slot);
+    /** Drop stale entries off the top, so the top is live whenever
+     *  live_ > 0. */
+    void pruneTop();
+    std::pair<SimTime, Callback> popTop();
 
-    mutable util::SpinLock mu_;
-    /** Slot-indexed event nodes, recycled via freeSlots_. Entries
-     *  are addressed by index only, so vector reallocation is safe
-     *  (Callback moves are a flat memcpy). */
-    mutable std::vector<Node> nodes_ PCON_GUARDED_BY(mu_);
-    mutable std::vector<std::uint32_t> freeSlots_ PCON_GUARDED_BY(mu_);
-    /** The wheel: unsorted per-bucket entry vectors. */
-    mutable std::vector<std::vector<WheelEntry>> buckets_
-        PCON_GUARDED_BY(mu_);
-    /** Min-heap of entries due before curTop_ (laterThan order). */
-    mutable std::vector<WheelEntry> curHeap_ PCON_GUARDED_BY(mu_);
-    /** Bucket time span; re-derived from event gaps on rebuild. */
-    mutable SimTime width_ PCON_GUARDED_BY(mu_);
-    /** Upper time edge of the cursor bucket's current lap. */
-    mutable SimTime curTop_ PCON_GUARDED_BY(mu_);
-    mutable std::size_t cursor_ PCON_GUARDED_BY(mu_) = 0;
-    mutable std::size_t live_ PCON_GUARDED_BY(mu_) = 0;
-    /** Empty-lap re-anchors since the last width re-derivation. */
-    mutable std::size_t jumps_ PCON_GUARDED_BY(mu_) = 0;
-    std::uint64_t nextSeq_ PCON_GUARDED_BY(mu_) = 1;
+    /** Slot-indexed callbacks, recycled via freeSlots_. Addressed by
+     *  index only, so reallocation is safe (Callback moves are a
+     *  flat memcpy). */
+    std::vector<Node> nodes_;
+    std::vector<std::uint32_t> freeSlots_;
+    /** Min-heap in Later order; its top is live (see pruneTop). */
+    std::vector<Entry> heap_;
+    std::size_t live_ = 0;
+    std::uint64_t nextSeq_ = 1;
 };
 
 } // namespace sim

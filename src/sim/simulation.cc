@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "util/audit.h"
 #include "util/logging.h"
 
 namespace pcon {
@@ -10,6 +11,7 @@ namespace sim {
 EventId
 Simulation::schedule(SimTime delay, EventQueue::Callback cb)
 {
+    PCON_AUDIT(std::this_thread::get_id() == owner_);
     util::panicIf(delay < 0, "negative event delay: ", delay);
     return events_.schedule(now_ + delay, std::move(cb));
 }
@@ -17,17 +19,26 @@ Simulation::schedule(SimTime delay, EventQueue::Callback cb)
 EventId
 Simulation::scheduleAt(SimTime when, EventQueue::Callback cb)
 {
+    PCON_AUDIT(std::this_thread::get_id() == owner_);
     util::panicIf(when < now_, "event scheduled in the past: ", when,
                   " < ", now_);
     return events_.schedule(when, std::move(cb));
 }
 
+bool
+Simulation::cancel(EventId id)
+{
+    PCON_AUDIT(std::this_thread::get_id() == owner_);
+    return events_.cancel(id);
+}
+
 std::uint64_t
 Simulation::run(SimTime until)
 {
+    PCON_AUDIT(std::this_thread::get_id() == owner_);
     std::uint64_t executed = 0;
-    // Fused pop: one queue operation (and one lock) per event
-    // instead of the empty/nextTime/pop triple.
+    // Fused pop: one queue operation per event instead of the
+    // empty/nextTime/pop triple.
     while (auto due = events_.popDue(until)) {
         auto &[when, cb] = *due;
         util::panicIf(when < now_, "event queue went backwards");
@@ -53,6 +64,7 @@ Simulation::run(SimTime until)
 bool
 Simulation::step()
 {
+    PCON_AUDIT(std::this_thread::get_id() == owner_);
     auto due =
         events_.popDue(std::numeric_limits<SimTime>::max());
     if (!due)

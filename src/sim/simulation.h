@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -25,7 +26,6 @@ namespace sim {
  * configurable event cadence so violations surface near their cause
  * instead of at end-of-run assertions.
  */
-// pcon-lint: host-global
 class Auditor
 {
   public:
@@ -37,10 +37,11 @@ class Auditor
 
 /**
  * Owns the simulated clock and event queue and runs events in time
- * order. Single-threaded by design: the whole machine cluster is one
- * deterministic event stream.
+ * order. Single-threaded by contract (DESIGN.md §2b): the whole
+ * machine cluster is one deterministic event stream, driven by the
+ * thread that constructed the Simulation. schedule(), scheduleAt(),
+ * cancel(), run() and step() check that thread with PCON_AUDIT.
  */
-// pcon-lint: host-global
 class Simulation
 {
   public:
@@ -54,7 +55,7 @@ class Simulation
     EventId scheduleAt(SimTime when, EventQueue::Callback cb);
 
     /** Cancel a pending event by id. */
-    bool cancel(EventId id) { return events_.cancel(id); }
+    bool cancel(EventId id);
 
     /**
      * Run until the queue drains or the clock would pass `until`.
@@ -99,6 +100,10 @@ class Simulation
 
     SimTime now_ = 0;
     EventQueue events_;
+    /** The constructing thread; present at every audit level so the
+     *  layout does not depend on PCON_AUDIT_LEVEL. */
+    // pcon-lint: allow(concurrency-primitives) the owner-thread check of the single-threaded contract
+    std::thread::id owner_ = std::this_thread::get_id();
     std::uint64_t eventsExecuted_ = 0;
     std::vector<AuditorEntry> auditors_;
 };

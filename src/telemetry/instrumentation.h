@@ -83,13 +83,8 @@ class SystemTelemetry : public os::KernelHooks
 
   private:
     Registry &registry_;
-    // Hook-driven observer: every read happens inside a
-    // KernelHooks callback on the owning shard's thread
-    // (KernelHooks is the sanctioned channel).
-    // pcon-lint: allow(shard-escape) read only inside KernelHooks callbacks
     os::Kernel &kernel_;
     PerfettoExporter *perfetto_ = nullptr;
-    // pcon-lint: allow(shard-escape) read only inside KernelHooks callbacks
     core::ContainerManager *manager_ = nullptr;
 
     Counter &switches_;

@@ -213,9 +213,6 @@ class PerfettoExporter : public os::KernelHooks
     void push(Event e);
     void closeSlice(int core, sim::SimTime end);
 
-    // The exporter reads container names/ids inside hook callbacks
-    // on the owning shard's thread; the trace buffer is host-only.
-    // pcon-lint: allow(shard-escape) read only inside hook callbacks
     os::Kernel &kernel_;
     PerfettoConfig cfg_;
     std::vector<Event> events_;

@@ -7,20 +7,6 @@
 namespace pcon {
 namespace telemetry {
 
-std::size_t
-Counter::writerShard()
-{
-    // Round-robin writer-id allocation: the first add() a thread
-    // performs (on any counter) claims the next id; shard = id mod
-    // kShards. The main thread always gets id 0, so single-threaded
-    // runs use shard 0 exclusively.
-    // pcon-lint: allow(shared-state) process-wide writer-id allocator; a relaxed atomic ticket
-    static util::Atomic<std::uint64_t> nextWriter;
-    thread_local std::size_t shard = static_cast<std::size_t>(
-        nextWriter.fetchAdd(1) % kShards);
-    return shard;
-}
-
 const char *
 instrumentKindName(InstrumentKind kind)
 {
@@ -47,7 +33,6 @@ Histogram::Histogram(std::vector<double> upper_bounds)
 void
 Histogram::observe(double v)
 {
-    util::LockGuard lock(mu_);
     auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
     ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
     if (count_ == 0) {
@@ -61,50 +46,8 @@ Histogram::observe(double v)
     sum_ += v;
 }
 
-std::uint64_t
-Histogram::count() const
-{
-    util::LockGuard lock(mu_);
-    return count_;
-}
-
-double
-Histogram::sum() const
-{
-    util::LockGuard lock(mu_);
-    return sum_;
-}
-
-double
-Histogram::mean() const
-{
-    util::LockGuard lock(mu_);
-    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-}
-
-double
-Histogram::min() const
-{
-    util::LockGuard lock(mu_);
-    return count_ ? min_ : 0.0;
-}
-
-double
-Histogram::max() const
-{
-    util::LockGuard lock(mu_);
-    return count_ ? max_ : 0.0;
-}
-
 double
 Histogram::quantile(double q) const
-{
-    util::LockGuard lock(mu_);
-    return quantileLocked(q);
-}
-
-double
-Histogram::quantileLocked(double q) const
 {
     util::fatalIf(q < 0.0 || q > 1.0, "quantile ", q,
                   " outside [0, 1]");
@@ -133,13 +76,6 @@ Histogram::quantileLocked(double q) const
         return lo + frac * (hi - lo);
     }
     return max_;
-}
-
-const std::vector<std::uint64_t> &
-Histogram::bucketCounts() const
-{
-    util::LockGuard lock(mu_);
-    return counts_;
 }
 
 bool
@@ -179,14 +115,12 @@ Registry::findOrCreate(const std::string &name, InstrumentKind kind)
 Counter &
 Registry::counter(const std::string &name)
 {
-    util::LockGuard lock(mu_);
     return findOrCreate(name, InstrumentKind::Counter).counter;
 }
 
 Gauge &
 Registry::gauge(const std::string &name)
 {
-    util::LockGuard lock(mu_);
     return findOrCreate(name, InstrumentKind::Gauge).gauge;
 }
 
@@ -194,7 +128,6 @@ Histogram &
 Registry::histogram(const std::string &name,
                     std::vector<double> upper_bounds)
 {
-    util::LockGuard lock(mu_);
     Instrument &inst = findOrCreate(name, InstrumentKind::Histogram);
     if (!inst.histogram) {
         inst.histogram =
@@ -210,14 +143,12 @@ Registry::histogram(const std::string &name,
 bool
 Registry::has(const std::string &name) const
 {
-    util::LockGuard lock(mu_);
     return instruments_.find(name) != instruments_.end();
 }
 
 InstrumentKind
 Registry::kindOf(const std::string &name) const
 {
-    util::LockGuard lock(mu_);
     auto it = instruments_.find(name);
     util::fatalIf(it == instruments_.end(),
                   "unknown telemetry metric '", name, "'");
@@ -227,14 +158,12 @@ Registry::kindOf(const std::string &name) const
 std::size_t
 Registry::size() const
 {
-    util::LockGuard lock(mu_);
     return instruments_.size();
 }
 
 std::vector<Registry::Entry>
 Registry::entries() const
 {
-    util::LockGuard lock(mu_);
     std::vector<Entry> out;
     out.reserve(instruments_.size());
     for (const auto &kv : instruments_) {
@@ -261,20 +190,15 @@ void
 Registry::addCollector(std::function<void()> fn)
 {
     util::fatalIf(!fn, "null telemetry collector");
-    util::LockGuard lock(mu_);
     collectors_.push_back(std::move(fn));
 }
 
 void
 Registry::collect()
 {
-    // Snapshot under the lock, run outside it: a collector may touch
-    // the registry (even register instruments) without deadlocking.
-    std::vector<std::function<void()>> fns;
-    {
-        util::LockGuard lock(mu_);
-        fns = collectors_;
-    }
+    // Run a snapshot: a collector that registers another collector
+    // must not reallocate the vector under the running callback.
+    std::vector<std::function<void()>> fns = collectors_;
     for (auto &fn : fns)
         fn();
 }

@@ -10,22 +10,11 @@
  * registry. Metric names are stable keys for downstream dashboards
  * and must match `[a-z0-9_.]+`; dots form the conventional hierarchy
  * (`kernel.context_switches`, `overhead.refit_cycles`).
- *
- * Thread safety (shard-readiness, ROADMAP Open item 1): the registry
- * is shared by every machine shard. Counter updates go to per-writer
- * cache-line-padded shards (relaxed atomics) merged deterministically
- * at read; Gauge updates are relaxed atomics (tallies, not
- * synchronization); Histogram updates and all registration/iteration
- * take annotated util::Mutex locks, so a Clang -Wthread-safety build
- * proves the guarded state is only touched under its lock.
- * Single-threaded behavior — including every exported byte — is
- * unchanged.
  */
 
 #ifndef PCON_TELEMETRY_REGISTRY_H
 #define PCON_TELEMETRY_REGISTRY_H
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -33,8 +22,6 @@
 #include <memory>
 #include <string>
 #include <vector>
-
-#include "util/sync.h"
 
 namespace pcon {
 namespace telemetry {
@@ -49,83 +36,35 @@ enum class InstrumentKind {
 /** Human-readable kind name ("counter", "gauge", "histogram"). */
 const char *instrumentKindName(InstrumentKind kind);
 
-/**
- * A monotonically increasing event count, sharded per logical writer.
- * Safe to add() from any shard concurrently.
- *
- * Each writer thread is assigned one of kShards cache-line-padded
- * relaxed-atomic cells on its first add() anywhere (round-robin over
- * a process-wide writer id), so concurrent writers on different
- * shards never contend on one cache line. value() merges at read
- * time by summing the cells in fixed index order — unsigned addition
- * is exact and order-independent, so the merge is deterministic.
- *
- * Read-during-merge contract (see docs/PERFORMANCE.md):
- *  - value() never tears or double-counts: each cell is read with one
- *    atomic load and every add() lands in exactly one cell.
- *  - value() includes every add() that happens-before the read and
- *    may include any subset of concurrent add()s — it is a weak
- *    snapshot, not a linearizable one (two racing adds on different
- *    shards can be observed in either order).
- *  - successive value() calls from one reader are non-decreasing:
- *    each cell is monotone, and a later merge re-reads every cell at
- *    a later time.
- *  - single-threaded runs put every add() in the caller's one shard,
- *    so totals — and every exported byte — are unchanged.
- */
+/** A monotonically increasing event count. */
 class Counter
 {
   public:
-    /** Add `n` events (hot path; O(1), lock-free, contention-free
-     * across writers on distinct shards). */
-    void add(std::uint64_t n = 1)
-    {
-        shards_[writerShard()].v.fetchAdd(n);
-    }
+    /** Add `n` events (hot path; O(1)). */
+    void add(std::uint64_t n = 1) { value_ += n; }
 
-    /** Current cumulative count: deterministic fixed-order merge of
-     * all writer shards (weak snapshot; see class comment). */
-    std::uint64_t
-    value() const
-    {
-        std::uint64_t total = 0;
-        for (const Shard &s : shards_)
-            total += s.v.load();
-        return total;
-    }
+    /** Current cumulative count. */
+    std::uint64_t value() const { return value_; }
 
   private:
-    static constexpr std::size_t kShards = 8;
-
-    /** One writer cell, padded to a cache line. */
-    struct alignas(64) Shard
-    {
-        util::Atomic<std::uint64_t> v;
-    };
-
-    /** This thread's shard index (assigned on first use). */
-    static std::size_t writerShard();
-
-    // pcon-lint: allow(guarded-members) fixed array of padded util::Atomic cells; lock-free by design
-    std::array<Shard, kShards> shards_;
+    std::uint64_t value_ = 0;
 };
 
-/** A point-in-time value that can move both ways. Safe to set()/add()
- * from any shard concurrently (relaxed atomic). */
+/** A point-in-time value that can move both ways. */
 class Gauge
 {
   public:
-    /** Replace the value (hot path; O(1), lock-free). */
-    void set(double v) { value_.store(v); }
+    /** Replace the value (hot path; O(1)). */
+    void set(double v) { value_ = v; }
 
     /** Adjust the value by a (possibly negative) delta. */
-    void add(double delta) { value_.fetchAdd(delta); }
+    void add(double delta) { value_ += delta; }
 
     /** Current value. */
-    double value() const { return value_.load(); }
+    double value() const { return value_; }
 
   private:
-    util::Atomic<double> value_{0.0};
+    double value_ = 0.0;
 };
 
 /**
@@ -134,10 +73,6 @@ class Gauge
  * land in an implicit overflow bucket. Updates cost one binary search
  * over the (small, fixed) bound set — constant for a given
  * configuration.
- *
- * observe() mutates several fields together (bucket, count, sum,
- * min/max), so unlike Counter/Gauge it serializes on an internal
- * mutex rather than going atomic field-by-field.
  */
 class Histogram
 {
@@ -153,19 +88,23 @@ class Histogram
     void observe(double v);
 
     /** Number of observations. */
-    std::uint64_t count() const;
+    std::uint64_t count() const { return count_; }
 
     /** Sum of all observations. */
-    double sum() const;
+    double sum() const { return sum_; }
 
     /** Mean observation (0 before any observation). */
-    double mean() const;
+    double
+    mean() const
+    {
+        return count_ ? sum_ / static_cast<double>(count_) : 0.0;
+    }
 
     /** Smallest observation (0 before any observation). */
-    double min() const;
+    double min() const { return count_ ? min_ : 0.0; }
 
     /** Largest observation (0 before any observation). */
-    double max() const;
+    double max() const { return count_ ? max_ : 0.0; }
 
     /**
      * Estimated q-quantile (q in [0, 1]): linear interpolation within
@@ -179,25 +118,21 @@ class Histogram
 
     /**
      * Per-bucket counts; one extra trailing overflow bucket. The
-     * reference stays valid for the histogram's lifetime, but reading
-     * it concurrently with observe() is a race — exports run when the
-     * shards are quiescent.
+     * reference stays valid for the histogram's lifetime.
      */
-    const std::vector<std::uint64_t> &bucketCounts() const;
+    const std::vector<std::uint64_t> &bucketCounts() const
+    {
+        return counts_;
+    }
 
   private:
-    double quantileLocked(double q) const PCON_REQUIRES(mu_);
-
-    /** Immutable after construction; needs no guard. */
-    // pcon-lint: shard-local(set in the ctor, read-only afterwards)
+    /** Immutable after construction. */
     std::vector<double> bounds_;
-
-    mutable util::Mutex mu_;
-    std::vector<std::uint64_t> counts_ PCON_GUARDED_BY(mu_);
-    std::uint64_t count_ PCON_GUARDED_BY(mu_) = 0;
-    double sum_ PCON_GUARDED_BY(mu_) = 0;
-    double min_ PCON_GUARDED_BY(mu_) = 0;
-    double max_ PCON_GUARDED_BY(mu_) = 0;
+    std::vector<std::uint64_t> counts_;
+    std::uint64_t count_ = 0;
+    double sum_ = 0;
+    double min_ = 0;
+    double max_ = 0;
 };
 
 /**
@@ -253,10 +188,9 @@ class Registry
     void addCollector(std::function<void()> fn);
 
     /**
-     * Run all collectors in registration order. The callbacks run
-     * outside the registry lock (they update instruments through
-     * their own thread-safe surfaces, and may even register new
-     * ones), so collect() cannot self-deadlock.
+     * Run all collectors in registration order. A collector may
+     * register instruments, or further collectors (those first run
+     * on the next collect()).
      */
     void collect();
 
@@ -270,12 +204,11 @@ class Registry
     };
 
     Instrument &findOrCreate(const std::string &name,
-                             InstrumentKind kind) PCON_REQUIRES(mu_);
+                             InstrumentKind kind);
 
-    mutable util::Mutex mu_;
     /** std::map: deterministic order and stable node addresses. */
-    std::map<std::string, Instrument> instruments_ PCON_GUARDED_BY(mu_);
-    std::vector<std::function<void()>> collectors_ PCON_GUARDED_BY(mu_);
+    std::map<std::string, Instrument> instruments_;
+    std::vector<std::function<void()>> collectors_;
 };
 
 } // namespace telemetry

@@ -38,48 +38,13 @@ spanKindFromName(const std::string &name)
     util::panic("unknown span kind '", name, "'");
 }
 
-SpanCollector::SpanCollector(SpanCollector &&other)
-{
-    util::LockGuard lock(other.mu_);
-    spans_ = std::move(other.spans_);
-    requests_ = std::move(other.requests_);
-    openCount_ = other.openCount_;
-    observer_ = other.observer_;
-    other.spans_.clear();
-    other.requests_.clear();
-    other.openCount_ = 0;
-    other.observer_ = nullptr;
-}
-
-SpanCollector &
-SpanCollector::operator=(SpanCollector &&other)
-{
-    if (this == &other)
-        return *this;
-    // Lock ordering: source first, destination second, matching the
-    // move ctor; collectors are only moved during single-threaded
-    // parse/wiring phases, so no cross-order deadlock partner exists.
-    util::LockGuard source(other.mu_);
-    util::LockGuard dest(mu_);
-    spans_ = std::move(other.spans_);
-    requests_ = std::move(other.requests_);
-    openCount_ = other.openCount_;
-    observer_ = other.observer_;
-    other.spans_.clear();
-    other.requests_.clear();
-    other.openCount_ = 0;
-    other.observer_ = nullptr;
-    return *this;
-}
-
 SpanId
 SpanCollector::open(os::RequestId request, int machine,
                     const std::string &name, SpanKind kind,
                     SpanId parent, sim::SimTime now)
 {
-    util::LockGuard lock(mu_);
     panicIf(request == os::NoRequest, "span without a request");
-    panicIf(parent != NoSpan && !validLocked(parent),
+    panicIf(parent != NoSpan && !valid(parent),
             "span parent out of range: ", parent);
     Span s;
     s.id = static_cast<SpanId>(spans_.size()) + 1;
@@ -90,7 +55,7 @@ SpanCollector::open(os::RequestId request, int machine,
     s.kind = kind;
     s.openedAt = now;
     s.open = true;
-    indexLocked(s);
+    indexSpan(s);
     spans_.push_back(std::move(s));
     ++openCount_;
     if (observer_ != nullptr)
@@ -101,7 +66,6 @@ SpanCollector::open(os::RequestId request, int machine,
 void
 SpanCollector::close(SpanId id, sim::SimTime now)
 {
-    util::LockGuard lock(mu_);
     Span &s = mutableSpan(id);
     if (!s.open)
         return;
@@ -116,10 +80,9 @@ void
 SpanCollector::reparent(SpanId id, SpanId parent, SpanKind kind,
                         SpanId remote_parent)
 {
-    util::LockGuard lock(mu_);
     Span &s = mutableSpan(id);
     panicIf(s.kind == SpanKind::Root, "cannot reparent a root span");
-    panicIf(parent != NoSpan && !validLocked(parent),
+    panicIf(parent != NoSpan && !valid(parent),
             "reparent target out of range: ", parent);
     panicIf(parent == id, "span cannot parent itself");
     s.parent = parent;
@@ -132,7 +95,6 @@ SpanCollector::charge(SpanId id, util::Joules energy,
                       double cpu_time_ns, util::Cycles cycles,
                       double instructions)
 {
-    util::LockGuard lock(mu_);
     Span &s = mutableSpan(id);
     s.energyJ += energy;
     s.cpuTimeNs += cpu_time_ns;
@@ -145,74 +107,32 @@ SpanCollector::charge(SpanId id, util::Joules energy,
 void
 SpanCollector::addIoBytes(SpanId id, double bytes)
 {
-    util::LockGuard lock(mu_);
     mutableSpan(id).ioBytes += bytes;
-}
-
-bool
-SpanCollector::valid(SpanId id) const
-{
-    util::LockGuard lock(mu_);
-    return validLocked(id);
-}
-
-bool
-SpanCollector::validLocked(SpanId id) const
-{
-    return id >= 1 && id <= spans_.size();
 }
 
 const Span &
 SpanCollector::span(SpanId id) const
 {
-    util::LockGuard lock(mu_);
-    return spanLocked(id);
-}
-
-const Span &
-SpanCollector::spanLocked(SpanId id) const
-{
-    panicIf(!validLocked(id), "unknown span id ", id);
+    panicIf(!valid(id), "unknown span id ", id);
     return spans_[static_cast<std::size_t>(id) - 1];
-}
-
-const util::ChunkedVector<Span> &
-SpanCollector::spans() const
-{
-    util::LockGuard lock(mu_);
-    return spans_;
-}
-
-std::size_t
-SpanCollector::size() const
-{
-    util::LockGuard lock(mu_);
-    return spans_.size();
-}
-
-std::size_t
-SpanCollector::openCount() const
-{
-    util::LockGuard lock(mu_);
-    return openCount_;
 }
 
 Span &
 SpanCollector::mutableSpan(SpanId id)
 {
-    panicIf(!validLocked(id), "unknown span id ", id);
+    panicIf(!valid(id), "unknown span id ", id);
     return spans_[static_cast<std::size_t>(id) - 1];
 }
 
 const SpanCollector::RequestEntry *
-SpanCollector::entryLocked(os::RequestId request) const
+SpanCollector::findEntry(os::RequestId request) const
 {
     auto it = requests_.find(request);
     return it == requests_.end() ? nullptr : &it->second;
 }
 
 void
-SpanCollector::indexLocked(const Span &span)
+SpanCollector::indexSpan(const Span &span)
 {
     auto it = requests_.find(span.request);
     bool root = span.kind == SpanKind::Root;
@@ -228,23 +148,20 @@ SpanCollector::indexLocked(const Span &span)
 SpanId
 SpanCollector::rootOf(os::RequestId request) const
 {
-    util::LockGuard lock(mu_);
-    const RequestEntry *entry = entryLocked(request);
+    const RequestEntry *entry = findEntry(request);
     return entry == nullptr ? NoSpan : entry->root;
 }
 
 std::vector<SpanId>
 SpanCollector::requestSpans(os::RequestId request) const
 {
-    util::LockGuard lock(mu_);
-    const RequestEntry *entry = entryLocked(request);
+    const RequestEntry *entry = findEntry(request);
     return entry == nullptr ? std::vector<SpanId>{} : entry->spans;
 }
 
 std::vector<SpanId>
 SpanCollector::children(SpanId id) const
 {
-    util::LockGuard lock(mu_);
     std::vector<SpanId> out;
     for (const Span &s : spans_)
         if (s.parent == id)
@@ -255,7 +172,6 @@ SpanCollector::children(SpanId id) const
 std::vector<os::RequestId>
 SpanCollector::requests() const
 {
-    util::LockGuard lock(mu_);
     std::vector<os::RequestId> out;
     out.reserve(requests_.size());
     for (const auto &kv : requests_)
@@ -266,11 +182,10 @@ SpanCollector::requests() const
 util::Joules
 SpanCollector::requestEnergyJ(os::RequestId request) const
 {
-    util::LockGuard lock(mu_);
     util::Joules total{0};
-    if (const RequestEntry *entry = entryLocked(request))
+    if (const RequestEntry *entry = findEntry(request))
         for (SpanId id : entry->spans)
-            total += spanLocked(id).energyJ;
+            total += span(id).energyJ;
     return total;
 }
 
@@ -278,11 +193,10 @@ util::Joules
 SpanCollector::machineEnergyJ(os::RequestId request,
                               int machine) const
 {
-    util::LockGuard lock(mu_);
     util::Joules total{0};
-    if (const RequestEntry *entry = entryLocked(request)) {
+    if (const RequestEntry *entry = findEntry(request)) {
         for (SpanId id : entry->spans) {
-            const Span &s = spanLocked(id);
+            const Span &s = span(id);
             if (s.machine == machine)
                 total += s.energyJ;
         }
@@ -293,7 +207,6 @@ SpanCollector::machineEnergyJ(os::RequestId request,
 std::vector<int>
 SpanCollector::machines() const
 {
-    util::LockGuard lock(mu_);
     std::vector<int> out;
     for (const Span &s : spans_)
         if (std::find(out.begin(), out.end(), s.machine) == out.end())
@@ -303,11 +216,11 @@ SpanCollector::machines() const
 }
 
 std::size_t
-SpanCollector::depthLocked(SpanId id) const
+SpanCollector::depth(SpanId id) const
 {
     std::size_t d = 0;
-    for (SpanId p = spanLocked(id).parent; p != NoSpan;
-         p = spanLocked(p).parent) {
+    for (SpanId p = span(id).parent; p != NoSpan;
+         p = span(p).parent) {
         panicIf(d > spans_.size(), "span parent cycle");
         ++d;
     }
@@ -317,22 +230,21 @@ SpanCollector::depthLocked(SpanId id) const
 std::vector<SpanId>
 SpanCollector::criticalPath(os::RequestId request) const
 {
-    util::LockGuard lock(mu_);
-    const RequestEntry *entry = entryLocked(request);
+    const RequestEntry *entry = findEntry(request);
     if (entry == nullptr)
         return {};
     SpanId last = NoSpan;
     sim::SimTime last_close = 0;
     std::size_t last_depth = 0;
     for (SpanId id : entry->spans) {
-        const Span &s = spanLocked(id);
+        const Span &s = span(id);
         if (s.open)
             continue;
         // Ties (several spans closed at the same instant — e.g. the
         // completion sweep) break leaf-ward, then to the smallest id
         // (the ascending scan), so the root never shadows the final
         // stage it merely outlives.
-        std::size_t d = depthLocked(s.id);
+        std::size_t d = depth(s.id);
         if (last == NoSpan || s.closedAt > last_close ||
             (s.closedAt == last_close && d > last_depth)) {
             last = s.id;
@@ -341,7 +253,7 @@ SpanCollector::criticalPath(os::RequestId request) const
         }
     }
     std::vector<SpanId> path;
-    for (SpanId id = last; id != NoSpan; id = spanLocked(id).parent) {
+    for (SpanId id = last; id != NoSpan; id = span(id).parent) {
         panicIf(path.size() > spans_.size(), "span parent cycle");
         path.push_back(id);
     }
@@ -352,11 +264,10 @@ SpanCollector::criticalPath(os::RequestId request) const
 void
 SpanCollector::addSpan(const Span &span)
 {
-    util::LockGuard lock(mu_);
     panicIf(span.id != spans_.size() + 1,
             "non-dense span id in addSpan: ", span.id);
     panicIf(span.request == os::NoRequest, "span without a request");
-    indexLocked(span);
+    indexSpan(span);
     spans_.push_back(span);
     if (span.open)
         ++openCount_;
@@ -367,13 +278,6 @@ SpanCollector::addSpan(const Span &span)
         if (!span.open)
             observer_->onSpanClosed(spans_.back());
     }
-}
-
-void
-SpanCollector::setObserver(SpanObserver *observer)
-{
-    util::LockGuard lock(mu_);
-    observer_ = observer;
 }
 
 } // namespace trace

@@ -21,7 +21,6 @@
 #include "os/request_context.h"
 #include "sim/time.h"
 #include "util/slab_arena.h"
-#include "util/sync.h"
 #include "util/units.h"
 
 namespace pcon {
@@ -60,9 +59,10 @@ struct Span;
  * Incremental span-stream observer (the feed behind obs::EnergyIndex).
  * A SpanCollector notifies its observer at every mutation so live
  * indices can maintain rollups in O(1) per event instead of scanning
- * the whole trace per query. Callbacks run with the collector's lock
- * held: implementations must not call back into the collector (read
- * the passed Span reference instead) and must be cheap.
+ * the whole trace per query. Callbacks run in the middle of the
+ * collector's update: implementations must not call back into the
+ * collector (read the passed Span reference instead) and must be
+ * cheap.
  *
  * The addSpan() reload path (JSON dumps) fires onSpanOpened with the
  * fully-formed span (its accumulated totals included) followed by
@@ -145,18 +145,9 @@ struct Span
  * ids; everything is deterministic (dense ids in open order, ordered
  * maps).
  *
- * Thread safety (shard-readiness, ROADMAP Open item 1): the one
- * collector is exactly the kind of cross-shard shared state the
- * parallel engine introduces — every machine's SpanTracer opens,
- * charges, and closes spans on it. All state is guarded by one
- * annotated util::Mutex. Span nodes live in an arena-backed
- * util::ChunkedVector (ISSUE 8 hot-path pass): growth appends whole
- * chunks and never moves existing nodes, so a reference returned by
- * span() stays valid for the collector's lifetime even across
- * concurrent open()s. Reading a span's *fields* concurrently with a
- * charge() on the same span is still a race; exports and queries over
- * returned references run at shard barriers, when no tracer is
- * mutating.
+ * Span nodes live in an arena-backed util::ChunkedVector: growth
+ * appends whole chunks and never moves existing nodes, so a reference
+ * returned by span() stays valid for the collector's lifetime.
  *
  * Per-request queries (rootOf, requestSpans, requests, requestEnergyJ,
  * machineEnergyJ, criticalPath) read one ordered entry per request —
@@ -168,20 +159,6 @@ struct Span
 class SpanCollector
 {
   public:
-    SpanCollector() = default;
-
-    /**
-     * Moves exist for parse-time factories (parseSpanJson returns a
-     * freshly built collector by value); they lock the source, so a
-     * half-moved collector is never observed, but moving a collector
-     * that tracers still reference is a wiring error regardless.
-     */
-    SpanCollector(SpanCollector &&other);
-    SpanCollector &operator=(SpanCollector &&other);
-
-    SpanCollector(const SpanCollector &) = delete;
-    SpanCollector &operator=(const SpanCollector &) = delete;
-
     /** Open a span; returns its id (dense, 1-based). */
     SpanId open(os::RequestId request, int machine,
                 const std::string &name, SpanKind kind, SpanId parent,
@@ -206,20 +183,20 @@ class SpanCollector
     void addIoBytes(SpanId id, double bytes);
 
     /** True when the id names a recorded span. */
-    bool valid(SpanId id) const;
+    bool valid(SpanId id) const { return id >= 1 && id <= spans_.size(); }
 
     /** Look up a span; panics on invalid ids. */
     const Span &span(SpanId id) const;
 
     /** All spans, id order (id = index + 1). Chunked storage:
      * iterate with range-for; element addresses are stable. */
-    const util::ChunkedVector<Span> &spans() const;
+    const util::ChunkedVector<Span> &spans() const { return spans_; }
 
     /** Recorded span count. */
-    std::size_t size() const;
+    std::size_t size() const { return spans_.size(); }
 
     /** Spans still open. */
-    std::size_t openCount() const;
+    std::size_t openCount() const { return openCount_; }
 
     /** Root span of a request (NoSpan when never traced). */
     SpanId rootOf(os::RequestId request) const;
@@ -266,7 +243,7 @@ class SpanCollector
      * before spans are recorded (or rebuild the index afterwards) —
      * the observer is only told about mutations from now on.
      */
-    void setObserver(SpanObserver *observer);
+    void setObserver(SpanObserver *observer) { observer_ = observer; }
 
   private:
     /** One request's spans. Ids are handed out in ascending order,
@@ -277,24 +254,20 @@ class SpanCollector
         std::vector<SpanId> spans;
     };
 
-    bool validLocked(SpanId id) const PCON_REQUIRES(mu_);
-    const Span &spanLocked(SpanId id) const PCON_REQUIRES(mu_);
-    Span &mutableSpan(SpanId id) PCON_REQUIRES(mu_);
-    std::size_t depthLocked(SpanId id) const PCON_REQUIRES(mu_);
+    Span &mutableSpan(SpanId id);
+    std::size_t depth(SpanId id) const;
     /** The request's entry; nullptr when it has no span. */
-    const RequestEntry *entryLocked(os::RequestId request) const
-        PCON_REQUIRES(mu_);
+    const RequestEntry *findEntry(os::RequestId request) const;
     /** Record a new span (id = size() + 1) in its request's entry;
      * panics on a second root before changing anything. */
-    void indexLocked(const Span &span) PCON_REQUIRES(mu_);
+    void indexSpan(const Span &span);
 
-    mutable util::Mutex mu_;
     /** Arena-chunked so node addresses never move (see class doc). */
-    util::ChunkedVector<Span> spans_ PCON_GUARDED_BY(mu_);
-    std::map<os::RequestId, RequestEntry> requests_ PCON_GUARDED_BY(mu_);
-    std::size_t openCount_ PCON_GUARDED_BY(mu_) = 0;
-    /** Notified under mu_; see SpanObserver's contract. */
-    SpanObserver *observer_ PCON_GUARDED_BY(mu_) = nullptr;
+    util::ChunkedVector<Span> spans_;
+    std::map<os::RequestId, RequestEntry> requests_;
+    std::size_t openCount_ = 0;
+    /** See SpanObserver's contract. */
+    SpanObserver *observer_ = nullptr;
 };
 
 } // namespace trace

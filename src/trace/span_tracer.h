@@ -33,7 +33,6 @@ namespace trace {
  * share a SpanCollector; cross-machine parent edges are then ordinary
  * span ids and flamegraphs/reports cover the whole cluster.
  */
-// pcon-lint: shard-owned
 class SpanTracer : public os::KernelHooks
 {
   public:

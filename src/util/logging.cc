@@ -2,25 +2,16 @@
 
 #include <iostream>
 
-#include "util/sync.h"
-
 namespace pcon {
 namespace util {
 
 namespace {
 
-/**
- * Process-wide logging state. Every shard logs through these, so the
- * threshold and the per-severity tallies live behind one mutex; the
- * emission itself stays inside the critical section so concurrent
- * messages cannot interleave mid-line on stderr.
- */
-// pcon-lint: allow(shared-state) the log mutex itself; all state it guards is PCON_GUARDED_BY-annotated below
-Mutex gLogMutex;
+/** Process-wide logging state: the threshold and per-severity
+ * tallies. */
+LogLevel gThreshold = LogLevel::Warn;
 
-LogLevel gThreshold PCON_GUARDED_BY(gLogMutex) = LogLevel::Warn;
-
-LogCounts gCounts PCON_GUARDED_BY(gLogMutex);
+LogCounts gCounts;
 
 const char *
 levelName(LogLevel level)
@@ -39,35 +30,30 @@ levelName(LogLevel level)
 LogLevel
 logThreshold()
 {
-    LockGuard lock(gLogMutex);
     return gThreshold;
 }
 
 void
 setLogThreshold(LogLevel level)
 {
-    LockGuard lock(gLogMutex);
     gThreshold = level;
 }
 
 LogCounts
 logCounts()
 {
-    LockGuard lock(gLogMutex);
     return gCounts;
 }
 
 void
 resetLogCounts()
 {
-    LockGuard lock(gLogMutex);
     gCounts = LogCounts{};
 }
 
 void
 logMessage(LogLevel level, const std::string &msg)
 {
-    LockGuard lock(gLogMutex);
     switch (level) {
       case LogLevel::Debug: ++gCounts.debug; break;
       case LogLevel::Info: ++gCounts.info; break;

@@ -57,12 +57,7 @@ struct LogCounts
     std::uint64_t total() const { return debug + info + warn + error; }
 };
 
-/**
- * Snapshot of the current cumulative counts. Returned by value: the
- * live tallies sit behind the logging mutex (all of logMessage(),
- * the threshold, and the counts share one lock, so shards may log
- * concurrently), and a reference would escape that lock.
- */
+/** Snapshot of the current cumulative counts. */
 LogCounts logCounts();
 
 /** Zero the counts (test isolation). */

@@ -27,8 +27,8 @@
  * are poisoned, so a use-after-reset or use-after-release is a hard
  * ASan error instead of silent corruption (see the arena tests).
  * None of this is thread-safe; each arena has exactly one owner
- * (per-queue, per-kernel, per-collector), matching the shard model
- * in DESIGN.md.
+ * (per-queue, per-kernel, per-collector), like everything driven by
+ * the single-threaded simulation (DESIGN.md §2b).
  */
 
 #ifndef PCON_UTIL_SLAB_ARENA_H

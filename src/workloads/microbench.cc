@@ -8,7 +8,6 @@
 #include "os/kernel.h"
 #include "sim/rng.h"
 #include "util/logging.h"
-#include "util/sync.h"
 
 namespace pcon {
 namespace wl {
@@ -192,15 +191,11 @@ calibrateModel(const hw::MachineConfig &machine, core::ModelKind kind,
         core::LinearPowerModel model;
         double rmseW = 0;
     };
-    // pcon-lint: allow(shared-state) the fit-cache mutex itself; cache is only touched under it
-    static util::Mutex mu;
     // Leaked on purpose: keeps the cache valid during static
     // destruction of late global objects.
-    // pcon-lint: allow(shared-state) guarded by mu above (function-local, so no PCON_GUARDED_BY)
     static std::vector<FitEntry> &cache = *new std::vector<FitEntry>;
 
     FitKey key{machine, kind, cfg};
-    util::LockGuard lock(mu);
     for (const FitEntry &entry : cache) {
         if (entry.key == key) {
             if (rmse_w != nullptr)

@@ -153,7 +153,7 @@ TEST(GoldenTrace, MatchesCommittedFixtureByteForByte)
     std::string trace = renderGoldenTrace();
     ASSERT_FALSE(trace.empty());
 
-    if (std::getenv("PCON_UPDATE_GOLDEN") != nullptr) {  // NOLINT(concurrency-mt-unsafe): single-threaded test main
+    if (std::getenv("PCON_UPDATE_GOLDEN") != nullptr) {
         std::ofstream out(fixturePath(), std::ios::trunc);
         ASSERT_TRUE(out) << "cannot write " << fixturePath();
         out << trace;

@@ -142,7 +142,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep,
 /**
  * Cross-build regression: the seeds-401..403 fingerprints are pinned
  * byte-for-byte against a committed fixture, so a hot-path rewrite
- * (event queue, SoA ledgers, sharded counters, arenas) can never
+ * (event queue, SoA ledgers, arenas) can never
  * silently drift attribution. Together with the golden trace /
  * flamegraph / span-dump fixtures this locks the observable output
  * of the whole pipeline across optimization PRs. Regenerate with
@@ -162,7 +162,7 @@ TEST(SeedSweepGolden, FingerprintsMatchCommittedFixture)
 
     std::string path = std::string(PCON_TEST_DATA_DIR) +
         "/golden_ledger_fingerprints.txt";
-    if (std::getenv("PCON_UPDATE_GOLDEN") != nullptr) {  // NOLINT(concurrency-mt-unsafe): single-threaded test main
+    if (std::getenv("PCON_UPDATE_GOLDEN") != nullptr) {
         std::ofstream out(path, std::ios::trunc);
         ASSERT_TRUE(out) << "cannot write " << path;
         out << fingerprints;

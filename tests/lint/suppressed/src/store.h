@@ -5,18 +5,9 @@
 #define FIXTURE_STORE_H
 
 #include <atomic>
-
-#include "util/sync.h"
+#include <mutex>
 
 namespace fx {
-
-// pcon-lint: allow(shared-state) fixture: pretend this is guarded
-int gTally = 0;
-
-// One marker naming two rules: the raw atomic trips
-// concurrency-primitives, the mutable global trips shared-state.
-// pcon-lint: allow(concurrency-primitives, shared-state) fixture: relaxed tally
-std::atomic<int> gFast{0};
 
 class Store
 {
@@ -24,10 +15,9 @@ class Store
     void put(int v);
 
   private:
-    util::Mutex mu_;
-    // pcon-lint: shard-local(fixture: wiring-phase only)
-    int cache_ = 0;
-    int guarded_ PCON_GUARDED_BY(mu_) = 0;
+    // pcon-lint: allow(concurrency-primitives) fixture: marker on the line above
+    std::mutex mu_;
+    std::atomic<int> hits_{0}; // pcon-lint: allow(concurrency-primitives) fixture: same-line marker
 };
 
 } // namespace fx

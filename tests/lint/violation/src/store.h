@@ -1,25 +1,22 @@
-// Fixture: every concurrency rule must fire on this tree.
+// Fixture: the concurrency-primitives rule must fire on this tree.
 #ifndef FIXTURE_STORE_H
 #define FIXTURE_STORE_H
 
+#include <atomic>
 #include <mutex>
 
 namespace fx {
 
-// shared-state: mutable namespace-scope variable, no justification.
-int gTally = 0;
-
-// guarded-members: Store is listed in shared_types.toml but cache_
-// is neither PCON_GUARDED_BY nor marked shard-local.
 class Store
 {
   public:
     void put(int v);
 
   private:
-    // concurrency-primitives: raw std::mutex outside util/sync.h.
+    // The simulator is single-threaded by contract: src/ names no
+    // lock, thread or atomic type.
     std::mutex mu_;
-    int cache_ = 0;
+    std::atomic<int> hits_{0};
 };
 
 } // namespace fx

@@ -1,5 +1,5 @@
 // A host clock outside bench/ and the OverheadProfiler: a latent
-// determinism bug under the sharded engine. Must be reported.
+// determinism bug. Must be reported.
 #include <chrono>
 
 namespace pcon::os {

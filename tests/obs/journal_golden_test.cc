@@ -37,7 +37,7 @@ void
 compareOrUpdate(const std::string &rendered, const char *file)
 {
     std::string path = fixturePath(file);
-    if (std::getenv("PCON_UPDATE_GOLDEN") != nullptr) {  // NOLINT(concurrency-mt-unsafe): single-threaded test main
+    if (std::getenv("PCON_UPDATE_GOLDEN") != nullptr) {
         std::ofstream out(path, std::ios::trunc);
         ASSERT_TRUE(out) << "cannot write " << path;
         out << rendered;

@@ -131,6 +131,18 @@ TEST(Journal, ClearDropsRetainedRecordsButKeepsTallies)
     j.append(RecordKind::Alert, Severity::Info, 0, 0, 0, "y", "");
     EXPECT_EQ(j.size(), 1u);
     EXPECT_EQ(j.snapshot().front().seq, 1u);
+    EXPECT_EQ(j.dropped(), 0u);
+
+    // Records removed by clear() are not overwrites: a full ring,
+    // cleared, then appended to has dropped nothing.
+    Journal full(4);
+    for (int i = 0; i < 4; ++i)
+        full.append(RecordKind::Alert, Severity::Info, 0, 0, 0, "x", "");
+    full.clear();
+    full.append(RecordKind::Alert, Severity::Info, 0, 0, 0, "y", "");
+    EXPECT_EQ(full.size(), 1u);
+    EXPECT_EQ(full.totalAppended(), 5u);
+    EXPECT_EQ(full.dropped(), 0u);
 }
 
 TEST(Journal, WriteJsonlRoundTripsThroughAFile)

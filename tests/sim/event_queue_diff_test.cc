@@ -1,17 +1,17 @@
 /**
  * @file
- * Differential property test for the calendar-queue EventQueue
- * (ISSUE 8 satellite 1): drive the production queue and a retained
- * reference implementation — the original std::priority_queue design
- * with exact pending-set cancellation — through 1M randomized,
- * seeded schedule/pop/cancel/reschedule operations across
- * pathological time distributions (bursty, far-future jumps,
- * same-timestamp floods) and assert identical observable behavior:
- * pop order, pop times, payload identity, sizes, and cancel results.
+ * Differential property test for the EventQueue: drive the
+ * production heap (lazy cancel plus compaction) and a retained
+ * reference implementation — a std::priority_queue with exact
+ * pending-set cancellation — through 1M randomized, seeded
+ * schedule/pop/cancel/reschedule operations across pathological time
+ * distributions (bursty, far-future jumps, same-timestamp floods) and
+ * assert identical observable behavior: pop order, pop times, payload
+ * identity, sizes, and cancel results.
  *
  * The test is deterministic (sim::Rng) and runs under the ASan/UBSan
- * and TSan presets like every other test in the suite; a failure
- * prints the seed and operation index for exact replay.
+ * preset like every other test in the suite; a failure prints the
+ * seed and operation index for exact replay.
  */
 
 #include <cstdint>
@@ -127,7 +127,7 @@ struct LivePair
 
 /**
  * Time-distribution regimes the generator cycles through; each is a
- * pathological shape for a calendar queue.
+ * pathological shape for some priority-queue design.
  */
 enum class Regime
 {
@@ -149,8 +149,8 @@ drawWhen(Rng &rng, Regime regime, SimTime base)
             (rng.uniform() < 0.02 ? rng.uniformInt(0, 10'000'000)
                                   : 0);
     case Regime::FarFuture:
-        // Mostly near, occasionally ~3 sim-days out (well past any
-        // wheel horizon, forcing overflow + direct-search paths).
+        // Mostly near, occasionally ~3 sim-days out (stale far-future
+        // entries sit deep in the heap until compaction drops them).
         if (rng.uniform() < 0.1)
             return base +
                 rng.uniformInt(0, SimTime(1) << 48);
@@ -202,8 +202,8 @@ runDifferential(std::uint64_t seed, std::size_t ops)
         bool can_drain = !live.empty();
         if (r < 0.50 || !can_drain) {
             // Schedule a fresh event on both queues. The ~+0.1/op
-            // drift grows the population to ~100k, deep enough to
-            // force many wheel resizes in both directions.
+            // drift grows the population to ~100k, and the cancels
+            // along the way trigger heap compactions.
             SimTime when = drawWhen(rng, regime, base);
             std::uint64_t payload = next_payload++;
             EventId rid = real.schedule(

@@ -1,8 +1,10 @@
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sim/simulation.h"
+#include "util/audit.h"
 #include "util/logging.h"
 
 namespace pcon::sim {
@@ -95,6 +97,26 @@ TEST(Simulation, StepExecutesExactlyOne)
     EXPECT_FALSE(s.step());
     EXPECT_EQ(count, 2);
 }
+
+#if PCON_AUDIT_LEVEL >= 1
+TEST(Simulation, ScheduleOffTheOwnerThreadPanics)
+{
+    // The single-threaded contract: only the constructing thread may
+    // drive the simulation.
+    Simulation s;
+    bool threw = false;
+    std::thread other([&] {
+        try {
+            s.schedule(usec(1), [] {});
+        } catch (const util::PanicError &) {
+            threw = true;
+        }
+    });
+    other.join();
+    EXPECT_TRUE(threw);
+    EXPECT_TRUE(s.idle());
+}
+#endif
 
 TEST(SimTimeHelpers, UnitConversions)
 {

@@ -1,5 +1,4 @@
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,27 +16,6 @@ TEST(Counter, AccumulatesMonotonically)
     c.add();
     c.add(41);
     EXPECT_EQ(c.value(), 42u);
-}
-
-TEST(Counter, WriterShardsMergeToExactTotal)
-{
-    // Each writer thread lands on a per-writer shard; the merge at
-    // read must recover the exact sum, and once the writers are
-    // joined every read returns the identical total.
-    Counter c;
-    constexpr int kWriters = 8;
-    constexpr std::uint64_t kPerWriter = 10000;
-    std::vector<std::thread> writers;
-    writers.reserve(kWriters);
-    for (int w = 0; w < kWriters; ++w)
-        writers.emplace_back([&c] {
-            for (std::uint64_t i = 0; i < kPerWriter; ++i)
-                c.add(1);
-        });
-    for (std::thread &t : writers)
-        t.join();
-    EXPECT_EQ(c.value(), kWriters * kPerWriter);
-    EXPECT_EQ(c.value(), c.value());
 }
 
 TEST(Gauge, SetAndAddMoveBothWays)

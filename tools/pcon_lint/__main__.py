@@ -3,29 +3,23 @@
 Usage:
   python3 tools/pcon_lint [--root REPO] [--rules a,b] [--json]
                           [--selftest] [--list-rules] [--strict]
-                          [--shared-types FILE] [--ownership FILE]
                           [--sarif FILE] [--check-inventory FILE]
 
 Runs the project's static-analysis rules (layering, units,
-hook-order, determinism, concurrency-primitives, shared-state,
-guarded-members, bench-timing, arena-nodes, plus the shard-isolation
-family: ownership, ownership-coverage, shard-escape,
-unordered-iteration, pointer-order, wall-clock) over the repository
-and reports findings as ``path:line: [rule] message`` lines, as a
-JSON document with ``--json`` (used by CI to upload an artifact), or
-as SARIF 2.1.0 with ``--sarif FILE`` (uploaded to GitHub code
-scanning). ``--selftest`` first exercises the shared engine
-(comment/string/raw-string blanking, the scope scanner) and every
+hook-order, determinism, concurrency-primitives, bench-timing,
+arena-nodes, unordered-iteration, pointer-order, wall-clock) over the
+repository and reports findings as ``path:line: [rule] message``
+lines, as a JSON document with ``--json`` (used by CI to upload an
+artifact), or as SARIF 2.1.0 with ``--sarif FILE`` (uploaded to
+GitHub code scanning). ``--selftest`` first exercises the shared
+engine (comment/string/raw-string blanking, suppressions) and every
 selected rule against its embedded synthetic violations — proving
 each rule still fails where it must — and then scans the real tree.
 
 Suppressions that no longer silence anything — including markers
 naming rules that do not exist — are reported as *stale*;
 ``--strict`` (the CI mode) turns them into failures so dead
-exemptions cannot accumulate. ``--shared-types`` points the
-guarded-members rule at an alternate type list and ``--ownership``
-points the shard-isolation rules at an alternate ownership manifest
-(both used by the fixture tests). ``--check-inventory FILE``
+exemptions cannot accumulate. ``--check-inventory FILE``
 compares the registered rule names against a pinned list and exits
 non-zero on drift, so a silently unregistered rule module fails CI.
 
@@ -41,8 +35,6 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from cpp_scan import scan_selftest
-from cpp_model import model_selftest
 from engine import (
     Project,
     engine_selftest,
@@ -54,36 +46,24 @@ from rules_arena import ArenaNodesRule
 from rules_bench_timing import BenchTimingRule
 from rules_concurrency import ConcurrencyPrimitivesRule
 from rules_determinism import DeterminismRule
-from rules_guarded_members import GuardedMembersRule
 from rules_hook_order import HookOrderRule
 from rules_layering import LayeringRule
-from rules_ownership import OwnershipCoverageRule, OwnershipRule
 from rules_pointer_order import PointerOrderRule
-from rules_shard_escape import ShardEscapeRule
-from rules_shared_state import SharedStateRule
 from rules_units import UnitsRule
 from rules_unordered_iteration import UnorderedIterationRule
 from rules_wall_clock import WallClockRule
 from sarif import sarif_selftest, write_sarif
 
 
-def default_rules(shared_types_path=None, ownership_path=None):
+def default_rules():
     return [
         LayeringRule(),
         UnitsRule(),
         HookOrderRule(),
         DeterminismRule(),
         ConcurrencyPrimitivesRule(),
-        SharedStateRule(),
-        GuardedMembersRule(shared_types_path=shared_types_path),
         BenchTimingRule(),
         ArenaNodesRule(),
-        OwnershipRule(
-            ownership_path=ownership_path,
-            shared_types_path=shared_types_path,
-        ),
-        OwnershipCoverageRule(ownership_path=ownership_path),
-        ShardEscapeRule(ownership_path=ownership_path),
         UnorderedIterationRule(),
         PointerOrderRule(),
         WallClockRule(),
@@ -115,7 +95,7 @@ def main(argv=None):
     parser.add_argument(
         "--selftest",
         action="store_true",
-        help="run the engine/scanner selftests and each selected "
+        help="run the engine selftests and each selected "
         "rule's embedded synthetic-violation fixtures before "
         "scanning the tree",
     )
@@ -124,20 +104,6 @@ def main(argv=None):
         action="store_true",
         help="fail (exit 1) on stale suppressions — allow() or "
         "legacy markers that no longer silence any finding",
-    )
-    parser.add_argument(
-        "--shared-types",
-        default=None,
-        metavar="FILE",
-        help="alternate shared_types.toml for the guarded-members "
-        "rule (default: tools/pcon_lint/shared_types.toml)",
-    )
-    parser.add_argument(
-        "--ownership",
-        default=None,
-        metavar="FILE",
-        help="alternate ownership.toml for the shard-isolation "
-        "rules (default: tools/pcon_lint/ownership.toml)",
     )
     parser.add_argument(
         "--sarif",
@@ -161,10 +127,7 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    rules = default_rules(
-        shared_types_path=args.shared_types,
-        ownership_path=args.ownership,
-    )
+    rules = default_rules()
     inventory = [r.name for r in rules]
 
     if args.check_inventory:
@@ -212,12 +175,7 @@ def main(argv=None):
         return 0
 
     if args.selftest:
-        failures = (
-            engine_selftest()
-            + scan_selftest()
-            + model_selftest()
-            + sarif_selftest()
-        )
+        failures = engine_selftest() + sarif_selftest()
         for rule in rules:
             failures.extend(rule.selftest())
         if failures:
@@ -225,7 +183,7 @@ def main(argv=None):
                 sys.stderr.write(f"selftest FAILED: {failure}\n")
             return 1
         sys.stderr.write(
-            f"selftest passed for: engine, scanner, "
+            f"selftest passed for: engine, "
             f"{', '.join(r.name for r in rules)}\n"
         )
 

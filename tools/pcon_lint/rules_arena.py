@@ -14,7 +14,7 @@ This rule forbids direct heap allocation (``new T``,
 ``std::make_unique<T>``, ``std::make_shared<T>``) of the listed node
 types anywhere in ``src/`` outside each type's owning files. Stack
 values, arena placement-new, and pool allocation are untouched.
-Escape hatch (justification mandatory, as for shared-state)::
+Escape hatch (justification mandatory)::
 
     // pcon-lint: allow(arena-nodes) <why this heap node is safe>
 """

@@ -1,24 +1,26 @@
-"""Concurrency-primitives rule: one synchronization vocabulary.
+"""Concurrency-primitives rule: the single-threaded contract.
 
-The shard-safety contract (DESIGN.md) requires every lock and atomic
-in the simulator to carry Clang thread-safety annotations so the
-``-Wthread-safety`` analysis can see it. Raw ``std::mutex``,
-``std::thread``, ``std::atomic``, and ``volatile`` used for
-synchronization are invisible to the analysis, so this rule bans them
-everywhere in ``src/`` except the one annotated wrapper header,
-``src/util/sync.h``. Tests and benches may use raw primitives (the
-stress tests hammer the wrappers *with* ``std::thread`` on purpose).
+The simulator runs the whole cluster as one deterministic event
+stream on the thread that constructed its ``sim::Simulation``
+(DESIGN.md §2b), so nothing in ``src/`` may name a thread, lock,
+atomic or ``volatile``: each would be a second thread's machinery
+with no second thread to serve, or a sign that one is being added.
+Tests and benches may use raw primitives (the owner-thread test
+starts a ``std::thread`` on purpose).
 
-Suppress a deliberate use with ``// pcon-lint: allow(concurrency-
-primitives)`` on the line or the line above.
+The run-time half of the contract is ``Simulation``'s owner-thread
+check, which names ``std::thread::id`` under the rule's one
+``// pcon-lint: allow(concurrency-primitives) <reason>``. A marker
+suppresses only with its reason text; put it on the line or the line
+above.
 """
 
 import re
 
 from engine import Finding, Rule
 
-#: The only file allowed to touch raw primitives: it wraps them.
-WRAPPER_HEADER = "src/util/sync.h"
+#: Why every banned primitive is out of place in src/.
+CONTRACT = "the simulator is single-threaded by contract (DESIGN.md §2b)"
 
 BANNED = [
     (
@@ -26,37 +28,34 @@ BANNED = [
             r"std\s*::\s*(?:recursive_|timed_|recursive_timed_|"
             r"shared_timed_|shared_)?mutex\b"
         ),
-        "raw standard mutex is invisible to thread-safety analysis; "
-        "use util::Mutex / util::SharedMutex (src/util/sync.h)",
+        f"std mutex in src/; {CONTRACT}, so there is nothing to lock",
     ),
     (
         re.compile(
             r"std\s*::\s*(?:lock_guard|unique_lock|scoped_lock|"
             r"shared_lock)\b"
         ),
-        "raw standard lock guard carries no acquire/release "
-        "annotations; use util::LockGuard / util::ReadLockGuard / "
-        "util::WriteLockGuard",
+        f"std lock guard in src/; {CONTRACT}, so there is nothing "
+        "to lock",
     ),
     (
         re.compile(r"std\s*::\s*(?:jthread|thread)\b"),
-        "raw std::thread inside the simulator core; shard execution "
-        "is owned by the engine, components must stay passive",
+        f"std::thread in src/; {CONTRACT}: components stay passive "
+        "and the Simulation's thread drives them",
     ),
     (
         re.compile(r"std\s*::\s*(?:atomic\b|atomic_flag\b|atomic_)"),
-        "raw std::atomic hides its memory-order contract; use "
-        "util::Atomic (relaxed tally semantics) or a guarded member",
+        f"std::atomic in src/; {CONTRACT}, so a plain value suffices",
     ),
     (
         re.compile(r"std\s*::\s*condition_variable\b"),
-        "condition variables need annotated lock pairing; none is "
-        "wrapped yet — coordinate via the shard barrier instead",
+        f"condition variable in src/; {CONTRACT}, so no thread "
+        "waits on another",
     ),
     (
         re.compile(r"(?<![\w:])volatile\b"),
-        "volatile is not a synchronization primitive; use "
-        "util::Atomic or a guarded member",
+        f"volatile in src/; {CONTRACT}, and volatile never "
+        "synchronizes anyway",
     ),
 ]
 
@@ -64,16 +63,15 @@ BANNED = [
 class ConcurrencyPrimitivesRule(Rule):
     name = "concurrency-primitives"
     description = (
-        "raw std::mutex/std::thread/std::atomic/volatile are banned "
-        "in src/ outside util/sync.h; use the annotated wrappers"
+        "no std::mutex/std::thread/std::atomic/volatile in src/: "
+        "the simulator is single-threaded by contract"
     )
     scope = ("src",)
+    require_justification = True
 
     def run(self, project):
         findings = []
         for source in project.files_under(self.scope):
-            if source.rel == WRAPPER_HEADER:
-                continue
             for idx, line in enumerate(source.blanked_lines):
                 for regex, why in BANNED:
                     if regex.search(line):
@@ -98,17 +96,16 @@ class ConcurrencyPrimitivesRule(Rule):
                     "std::thread worker;\n"
                 ),
                 "src/core/suppressed.cc": (
+                    "// pcon-lint: allow(concurrency-primitives) why\n"
+                    "std::atomic_flag once;\n"
+                ),
+                "src/core/bare.cc": (
                     "// pcon-lint: allow(concurrency-primitives)\n"
                     "std::atomic_flag once;\n"
                 ),
-                "src/util/sync.h": (
-                    "#include <mutex>\n"
-                    "class Mutex { std::mutex m_; };\n"
-                ),
                 "src/core/clean.cc": (
-                    '#include "util/sync.h"\n'
-                    "util::Mutex mu;\n"
-                    "util::Atomic<int> count;\n"
+                    "#include <thread>\n"
+                    "bool mine = std::this_thread::get_id() == id;\n"
                     "// a comment saying std::mutex is fine here\n"
                     'const char *s = "std::thread in a string";\n'
                 ),
@@ -126,19 +123,23 @@ class ConcurrencyPrimitivesRule(Rule):
                 f"concurrency selftest: expected hits on bad.cc "
                 f"lines 2-6, got {[f.render() for f in bad]}"
             )
-        if any(f.path != "src/core/bad.cc" for f in kept):
+        expected = {"src/core/bad.cc", "src/core/bare.cc"}
+        if {f.path for f in kept} != expected:
             errors.append(
-                f"concurrency selftest: false positive(s): "
-                f"{[f.render() for f in kept if f.path != 'src/core/bad.cc']}"
+                f"concurrency selftest: expected findings only in "
+                f"bad.cc and bare.cc (an allow() without a reason "
+                f"does not suppress), got "
+                f"{[f.render() for f in kept]}"
             )
         if [s.path for s in suppressed] != ["src/core/suppressed.cc"]:
             errors.append(
-                "concurrency selftest: allow() comment did not "
-                "suppress"
+                "concurrency selftest: justified allow() comment did "
+                "not suppress"
             )
-        if stale:
+        if [s.path for s in stale] != ["src/core/bare.cc"]:
             errors.append(
-                f"concurrency selftest: spurious stale report: "
+                f"concurrency selftest: expected the bare allow() in "
+                f"bare.cc as the one stale marker, got "
                 f"{[s.render() for s in stale]}"
             )
         return errors

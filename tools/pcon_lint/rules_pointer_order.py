@@ -1,8 +1,8 @@
 """Pointer-order rule: never order or hash by heap address.
 
 Ordering anything by a raw pointer value ties the result to the
-allocator's address choices — different across runs, platforms, and
-(fatally, for the PDES gate) across shard counts. The codebase
+allocator's address choices — different across runs and platforms,
+so byte-identical goldens would drift. The codebase
 assigns dense integer ids to every simulated entity precisely so
 code never needs address-based ordering. This rule flags the
 patterns through which addresses leak into an observable order:

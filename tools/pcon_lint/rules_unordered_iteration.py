@@ -2,7 +2,7 @@
 
 ``std::unordered_map``/``set`` iteration order depends on the hash
 function, the bucket count history, and (for pointer keys) heap
-addresses — none of which the PDES determinism gate controls. A
+addresses — none of which a byte-identical golden can pin. A
 range-for over an unordered container is fine while the loop only
 *aggregates* (sums, maxima, membership — order-independent over
 integers), but becomes a reproducibility bug the moment the body

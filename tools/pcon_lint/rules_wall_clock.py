@@ -6,8 +6,8 @@ polices the deterministic core. This rule closes the gap: *all* of
 determinism rule does not reach — must take time from the simulation
 clock (``sim::Simulation::now()``), never from the host. A host
 timestamp anywhere in src/ is either a latent determinism bug (it
-will differ per shard thread under the PDES engine) or a
-self-measurement that belongs in ``telemetry::OverheadProfiler``.
+differs from run to run) or a self-measurement that belongs in
+``telemetry::OverheadProfiler``.
 
 Flags ``std::chrono`` system/steady/high_resolution clocks, the C
 clock family (``time``/``clock``/``gettimeofday``/``clock_gettime``
@@ -46,7 +46,7 @@ PATTERNS = [
     ),
     (
         re.compile(r"(?<!\w)(?:__rdtscp?|_mm_rdtsc)\s*\("),
-        "TSC read; cycle counters differ per shard thread, use sim "
+        "TSC read; cycle counters differ from run to run, use sim "
         "time (self-measurement belongs in "
         "telemetry::OverheadProfiler)",
     ),

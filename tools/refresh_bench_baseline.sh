@@ -13,8 +13,8 @@
 #
 # --verify-clean refuses to refresh unless `pcon_lint --strict`
 # passes: a baseline blessed from a tree that violates the
-# determinism/shard-isolation rules would canonicalize numbers the
-# parallel engine cannot reproduce.
+# determinism rules would canonicalize numbers a clean tree cannot
+# reproduce.
 set -eu
 
 VERIFY_CLEAN=0
