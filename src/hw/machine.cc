@@ -188,6 +188,14 @@ Machine::injectCounterEvents(int core, const CounterSnapshot &extra)
     checkCore(core);
     sync();
     cores_[core].counters.accumulate(extra);
+    cores_[core].injectedNonhaltCycles += extra.nonhaltCycles;
+}
+
+double
+Machine::injectedNonhaltCycles(int core) const
+{
+    checkCore(core);
+    return cores_[core].injectedNonhaltCycles;
 }
 
 void
@@ -355,13 +363,16 @@ Machine::syncSlow()
                    machineEnergyJ_, " J");
 
     // Per-core rate bound: duty modulation and DVFS can only slow a
-    // core, never push non-halt cycles past the elapsed reference
-    // (injected observer events are the one sanctioned exception and
-    // stay orders of magnitude below this slack).
+    // core, never push non-halt cycles past the elapsed reference.
+    // Injected observer events are the one sanctioned exception; they
+    // are left out, since maintenance sampled often enough on a busy
+    // core (every 10 us in the hot-path benches) injects ~9% of the
+    // elapsed cycles, past the bound's 5% slack.
     PCON_AUDIT_SLOW(
         [this] {
             for (const auto &core : cores_)
-                if (core.counters.nonhaltCycles >
+                if (core.counters.nonhaltCycles -
+                        core.injectedNonhaltCycles >
                     core.counters.elapsedCycles * 1.05 + 1e7)
                     return false;
             return true;

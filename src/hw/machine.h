@@ -140,6 +140,13 @@ class Machine
      */
     void injectCounterEvents(int core, const CounterSnapshot &extra);
 
+    /**
+     * Non-halt cycles injectCounterEvents has added to a core. They
+     * carry no elapsed time, so rate bounds on the counters leave
+     * them out.
+     */
+    double injectedNonhaltCycles(int core) const;
+
     /** Raise/lower a device's busy refcount (I/O in flight). */
     void setDeviceBusy(DeviceKind kind, bool busy);
 
@@ -184,6 +191,8 @@ class Machine
          */
         double dutyFrac = 0.0;
         CounterSnapshot counters{};
+        /** See injectedNonhaltCycles(). */
+        double injectedNonhaltCycles = 0.0;
     };
 
     /**

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/audit.h"
+
 namespace pcon {
 namespace obs {
 
@@ -34,6 +36,7 @@ EnergyIndex::detach()
         collector_->setObserver(nullptr);
     collector_ = nullptr;
     requests_.clear();
+    spanEntries_.clear();
     ranking_.clear();
     unranked_.clear();
     machineEnergy_.clear();
@@ -45,12 +48,11 @@ EnergyIndex::detach()
 EnergyIndex::PerRequest &
 EnergyIndex::entryFor(os::RequestId request)
 {
-    auto it = requests_.find(request);
-    if (it != requests_.end())
-        return it->second;
-    PerRequest &entry = requests_[request];
-    ranking_.insert(RankKey{entry.rankedJ, request});
-    return entry;
+    auto [it, fresh] = requests_.try_emplace(request);
+    if (fresh)
+        it->second.rankPos =
+            ranking_.insert(RankKey{util::Joules{0}, request}).first;
+    return it->second;
 }
 
 const EnergyIndex::PerRequest *
@@ -61,27 +63,26 @@ EnergyIndex::find(os::RequestId request) const
 }
 
 void
-EnergyIndex::markUnranked(os::RequestId request, PerRequest &entry)
+EnergyIndex::markUnranked(PerRequest &entry)
 {
-    if (entry.unranked || entry.energyJ == entry.rankedJ)
+    if (entry.unranked || entry.energyJ == entry.rankPos->energyJ)
         return;
     entry.unranked = true;
-    unranked_.push_back(request);
+    unranked_.push_back(&entry);
 }
 
 void
 EnergyIndex::rankChanged() const
 {
-    for (os::RequestId id : unranked_) {
-        const PerRequest &entry = requests_.find(id)->second;
-        entry.unranked = false;
-        if (entry.energyJ == entry.rankedJ)
+    for (PerRequest *entry : unranked_) {
+        entry->unranked = false;
+        if (entry->energyJ == entry->rankPos->energyJ)
             continue;
-        // Re-key the existing node: no allocation per re-rank.
-        auto node = ranking_.extract(RankKey{entry.rankedJ, id});
-        node.value().energyJ = entry.energyJ;
-        ranking_.insert(std::move(node));
-        entry.rankedJ = entry.energyJ;
+        // Re-key the request's own node, found through its stored
+        // position: no search and no allocation per re-rank.
+        auto node = ranking_.extract(entry->rankPos);
+        node.value().energyJ = entry->energyJ;
+        entry->rankPos = ranking_.insert(std::move(node)).position;
     }
     unranked_.clear();
 }
@@ -90,6 +91,11 @@ void
 EnergyIndex::absorbOpen(const trace::Span &span)
 {
     PerRequest &entry = entryFor(span.request);
+    // The collector hands out dense ids in order (open and addSpan
+    // enforce it), so the span's slot is the next one.
+    PCON_AUDIT_MSG(span.id == spanEntries_.size() + 1,
+                   "EnergyIndex: non-dense span id ", span.id);
+    spanEntries_.push_back(&entry);
     ++entry.spanCount;
     ++entry.open;
     ++openSpans_;
@@ -119,13 +125,14 @@ EnergyIndex::absorbOpen(const trace::Span &span)
     }
     machineEnergy_[span.machine] += span.energyJ;
     totalEnergyJ_ += span.energyJ;
-    markUnranked(span.request, entry);
+    markUnranked(entry);
 }
 
 void
 EnergyIndex::absorbClose(const trace::Span &span)
 {
-    PerRequest &entry = entryFor(span.request);
+    PerRequest &entry =
+        *spanEntries_[static_cast<std::size_t>(span.id) - 1];
     if (entry.open > 0)
         --entry.open;
     if (openSpans_ > 0)
@@ -154,7 +161,8 @@ EnergyIndex::onSpanCharged(const trace::Span &span,
                            util::Joules energy_delta,
                            double cpu_delta_ns)
 {
-    PerRequest &entry = entryFor(span.request);
+    PerRequest &entry =
+        *spanEntries_[static_cast<std::size_t>(span.id) - 1];
     entry.energyJ += energy_delta;
     entry.cpuTimeNs += cpu_delta_ns;
     auto slot = std::find_if(
@@ -166,7 +174,7 @@ EnergyIndex::onSpanCharged(const trace::Span &span,
         slot->second += energy_delta;
     machineEnergy_[span.machine] += energy_delta;
     totalEnergyJ_ += energy_delta;
-    markUnranked(span.request, entry);
+    markUnranked(entry);
 }
 
 std::vector<os::RequestId>

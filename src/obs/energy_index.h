@@ -73,14 +73,17 @@ struct QuotaHeadroom
 
 /**
  * The incremental index. Attach to one collector (live tracing or a
- * reloaded dump); every query then reads maintained rollups.
- * Maintenance is O(log R) per span event (the
- * request lookup), R = requests seen. A charge does not re-sort: it
- * only notes that the request's energy moved. ranked() and
- * topRequests() first re-rank the requests noted since the last
- * ranking query, so they cost O(changed requests × log R + answer)
- * and return exactly the order eager re-ranking would. The index
- * never calls back into the collector from an observer callback.
+ * reloaded dump); every query then reads maintained rollups. With R
+ * requests seen, a charge or a close reaches its request's rollup
+ * through a table indexed by span id: O(1). Opening a span finds
+ * the rollup in the ordered request map, O(log R), and enters it in
+ * that table. A charge does not re-sort: it only notes that the
+ * request's energy moved. ranked() and topRequests() first re-rank
+ * the requests noted since the last ranking query, each from its
+ * stored ranking position, so they cost O(changed requests × log R
+ * + answer) and return exactly the order eager re-ranking would.
+ * The index never calls back into the collector from an observer
+ * callback.
  */
 class EnergyIndex : public trace::SpanObserver
 {
@@ -105,7 +108,7 @@ class EnergyIndex : public trace::SpanObserver
      * queries (stage fields, critical paths) read through it. */
     const trace::SpanCollector *collector() const { return collector_; }
 
-    // --- queries (all O(answer), plus O(log R) lookups) ------------
+    // --- queries (O(answer), plus an O(log R) request lookup) ------
 
     /** Requests with at least one span, ascending id. */
     std::vector<os::RequestId> requests() const;
@@ -176,26 +179,6 @@ class EnergyIndex : public trace::SpanObserver
                        double cpu_delta_ns) override;
 
   private:
-    struct PerRequest
-    {
-        std::string rootName = "?";
-        /** Spans recorded; their ids live in the collector's entry. */
-        std::size_t spanCount = 0;
-        std::size_t open = 0;
-        util::Joules energyJ{0};
-        double cpuTimeNs = 0;
-        /** (machine, energy), sorted by machine; small in practice. */
-        std::vector<std::pair<int, util::Joules>> machineEnergy;
-        bool anyClosed = false;
-        /** Queued in unranked_. */
-        mutable bool unranked = false;
-        sim::SimTime firstOpen = 0;
-        sim::SimTime lastClose = 0;
-        /** Energy of this request's ranking_ key; lags energyJ until
-         * the next ranking query (rankChanged). */
-        mutable util::Joules rankedJ{0};
-    };
-
     /** Ranking key: energy desc, id asc. */
     struct RankKey
     {
@@ -211,24 +194,48 @@ class EnergyIndex : public trace::SpanObserver
         }
     };
 
+    struct PerRequest
+    {
+        std::string rootName = "?";
+        /** Spans recorded; their ids live in the collector's entry. */
+        std::size_t spanCount = 0;
+        std::size_t open = 0;
+        util::Joules energyJ{0};
+        double cpuTimeNs = 0;
+        /** (machine, energy), sorted by machine; small in practice. */
+        std::vector<std::pair<int, util::Joules>> machineEnergy;
+        bool anyClosed = false;
+        /** Queued in unranked_. */
+        mutable bool unranked = false;
+        sim::SimTime firstOpen = 0;
+        sim::SimTime lastClose = 0;
+        /** This request's ranking_ key. Its energy lags energyJ
+         * until the next ranking query (rankChanged). */
+        mutable std::set<RankKey>::iterator rankPos;
+    };
+
     PerRequest &entryFor(os::RequestId request);
-    const PerRequest *find(os::RequestId request) const
-       ;
-    /** Queue the request for re-ranking once its energy leaves
-     * rankedJ. */
-    void markUnranked(os::RequestId request, PerRequest &entry)
-       ;
+    const PerRequest *find(os::RequestId request) const;
+    /** Queue the request for re-ranking once its energy leaves its
+     * ranking key's. */
+    void markUnranked(PerRequest &entry);
     /** Move each queued request's ranking_ key to its energy now. */
     void rankChanged() const;
     void absorbOpen(const trace::Span &span);
     void absorbClose(const trace::Span &span);
 
     trace::SpanCollector *collector_ = nullptr;
+    /** Ordered: requests() and quotaHeadroom() list it in id order.
+     * Map nodes never move, so the pointers below stay valid. */
     std::map<os::RequestId, PerRequest> requests_;
-    /** One key per request, holding its rankedJ. */
+    /** The request rollup of each span, indexed by span id - 1: the
+     * collector's ids are dense, so charges and closes need no
+     * search. Filled by absorbOpen. */
+    std::vector<PerRequest *> spanEntries_;
+    /** One key per request (ordered: ranked() reads it in order). */
     mutable std::set<RankKey> ranking_;
     /** Requests whose energy moved since the last ranking query. */
-    mutable std::vector<os::RequestId> unranked_;
+    mutable std::vector<PerRequest *> unranked_;
     std::map<int, util::Joules> machineEnergy_;
     util::Joules totalEnergyJ_{0};
     std::size_t spanCount_ = 0;

@@ -110,13 +110,6 @@ SpanCollector::addIoBytes(SpanId id, double bytes)
     mutableSpan(id).ioBytes += bytes;
 }
 
-const Span &
-SpanCollector::span(SpanId id) const
-{
-    panicIf(!valid(id), "unknown span id ", id);
-    return spans_[static_cast<std::size_t>(id) - 1];
-}
-
 Span &
 SpanCollector::mutableSpan(SpanId id)
 {
@@ -143,6 +136,10 @@ SpanCollector::indexSpan(const Span &span)
     if (root)
         it->second.root = span.id;
     it->second.spans.push_back(span.id);
+    auto machine = std::lower_bound(machines_.begin(), machines_.end(),
+                                    span.machine);
+    if (machine == machines_.end() || *machine != span.machine)
+        machines_.insert(machine, span.machine);
 }
 
 SpanId
@@ -202,17 +199,6 @@ SpanCollector::machineEnergyJ(os::RequestId request,
         }
     }
     return total;
-}
-
-std::vector<int>
-SpanCollector::machines() const
-{
-    std::vector<int> out;
-    for (const Span &s : spans_)
-        if (std::find(out.begin(), out.end(), s.machine) == out.end())
-            out.push_back(s.machine);
-    std::sort(out.begin(), out.end());
-    return out;
 }
 
 std::size_t

@@ -20,6 +20,7 @@
 
 #include "os/request_context.h"
 #include "sim/time.h"
+#include "util/logging.h"
 #include "util/slab_arena.h"
 #include "util/units.h"
 
@@ -185,8 +186,14 @@ class SpanCollector
     /** True when the id names a recorded span. */
     bool valid(SpanId id) const { return id >= 1 && id <= spans_.size(); }
 
-    /** Look up a span; panics on invalid ids. */
-    const Span &span(SpanId id) const;
+    /** Look up a span; panics on invalid ids. Inline: tracer hooks
+     * and completion sweeps call it millions of times per run. */
+    const Span &
+    span(SpanId id) const
+    {
+        util::panicIf(!valid(id), "unknown span id ", id);
+        return spans_[static_cast<std::size_t>(id) - 1];
+    }
 
     /** All spans, id order (id = index + 1). Chunked storage:
      * iterate with range-for; element addresses are stable. */
@@ -208,7 +215,8 @@ class SpanCollector
      */
     std::vector<SpanId> requestSpans(os::RequestId request) const;
 
-    /** Direct children of a span, ascending id. */
+    /** Direct children of a span, ascending id. Scans every span:
+     * only tests call it, so it keeps no index of its own. */
     std::vector<SpanId> children(SpanId id) const;
 
     /** Requests with at least one span, ascending id. */
@@ -221,8 +229,9 @@ class SpanCollector
     util::Joules machineEnergyJ(os::RequestId request,
                                 int machine) const;
 
-    /** Machine indices seen across all spans, ascending. */
-    std::vector<int> machines() const;
+    /** Machine indices seen across all spans, ascending. Kept up to
+     * date as spans are recorded, so no call scans the spans. */
+    const std::vector<int> &machines() const { return machines_; }
 
     /**
      * Critical path of a request: the root-to-descendant chain ending
@@ -258,13 +267,16 @@ class SpanCollector
     std::size_t depth(SpanId id) const;
     /** The request's entry; nullptr when it has no span. */
     const RequestEntry *findEntry(os::RequestId request) const;
-    /** Record a new span (id = size() + 1) in its request's entry;
-     * panics on a second root before changing anything. */
+    /** Record a new span (id = size() + 1) in its request's entry
+     * and its machine in machines_; panics on a second root before
+     * changing anything. */
     void indexSpan(const Span &span);
 
     /** Arena-chunked so node addresses never move (see class doc). */
     util::ChunkedVector<Span> spans_;
     std::map<os::RequestId, RequestEntry> requests_;
+    /** Distinct machines of the recorded spans, ascending. */
+    std::vector<int> machines_;
     std::size_t openCount_ = 0;
     /** See SpanObserver's contract. */
     SpanObserver *observer_ = nullptr;

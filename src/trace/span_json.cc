@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "util/logging.h"
 
@@ -79,10 +80,15 @@ class Parser
         } else {
             while (true) {
                 Span s = parseSpan();
-                // Density is a dump invariant; a violated one is a
-                // corrupt input, not an internal bug.
+                // The collector's invariants, checked here so a
+                // corrupt input is a parse error, not a panic.
                 failIf(s.id != out.size() + 1,
                        "non-dense span id in dump");
+                failIf(s.request == os::NoRequest,
+                       "span without a request");
+                failIf(s.kind == SpanKind::Root &&
+                           out.rootOf(s.request) != NoSpan,
+                       "second root span for a request");
                 out.addSpan(s);
                 skipWs();
                 char c = next();
@@ -94,10 +100,56 @@ class Parser
         expect('}');
         skipWs();
         failIf(pos_ != text_.size(), "trailing data after span dump");
+        checkParents(out);
         return out;
     }
 
   private:
+    /**
+     * Parent edges, checked once the whole list is read (reparenting
+     * can point a span at a later id): each parent and remote parent
+     * is 0 or a span of the dump, and no parent chain loops. O(spans):
+     * each span's chain is walked once.
+     */
+    void
+    checkParents(const SpanCollector &spans)
+    {
+        enum class Walk : unsigned char { Unseen, OnPath, Done };
+        std::vector<Walk> walk(spans.size(), Walk::Unseen);
+        for (const Span &s : spans.spans()) {
+            failIf(s.parent != NoSpan && !spans.valid(s.parent),
+                   "parent names no span in the dump");
+            failIf(s.remoteParent != NoSpan &&
+                       !spans.valid(s.remoteParent),
+                   "remote_parent names no span in the dump");
+        }
+        for (SpanId start = 1; start <= spans.size(); ++start) {
+            SpanId id = start;
+            while (id != NoSpan && walk[id - 1] == Walk::Unseen) {
+                walk[id - 1] = Walk::OnPath;
+                id = spans.span(id).parent;
+            }
+            failIf(id != NoSpan && walk[id - 1] == Walk::OnPath,
+                   "span parent cycle");
+            for (id = start; id != NoSpan && walk[id - 1] == Walk::OnPath;
+                 id = spans.span(id).parent)
+                walk[id - 1] = Walk::Done;
+        }
+    }
+
+    /** A span kind by name; unknown names are a parse error. */
+    SpanKind
+    parseKind()
+    {
+        std::string name = parseString();
+        for (SpanKind kind :
+             {SpanKind::Root, SpanKind::Stage, SpanKind::Fork,
+              SpanKind::Remote, SpanKind::Io})
+            if (name == spanKindName(kind))
+                return kind;
+        fail("unknown span kind");
+    }
+
     [[noreturn]] void
     fail(const char *why)
     {
@@ -257,7 +309,7 @@ class Parser
             else if (key == "machine")
                 s.machine = static_cast<int>(parseNumber());
             else if (key == "kind")
-                s.kind = spanKindFromName(parseString());
+                s.kind = parseKind();
             else if (key == "name")
                 s.name = parseString();
             else if (key == "opened_ns")

@@ -17,8 +17,8 @@ SpanTracer::SpanTracer(os::Kernel &kernel,
     kernel_.requests().onComplete(
         [this](const os::RequestInfo &info) { completeRequest(info); });
     kernel_.setSpanProvider([this](os::RequestId id) -> std::uint64_t {
-        auto it = requests_.find(id);
-        if (it == requests_.end())
+        auto it = states_.find(id);
+        if (it == states_.end())
             return NoSpan;
         // Prefer the span of a task of this request currently
         // on-core (the sender, when called from Socket::send).
@@ -27,8 +27,8 @@ SpanTracer::SpanTracer(os::Kernel &kernel,
             os::Task *t = kernel_.runningTask(core);
             if (t == nullptr || t->context != id)
                 continue;
-            auto ts = taskSpans_.find(t->id);
-            if (ts != taskSpans_.end() &&
+            auto ts = spanOfTask_.find(t->id);
+            if (ts != spanOfTask_.end() &&
                 collector_.span(ts->second).request == id)
                 return ts->second;
         }
@@ -46,7 +46,7 @@ SpanTracer::now() const
 void
 SpanTracer::trace(os::RequestId id)
 {
-    if (id == os::NoRequest || requests_.count(id) != 0)
+    if (id == os::NoRequest || states_.count(id) != 0)
         return;
     // stateFor only creates state in traceAll mode; force it once.
     bool saved = all_;
@@ -60,8 +60,8 @@ SpanTracer::stateFor(os::RequestId id)
 {
     if (id == os::NoRequest)
         return nullptr;
-    auto it = requests_.find(id);
-    if (it != requests_.end())
+    auto it = states_.find(id);
+    if (it != states_.end())
         return &it->second;
     if (!all_)
         return nullptr;
@@ -81,7 +81,7 @@ SpanTracer::stateFor(os::RequestId id)
     }
     if (requestsTraced_ != nullptr)
         requestsTraced_->add();
-    return &requests_.emplace(id, st).first->second;
+    return &states_.emplace(id, st).first->second;
 }
 
 SpanId
@@ -108,29 +108,29 @@ SpanTracer::closeSpan(SpanId id, sim::SimTime at)
 void
 SpanTracer::linkTask(os::TaskId task, SpanId span)
 {
-    auto [it, fresh] = taskSpans_.try_emplace(task, span);
+    auto [it, fresh] = spanOfTask_.try_emplace(task, span);
     if (!fresh) {
-        spanTasks_.erase(it->second);
+        taskOfSpan_.erase(it->second);
         it->second = span;
     }
-    spanTasks_[span] = task;
+    taskOfSpan_[span] = task;
 }
 
 void
 SpanTracer::unlinkTask(os::TaskId task)
 {
-    auto it = taskSpans_.find(task);
-    if (it == taskSpans_.end())
+    auto it = spanOfTask_.find(task);
+    if (it == spanOfTask_.end())
         return;
-    spanTasks_.erase(it->second);
-    taskSpans_.erase(it);
+    taskOfSpan_.erase(it->second);
+    spanOfTask_.erase(it);
 }
 
 SpanId
 SpanTracer::ensureTaskSpan(os::Task &task, RequestState &st)
 {
-    auto it = taskSpans_.find(task.id);
-    if (it != taskSpans_.end()) {
+    auto it = spanOfTask_.find(task.id);
+    if (it != spanOfTask_.end()) {
         const Span &s = collector_.span(it->second);
         if (s.open && s.request == task.context)
             return it->second;
@@ -175,7 +175,7 @@ SpanTracer::onContextSwitch(int core, os::Task *prev, os::Task *next)
             SpanId sp = ensureTaskSpan(*prev, *st);
             chargeDelta(*st, prev->context, sp);
             st->current = sp;
-            if (pendingExit_.erase(prev->id) != 0) {
+            if (exitPending_.erase(prev->id) != 0) {
                 closeSpan(sp, now());
                 unlinkTask(prev->id);
             }
@@ -194,8 +194,8 @@ SpanTracer::onContextRebind(os::Task &task, os::RequestId old_ctx,
 {
     RequestState *st_old = stateFor(old_ctx);
     if (st_old != nullptr && !st_old->completed) {
-        auto it = taskSpans_.find(task.id);
-        if (it != taskSpans_.end() &&
+        auto it = spanOfTask_.find(task.id);
+        if (it != spanOfTask_.end() &&
             collector_.span(it->second).request == old_ctx) {
             // The manager just closed the old binding's window; its
             // delta belongs to the stage that ends here.
@@ -208,8 +208,8 @@ SpanTracer::onContextRebind(os::Task &task, os::RequestId old_ctx,
     // stage span must be opened against new_ctx explicitly.
     RequestState *st_new = stateFor(new_ctx);
     if (st_new != nullptr && !st_new->completed) {
-        auto it = taskSpans_.find(task.id);
-        if (it != taskSpans_.end()) {
+        auto it = spanOfTask_.find(task.id);
+        if (it != spanOfTask_.end()) {
             const Span &s = collector_.span(it->second);
             if (s.open && s.request == new_ctx) {
                 st_new->current = it->second;
@@ -264,13 +264,13 @@ void
 SpanTracer::onTaskExit(os::Task &task)
 {
     RequestState *st = stateFor(task.context);
-    auto it = taskSpans_.find(task.id);
-    if (it == taskSpans_.end())
+    auto it = spanOfTask_.find(task.id);
+    if (it == spanOfTask_.end())
         return;
     if (task.core >= 0) {
         // exitTask deschedules after this hook; the final window is
         // charged (and the span closed) at that context switch.
-        pendingExit_.insert(task.id);
+        exitPending_.insert(task.id);
         return;
     }
     if (st != nullptr && !st->completed)
@@ -286,8 +286,8 @@ SpanTracer::onFork(os::Task &parent, os::Task &child)
     if (st == nullptr || st->completed)
         return;
     SpanId parent_span = ensureTaskSpan(parent, *st);
-    auto it = taskSpans_.find(child.id);
-    if (it != taskSpans_.end() &&
+    auto it = spanOfTask_.find(child.id);
+    if (it != spanOfTask_.end() &&
         collector_.span(it->second).open &&
         collector_.span(it->second).request == child.context) {
         // The child was already switched in during spawn; repoint
@@ -317,9 +317,9 @@ SpanTracer::onSegmentReceived(os::Task &task,
     SpanId remote = cross ? sender : NoSpan;
     sim::SimTime t = now();
 
-    auto it = taskSpans_.find(task.id);
+    auto it = spanOfTask_.find(task.id);
     SpanId sp = NoSpan;
-    if (it != taskSpans_.end() &&
+    if (it != spanOfTask_.end() &&
         collector_.span(it->second).open &&
         collector_.span(it->second).request == segment.context) {
         const Span &s = collector_.span(it->second);
@@ -353,8 +353,8 @@ SpanTracer::onSegmentReceived(os::Task &task,
 void
 SpanTracer::completeRequest(const os::RequestInfo &info)
 {
-    auto it = requests_.find(info.id);
-    if (it == requests_.end())
+    auto it = states_.find(info.id);
+    if (it == states_.end())
         return;
     RequestState &st = it->second;
     if (st.completed)
@@ -390,11 +390,11 @@ SpanTracer::completeRequest(const os::RequestInfo &info)
     std::uint64_t visited = 0;
     for (SpanId id : collector_.requestSpans(info.id)) {
         ++visited;
-        auto link = spanTasks_.find(id);
-        if (link != spanTasks_.end()) {
-            pendingExit_.erase(link->second);
-            taskSpans_.erase(link->second);
-            spanTasks_.erase(link);
+        auto link = taskOfSpan_.find(id);
+        if (link != taskOfSpan_.end()) {
+            exitPending_.erase(link->second);
+            spanOfTask_.erase(link->second);
+            taskOfSpan_.erase(link);
         }
         const Span &s = collector_.span(id);
         if (s.open && s.machine == machine_)

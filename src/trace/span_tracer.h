@@ -16,8 +16,8 @@
 #ifndef PCON_TRACE_SPAN_TRACER_H
 #define PCON_TRACE_SPAN_TRACER_H
 
-#include <map>
-#include <set>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "core/container_manager.h"
 #include "core/remote_accounting.h"
@@ -32,6 +32,12 @@ namespace trace {
  * One machine's span builder. Several tracers (one per kernel) may
  * share a SpanCollector; cross-machine parent edges are then ordinary
  * span ids and flamegraphs/reports cover the whole cluster.
+ *
+ * Cost, with R requests seen: a hook finds its request's state and
+ * its task's stage link in hash tables, O(1). A hook that opens a
+ * span also files it under its request in the collector's ordered
+ * entry, O(log R), a few times per request. Completion walks only
+ * the request's own spans.
  */
 class SpanTracer : public os::KernelHooks
 {
@@ -60,7 +66,7 @@ class SpanTracer : public os::KernelHooks
     /** True when the request is (or was) being traced. */
     bool tracing(os::RequestId id) const
     {
-        return requests_.count(id) != 0;
+        return states_.count(id) != 0;
     }
 
     /**
@@ -130,7 +136,7 @@ class SpanTracer : public os::KernelHooks
     /**
      * Settle, then close the request's open spans on this machine and
      * drop their task links: O(that request's spans), found through
-     * the collector's per-request entry and spanTasks_.
+     * the collector's per-request entry and taskOfSpan_.
      */
     void completeRequest(const os::RequestInfo &info);
 
@@ -139,13 +145,22 @@ class SpanTracer : public os::KernelHooks
     SpanCollector &collector_;
     int machine_;
     bool all_ = false;
-    std::map<os::RequestId, RequestState> requests_;
+    // The four tables below are hashed: every hook looks up its
+    // request or task, and nothing iterates them, so no output
+    // depends on their order. Their names must differ from those of
+    // iterated members elsewhere in src/: the determinism lint
+    // tracks unordered containers by member name across files.
+    /**
+     * Charging state of every request traced here, completed ones
+     * included, so tracing() and late hooks still recognise them.
+     */
+    std::unordered_map<os::RequestId, RequestState> states_;
     /** Open stage span of each task (this machine). */
-    std::map<os::TaskId, SpanId> taskSpans_;
-    /** The inverse of taskSpans_ (each span has at most one task). */
-    std::map<SpanId, os::TaskId> spanTasks_;
+    std::unordered_map<os::TaskId, SpanId> spanOfTask_;
+    /** The inverse of spanOfTask_ (each span has at most one task). */
+    std::unordered_map<SpanId, os::TaskId> taskOfSpan_;
     /** Tasks whose span closes at the exit switch-out. */
-    std::set<os::TaskId> pendingExit_;
+    std::unordered_set<os::TaskId> exitPending_;
     core::RemoteRequestLedger remoteLedger_;
 
     telemetry::Counter *opened_ = nullptr;

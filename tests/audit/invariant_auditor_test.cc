@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -162,6 +163,34 @@ TEST(InvariantAuditorTest, NonMonotoneCounterIsCaught)
     std::string what = panicMessage([&] { auditor.checkNow(); });
     EXPECT_NE(what.find("counter-monotonicity"), std::string::npos)
         << what;
+}
+
+TEST(InvariantAuditorTest, CounterBoundLeavesOutInjectedObserverCycles)
+{
+    // Ledger maintenance every 10 us on a busy core: each sample
+    // injects the observer cost (2,948 non-halt cycles, ~15% of the
+    // elapsed cycles at 2 GHz). That is not a core outrunning its
+    // clock, so 'counter-nonhalt-bound' must not fire.
+    Rig rig(0);
+    os::RequestId req = rig.requests.create("busy", rig.sim.now());
+    auto logic = std::make_shared<ScriptedLogic>(
+        std::vector<ScriptedLogic::Step>{
+            [](os::Kernel &, Task &, const OpResult &) -> Op {
+                return ComputeOp{ActivityVector{1.0, 0, 0, 0}, 1e15};
+            }},
+        true);
+    rig.kernel.spawn(logic, "busy", req, 0);
+    InvariantAuditor auditor(rig.kernel);
+    auditor.watch(rig.manager);
+    sim::SimTime t = rig.sim.now();
+    for (int i = 0; i < 10000; ++i) {
+        t += sim::usec(10);
+        rig.sim.run(t);
+        rig.manager.sampleNow(0);
+    }
+    hw::CounterSnapshot c = rig.machine.readCounters(0);
+    EXPECT_GT(c.nonhaltCycles, c.elapsedCycles * 1.05 + 1e7);
+    EXPECT_NO_THROW(auditor.checkNow());
 }
 
 TEST(InvariantAuditorTest, NegativeModelCoefficientIsCaught)

@@ -5,24 +5,31 @@
  * already-populated collector exactly (same floating-point order,
  * so bitwise-equal totals), and the ranking/quota views must track
  * charges as they land — the lazy ranking in the same order as a
- * sort from scratch.
+ * sort from scratch — including after a re-attach to another
+ * collector.
  */
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
+#include <numeric>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "obs/energy_index.h"
+#include "trace/span_json.h"
 
 namespace pcon::obs {
 namespace {
 
 using sim::msec;
 using trace::NoSpan;
+using trace::Span;
 using trace::SpanCollector;
 using trace::SpanId;
 using trace::SpanKind;
@@ -187,6 +194,225 @@ TEST(EnergyIndex, LazyRankingMatchesAReferenceSort)
     charge(last, -1000);
     EXPECT_EQ(index.ranked(), before);
     expectRanked("after the round trips");
+}
+
+/**
+ * Seeded opens, closes and charges over the requests of `order`,
+ * whose roots open in that order, interleaved with the rest. Spans
+ * land on three machines and three root types. Every charge is a
+ * multiple of 1/8 J and a whole number of ns, so every sum is exact
+ * in any order.
+ */
+class SpanStream
+{
+  public:
+    SpanStream(SpanCollector &c, unsigned seed,
+               std::vector<os::RequestId> order)
+        : c_(c), rng_(seed), order_(std::move(order))
+    {
+        std::shuffle(order_.begin(), order_.end(), rng_);
+    }
+
+    void
+    run(int steps)
+    {
+        for (int step = 0; step < steps; ++step) {
+            now_ += sim::usec(1 + static_cast<int>(pick(50)));
+            std::size_t op = pick(16);
+            int machine = static_cast<int>(pick(3));
+            if (spans_.empty() ||
+                (op == 0 && next_ < order_.size())) {
+                std::string type = "type" + std::to_string(pick(3));
+                spans_.push_back(c_.open(order_[next_++], machine, type,
+                                         SpanKind::Root, NoSpan, now_));
+            } else if (op < 3) {
+                SpanId parent = spans_[pick(spans_.size())];
+                spans_.push_back(c_.open(c_.span(parent).request,
+                                         machine, "stage",
+                                         SpanKind::Stage, parent, now_));
+            } else if (op < 5) {
+                c_.close(spans_[pick(spans_.size())], now_);
+            } else {
+                c_.charge(spans_[pick(spans_.size())],
+                          util::Joules(static_cast<double>(pick(8)) / 8),
+                          static_cast<double>(pick(1000)),
+                          util::Cycles(0), 0);
+            }
+        }
+    }
+
+  private:
+    std::size_t
+    pick(std::size_t n)
+    {
+        return std::uniform_int_distribution<std::size_t>(0, n - 1)(
+            rng_);
+    }
+
+    SpanCollector &c_;
+    std::mt19937 rng_;
+    std::vector<os::RequestId> order_;
+    std::size_t next_ = 0;
+    std::vector<SpanId> spans_;
+    sim::SimTime now_ = 0;
+};
+
+std::vector<os::RequestId>
+requestIds(os::RequestId first, std::size_t count)
+{
+    std::vector<os::RequestId> ids(count);
+    std::iota(ids.begin(), ids.end(), first);
+    return ids;
+}
+
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+std::uint64_t
+bits(util::Joules v)
+{
+    return bits(v.value());
+}
+
+/** A request's rollup summed from the collector's own spans. */
+RequestRollup
+collectorRollup(const SpanCollector &c, os::RequestId request)
+{
+    RequestRollup out;
+    out.id = request;
+    if (c.rootOf(request) != NoSpan)
+        out.rootName = c.span(c.rootOf(request)).name;
+    std::vector<int> machines;
+    bool closed = false;
+    sim::SimTime first = 0;
+    sim::SimTime last = 0;
+    for (SpanId id : c.requestSpans(request)) {
+        const Span &s = c.span(id);
+        ++out.spanCount;
+        if (s.open)
+            ++out.openSpans;
+        out.cpuTimeNs += s.cpuTimeNs;
+        if (std::find(machines.begin(), machines.end(), s.machine) ==
+            machines.end())
+            machines.push_back(s.machine);
+        if (s.open)
+            continue;
+        first = closed ? std::min(first, s.openedAt) : s.openedAt;
+        last = closed ? std::max(last, s.closedAt) : s.closedAt;
+        closed = true;
+    }
+    out.energyJ = c.requestEnergyJ(request);
+    out.machineCount = machines.size();
+    out.wall = closed ? last - first : 0;
+    return out;
+}
+
+void
+expectSameRollup(const RequestRollup &got, const RequestRollup &want,
+                 const std::string &what)
+{
+    EXPECT_EQ(got.id, want.id) << what;
+    EXPECT_EQ(got.rootName, want.rootName) << what;
+    EXPECT_EQ(got.spanCount, want.spanCount) << what;
+    EXPECT_EQ(got.openSpans, want.openSpans) << what;
+    EXPECT_EQ(bits(got.energyJ), bits(want.energyJ)) << what;
+    EXPECT_EQ(bits(got.cpuTimeNs), bits(want.cpuTimeNs)) << what;
+    EXPECT_EQ(got.machineCount, want.machineCount) << what;
+    EXPECT_EQ(got.wall, want.wall) << what;
+}
+
+/**
+ * Every query of `index` (attached to `c`) bit for bit against two
+ * references: an index attached after the fact to a reload of `c`'s
+ * dump, and `c`'s own sums.
+ */
+void
+expectMatchesReferences(const EnergyIndex &index, const SpanCollector &c,
+                        const std::string &when)
+{
+    SpanCollector copy = trace::parseSpanJson(trace::renderSpanJson(c));
+    EnergyIndex fresh;
+    fresh.attach(copy);
+
+    EXPECT_EQ(index.requests(), fresh.requests()) << when;
+    EXPECT_EQ(index.requests(), c.requests()) << when;
+    std::vector<os::RequestId> want = referenceRanking(c);
+    EXPECT_EQ(index.ranked(), fresh.ranked()) << when;
+    EXPECT_EQ(index.ranked(), want) << when;
+    want.resize(std::min<std::size_t>(want.size(), 5));
+    EXPECT_EQ(index.topRequests(5), fresh.topRequests(5)) << when;
+    EXPECT_EQ(index.topRequests(5), want) << when;
+    EXPECT_EQ(index.machines(), c.machines()) << when;
+    EXPECT_EQ(index.spanCount(), c.size()) << when;
+    EXPECT_EQ(index.openSpanCount(), c.openCount()) << when;
+    EXPECT_EQ(bits(index.totalEnergyJ()), bits(fresh.totalEnergyJ()))
+        << when;
+    for (os::RequestId r : c.requests()) {
+        std::string what = when + ", request " + std::to_string(r);
+        expectSameRollup(index.rollup(r), fresh.rollup(r), what);
+        expectSameRollup(index.rollup(r), collectorRollup(c, r), what);
+        for (int m : c.machines()) {
+            EXPECT_EQ(bits(index.machineEnergyJ(r, m)),
+                      bits(fresh.machineEnergyJ(r, m)))
+                << what << ", machine " << m;
+            EXPECT_EQ(bits(index.machineEnergyJ(r, m)),
+                      bits(c.machineEnergyJ(r, m)))
+                << what << ", machine " << m;
+        }
+    }
+    for (int m : c.machines())
+        EXPECT_EQ(bits(index.machineTotalEnergyJ(m)),
+                  bits(fresh.machineTotalEnergyJ(m)))
+            << when << ", machine " << m;
+
+    std::map<std::string, double> budgets{{"type0", 2.5},
+                                          {"type1", 0.5}};
+    std::vector<QuotaHeadroom> got = index.quotaHeadroom(budgets, 4);
+    std::vector<QuotaHeadroom> ref = fresh.quotaHeadroom(budgets, 4);
+    ASSERT_EQ(got.size(), ref.size()) << when;
+    ASSERT_EQ(got.size(), c.requests().size()) << when;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        os::RequestId r = c.requests()[i];
+        EXPECT_EQ(got[i].id, ref[i].id) << when;
+        EXPECT_EQ(got[i].id, r) << when;
+        EXPECT_EQ(got[i].type, ref[i].type) << when;
+        EXPECT_EQ(got[i].type, collectorRollup(c, r).rootName) << when;
+        EXPECT_EQ(bits(got[i].usedJ), bits(ref[i].usedJ)) << when;
+        EXPECT_EQ(bits(got[i].usedJ), bits(c.requestEnergyJ(r))) << when;
+        EXPECT_EQ(bits(got[i].budgetJ), bits(ref[i].budgetJ)) << when;
+        EXPECT_EQ(bits(got[i].headroomJ), bits(ref[i].headroomJ)) << when;
+        EXPECT_EQ(got[i].overBudget, ref[i].overBudget) << when;
+    }
+}
+
+TEST(EnergyIndex, ReattachToAnotherCollectorStaysExact)
+{
+    // B is recorded first, unobserved. Its span ids belong to other
+    // requests than A's: the same 50 ids, in another first-seen order.
+    SpanCollector a;
+    SpanCollector b;
+    SpanStream stream_b(b, 77, requestIds(1, 50));
+    stream_b.run(3000);
+    ASSERT_EQ(b.requests().size(), 50u);
+
+    EnergyIndex index;
+    index.attach(a);
+    SpanStream stream_a(a, 1213, requestIds(1, 50));
+    stream_a.run(3000);
+    ASSERT_EQ(a.requests().size(), 50u);
+    ASSERT_NE(a.span(1).request, b.span(1).request);
+    expectMatchesReferences(index, a, "live on A");
+
+    // Re-attaching must rebuild the span-id table from B, or B's
+    // charges land on the requests A's spans belonged to.
+    index.detach();
+    index.attach(b);
+    expectMatchesReferences(index, b, "re-attached to B");
+    stream_b.run(3000);
+    expectMatchesReferences(index, b, "charged on B");
 }
 
 TEST(EnergyIndex, RollupCarriesCountsEnvelopeAndMachines)

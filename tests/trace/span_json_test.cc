@@ -1,3 +1,7 @@
+#include <initializer_list>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "trace/span_json.h"
@@ -102,6 +106,71 @@ TEST(SpanJson, RejectsMalformedInput)
             "\"cycles\":0,\"instructions\":0,\"io_bytes\":0}\n"
             "]}\n"),
         util::FatalError);
+}
+
+/** One dump object: a closed span with zero totals. */
+std::string
+spanObject(SpanId id, SpanId parent, os::RequestId request,
+           const std::string &kind, SpanId remote_parent = NoSpan)
+{
+    return "{\"id\":" + std::to_string(id) +
+           ",\"parent\":" + std::to_string(parent) +
+           ",\"remote_parent\":" + std::to_string(remote_parent) +
+           ",\"request\":" + std::to_string(request) +
+           ",\"machine\":0,\"kind\":\"" + kind +
+           "\",\"name\":\"s\",\"opened_ns\":0,\"closed_ns\":0,"
+           "\"open\":false,\"energy_j\":0,\"cpu_time_ns\":0,"
+           "\"cycles\":0,\"instructions\":0,\"io_bytes\":0}";
+}
+
+/** A dump of the given span objects, in order. */
+std::string
+dump(std::initializer_list<std::string> spans)
+{
+    std::string out = "{\"spans\":[";
+    const char *sep = "\n";
+    for (const std::string &s : spans) {
+        out += sep;
+        out += s;
+        sep = ",\n";
+    }
+    return out + "\n]}\n";
+}
+
+TEST(SpanJson, RejectsDumpsThatBreakCollectorInvariants)
+{
+    std::string root = spanObject(1, NoSpan, 1, "root");
+    // Each input would otherwise panic inside the collector, or load
+    // and make criticalPath() panic later; the loader's contract is
+    // a FatalError for any corrupt dump.
+    EXPECT_THROW(parseSpanJson(dump({spanObject(1, NoSpan, 1, "bogus")})),
+                 util::FatalError);
+    EXPECT_THROW(parseSpanJson(dump({spanObject(1, NoSpan, 0, "root")})),
+                 util::FatalError);
+    EXPECT_THROW(
+        parseSpanJson(dump({root, spanObject(2, NoSpan, 1, "root")})),
+        util::FatalError);
+    EXPECT_THROW(parseSpanJson(dump({root, spanObject(2, 99, 1, "stage")})),
+                 util::FatalError);
+    EXPECT_THROW(
+        parseSpanJson(dump({root, spanObject(2, 1, 1, "remote", 99)})),
+        util::FatalError);
+    EXPECT_THROW(parseSpanJson(dump({root, spanObject(2, 2, 1, "stage")})),
+                 util::FatalError);
+    EXPECT_THROW(parseSpanJson(dump({root, spanObject(2, 3, 1, "stage"),
+                                     spanObject(3, 2, 1, "stage")})),
+                 util::FatalError);
+}
+
+TEST(SpanJson, AcceptsAParentWithALaterId)
+{
+    // Reparenting (a fork discovered after the child was switched
+    // in) can point a span at a later id; that dump is valid.
+    SpanCollector c = parseSpanJson(
+        dump({spanObject(1, NoSpan, 1, "root"),
+              spanObject(2, 3, 1, "fork"), spanObject(3, 1, 1, "stage")}));
+    EXPECT_EQ(c.span(2).parent, 3u);
+    EXPECT_EQ(c.criticalPath(1), (std::vector<SpanId>{1, 3, 2}));
 }
 
 TEST(SpanJson, EscapesNamesLosslessly)
