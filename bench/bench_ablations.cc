@@ -15,7 +15,6 @@
 #include <memory>
 
 #include "bench_util.h"
-#include "pcon_bench.h"
 #include "core/conditioning.h"
 #include "core/profiles.h"
 #include "workloads/apps.h"
@@ -306,8 +305,8 @@ runActuator(core::Actuator actuator, double target_w)
 
 } // namespace
 
-static int
-runScenario()
+int
+main()
 {
     bench::header("Ablations of power-container design choices");
 
@@ -384,10 +383,4 @@ runScenario()
                {bench::pct(dvfs.busyGcycles / duty.busyGcycles -
                            1.0)});
     return 0;
-}
-
-int
-main()
-{
-    return pcon::bench::scenarioMain("ablations", runScenario);
 }

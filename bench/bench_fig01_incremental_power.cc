@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "pcon_bench.h"
 #include "os/kernel.h"
 #include "workloads/experiment.h"
 
@@ -74,8 +73,8 @@ runMachine(const hw::MachineConfig &cfg, bench::CsvSink &csv)
 
 } // namespace
 
-static int
-runScenario()
+int
+main()
 {
     bench::header("Figure 1: incremental per-core power (Watts)",
                   "CPU-spin microbenchmark; increments of measured "
@@ -90,10 +89,4 @@ runScenario()
                 "shared chip maintenance power switches on with the "
                 "first core of each\nsocket.\n");
     return 0;
-}
-
-int
-main()
-{
-    return pcon::bench::scenarioMain("fig01_incremental_power", runScenario);
 }

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "pcon_bench.h"
 #include "core/alignment.h"
 #include "core/recalibration.h"
 #include "os/kernel.h"
@@ -58,8 +57,8 @@ printCurve(const std::vector<double> &corr, long min_delay,
 
 } // namespace
 
-static int
-runScenario()
+int
+main()
 {
     bench::header("Figure 2: alignment cross-correlation",
                   "Workload: GAE-Vosao at half load on SandyBridge");
@@ -147,10 +146,4 @@ runScenario()
                 sim::toMillis(
                     hw::sandyBridgeConfig().wattsupMeter.delay));
     return 0;
-}
-
-int
-main()
-{
-    return pcon::bench::scenarioMain("fig02_alignment_xcorr", runScenario);
 }

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "pcon_bench.h"
 #include "core/alignment.h"
 #include "core/recalibration.h"
 #include "workloads/apps.h"
@@ -26,8 +25,8 @@ using sim::sec;
 
 } // namespace
 
-static int
-runScenario()
+int
+main()
 {
     bench::header("Figure 3: aligned measured vs modeled power trace",
                   "SandyBridge on-chip meter; GAE-Vosao at half load");
@@ -98,10 +97,4 @@ runScenario()
                 "%.2f W (%d samples)\n",
                 count ? sum_abs_err / count : 0.0, count);
     return 0;
-}
-
-int
-main()
-{
-    return pcon::bench::scenarioMain("fig03_aligned_trace", runScenario);
 }

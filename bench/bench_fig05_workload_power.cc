@@ -12,7 +12,6 @@
 #include <memory>
 
 #include "bench_util.h"
-#include "pcon_bench.h"
 #include "workloads/apps.h"
 #include "workloads/client.h"
 #include "workloads/experiment.h"
@@ -45,8 +44,8 @@ measureWorkload(const hw::MachineConfig &cfg, const std::string &name,
 
 } // namespace
 
-static int
-runScenario()
+int
+main()
 {
     bench::header("Figure 5: measured active power (Watts)",
                   "Six workloads x {peak, half} load x three machines");
@@ -66,10 +65,4 @@ runScenario()
         }
     }
     return 0;
-}
-
-int
-main()
-{
-    return pcon::bench::scenarioMain("fig05_workload_power", runScenario);
 }

@@ -12,7 +12,6 @@
 #include <memory>
 
 #include "bench_util.h"
-#include "pcon_bench.h"
 #include "workloads/apps.h"
 #include "workloads/client.h"
 #include "workloads/experiment.h"
@@ -72,8 +71,8 @@ runDistribution(const std::string &workload, double lo, double hi)
 
 } // namespace
 
-static int
-runScenario()
+int
+main()
 {
     bench::header("Figure 6: mean request power distributions",
                   "Container-profiled; SandyBridge at half load");
@@ -82,10 +81,4 @@ runScenario()
     std::printf("\nExpected shape: GAE-Hybrid is bimodal — the "
                 "power-virus mass sits well\nabove the Vosao mass.\n");
     return 0;
-}
-
-int
-main()
-{
-    return pcon::bench::scenarioMain("fig06_request_power_dist", runScenario);
 }

@@ -11,7 +11,6 @@
 #include <memory>
 
 #include "bench_util.h"
-#include "pcon_bench.h"
 #include "workloads/apps.h"
 #include "workloads/client.h"
 #include "workloads/experiment.h"
@@ -74,8 +73,8 @@ runDistribution(const std::string &workload, double hi)
 
 } // namespace
 
-static int
-runScenario()
+int
+main()
 {
     bench::header("Figure 7: request energy usage distributions",
                   "Container-profiled; SandyBridge at half load");
@@ -85,10 +84,4 @@ runScenario()
                 "service-time variance,\nGAE-Hybrid's high mass from "
                 "the viruses' power and 100 ms length.\n");
     return 0;
-}
-
-int
-main()
-{
-    return pcon::bench::scenarioMain("fig07_request_energy_dist", runScenario);
 }

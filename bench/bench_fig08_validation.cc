@@ -19,7 +19,6 @@
 #include <memory>
 
 #include "bench_util.h"
-#include "pcon_bench.h"
 #include "workloads/apps.h"
 #include "workloads/client.h"
 #include "workloads/experiment.h"
@@ -81,8 +80,8 @@ runValidation(const MachineSetup &setup, const std::string &workload,
 
 } // namespace
 
-static int
-runScenario()
+int
+main()
 {
     bench::header(
         "Figure 8: validation error of aggregate request power",
@@ -124,10 +123,4 @@ runScenario()
     std::printf("\nPaper worst cases: Woodcrest 29/18/8%%, Westmere "
                 "41/35/9%%, SandyBridge 20/13/6%%.\n");
     return 0;
-}
-
-int
-main()
-{
-    return pcon::bench::scenarioMain("fig08_validation", runScenario);
 }

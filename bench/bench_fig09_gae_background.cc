@@ -13,7 +13,6 @@
 #include <memory>
 
 #include "bench_util.h"
-#include "pcon_bench.h"
 #include "workloads/apps.h"
 #include "workloads/client.h"
 #include "workloads/experiment.h"
@@ -67,8 +66,8 @@ runLoad(double utilization, const char *label)
 
 } // namespace
 
-static int
-runScenario()
+int
+main()
 {
     bench::header("Figure 9: GAE background processing power",
                   "GAE-Vosao on SandyBridge; background = activity "
@@ -79,10 +78,4 @@ runScenario()
                 "third of total active\npower, and modeled total "
                 "matches measured active power.\n");
     return 0;
-}
-
-int
-main()
-{
-    return pcon::bench::scenarioMain("fig09_gae_background", runScenario);
 }

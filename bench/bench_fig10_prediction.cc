@@ -21,7 +21,6 @@
 #include <memory>
 
 #include "bench_util.h"
-#include "pcon_bench.h"
 #include "core/prediction.h"
 #include "workloads/apps.h"
 #include "workloads/client.h"
@@ -159,8 +158,8 @@ runExperiment(const AppExperiment &exp,
 
 } // namespace
 
-static int
-runScenario()
+int
+main()
 {
     bench::header(
         "Figure 10: power prediction at new request compositions",
@@ -185,10 +184,4 @@ runScenario()
                 "CPU-utilization-proportional <= ~19%%;\n"
                 "request-rate-proportional up to ~56%%.\n");
     return 0;
-}
-
-int
-main()
-{
-    return pcon::bench::scenarioMain("fig10_prediction", runScenario);
 }

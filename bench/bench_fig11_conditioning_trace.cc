@@ -12,7 +12,6 @@
  */
 
 #include "bench_util.h"
-#include "pcon_bench.h"
 #include "conditioning_common.h"
 
 namespace {
@@ -44,8 +43,8 @@ printTrace(const bench::ConditioningRun &run, double target_package_w)
 
 } // namespace
 
-static int
-runScenario()
+int
+main()
 {
     double target_package =
         bench::kConditioningTargetW +
@@ -65,10 +64,4 @@ runScenario()
         bench::runConditioningExperiment(true);
     printTrace(conditioned, target_package);
     return 0;
-}
-
-int
-main()
-{
-    return pcon::bench::scenarioMain("fig11_conditioning_trace", runScenario);
 }

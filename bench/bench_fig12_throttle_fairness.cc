@@ -12,12 +12,11 @@
  */
 
 #include "bench_util.h"
-#include "pcon_bench.h"
 #include "conditioning_common.h"
 #include "util/stats.h"
 
-static int
-runScenario()
+int
+main()
 {
     using namespace pcon;
     bench::header(
@@ -75,10 +74,4 @@ runScenario()
                 "viruses ~33%%; indiscriminate\nfull-machine "
                 "throttling would slow every request instead.\n");
     return 0;
-}
-
-int
-main()
-{
-    return pcon::bench::scenarioMain("fig12_throttle_fairness", runScenario);
 }

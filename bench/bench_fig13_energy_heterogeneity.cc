@@ -13,7 +13,6 @@
 #include <memory>
 
 #include "bench_util.h"
-#include "pcon_bench.h"
 #include "core/profiles.h"
 #include "workloads/apps.h"
 #include "workloads/client.h"
@@ -53,8 +52,8 @@ meanRequestEnergy(const hw::MachineConfig &cfg,
 
 } // namespace
 
-static int
-runScenario()
+int
+main()
 {
     bench::header(
         "Figure 13: cross-machine active energy usage ratio",
@@ -86,10 +85,4 @@ runScenario()
                 "highest (~0.91); a Stress\nrequest loses far less "
                 "than an RSA request when placed on Woodcrest.\n");
     return 0;
-}
-
-int
-main()
-{
-    return pcon::bench::scenarioMain("fig13_energy_heterogeneity", runScenario);
 }

@@ -15,7 +15,6 @@
 #include <memory>
 
 #include "bench_util.h"
-#include "pcon_bench.h"
 #include "workloads/cluster.h"
 #include "workloads/microbench.h"
 
@@ -25,8 +24,8 @@ using namespace pcon;
 
 } // namespace
 
-static int
-runScenario()
+int
+main()
 {
     bench::header(
         "Figure 14 + Table 1: request distribution on a "
@@ -110,10 +109,4 @@ runScenario()
                 "balance suffers far\nworse response times because "
                 "it overloads the slower machine.\n");
     return 0;
-}
-
-int
-main()
-{
-    return pcon::bench::scenarioMain("fig14_request_distribution", runScenario);
 }

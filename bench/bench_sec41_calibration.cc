@@ -7,7 +7,6 @@
  */
 
 #include "bench_util.h"
-#include "pcon_bench.h"
 #include "workloads/microbench.h"
 
 namespace {
@@ -53,8 +52,8 @@ calibrateAndPrint(const hw::MachineConfig &cfg)
 
 } // namespace
 
-static int
-runScenario()
+int
+main()
 {
     bench::header(
         "Section 4.1: calibrated power model coefficients",
@@ -67,10 +66,4 @@ runScenario()
                 "core 33.1 W, ins 12.4 W,\ncache 13.9 W, mem 8.2 W, "
                 "chipshare 5.6 W, disk 1.7 W, net 5.8 W.\n");
     return 0;
-}
-
-int
-main()
-{
-    return pcon::bench::scenarioMain("sec41_calibration", runScenario);
 }

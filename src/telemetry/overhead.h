@@ -16,9 +16,8 @@
  *   overhead.refit_cycles            per NNLS model refit
  *
  * Alongside the histograms, every hook class also maintains an
- * always-on pair of cost counters — the hot-path cost layer the
- * perf observability plane (docs/BENCHMARKING.md) compares across
- * commits:
+ * always-on pair of cost counters (docs/OBSERVABILITY.md,
+ * "Self-measured accounting overhead"):
  *
  *   perf.<class>.calls    invocations forwarded through the profiler
  *   perf.<class>.cycles   cumulative modeled cycles spent inside

@@ -156,16 +156,6 @@ SpanCollector::requestSpans(os::RequestId request) const
     return entry == nullptr ? std::vector<SpanId>{} : entry->spans;
 }
 
-std::vector<SpanId>
-SpanCollector::children(SpanId id) const
-{
-    std::vector<SpanId> out;
-    for (const Span &s : spans_)
-        if (s.parent == id)
-            out.push_back(s.id);
-    return out;
-}
-
 std::vector<os::RequestId>
 SpanCollector::requests() const
 {

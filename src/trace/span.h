@@ -215,10 +215,6 @@ class SpanCollector
      */
     std::vector<SpanId> requestSpans(os::RequestId request) const;
 
-    /** Direct children of a span, ascending id. Scans every span:
-     * only tests call it, so it keeps no index of its own. */
-    std::vector<SpanId> children(SpanId id) const;
-
     /** Requests with at least one span, ascending id. */
     std::vector<os::RequestId> requests() const;
 

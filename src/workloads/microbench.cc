@@ -174,8 +174,8 @@ calibrateModel(const hw::MachineConfig &machine, core::ModelKind kind,
     // deterministic. Memoize the result per process — tests and
     // benches rebuild the identical model for the identical platform
     // config dozens of times, and each rebuild simulates hundreds of
-    // thousands of events (it dominated the bench_webwork_trace
-    // hot-path profile). A cache hit returns the exact same
+    // thousands of events (it dominated the host profile of the
+    // traced WeBWorK run). A cache hit returns the exact same
     // coefficient values a recomputation would.
     struct FitKey
     {

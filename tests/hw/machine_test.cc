@@ -247,9 +247,10 @@ TEST(Machine, ChipOfMapsCoresToPackages)
 #if PCON_AUDIT_LEVEL >= 2
 TEST(Machine, RateBoundLeavesOutInjectedObserverCycles)
 {
-    // The maintenance loop of bench_hotpath and bench_overhead_suite:
-    // a ledger sample on a busy core every 10 simulated us. Each one
-    // injects the observer cost (2,948 non-halt cycles, ~9.5% of the
+    // The maintenance loop of the GoldenShapes ledger scenario
+    // (tests/integration/golden_shapes_test.cc): a ledger sample on
+    // a busy core every 10 simulated us. Each one injects the
+    // observer cost (2,948 non-halt cycles, ~9.5% of the
     // elapsed cycles at 3.1 GHz), which outruns the rate bound's 5%
     // slack. The audited sync must leave those cycles out.
     Simulation sim;

@@ -1,0 +1,324 @@
+/**
+ * @file
+ * Golden shape quantities: deterministic costs of the accounting and
+ * tracing paths, pinned as exact `name value` lines in
+ * tests/data/golden_shapes.txt. A change that moves any of them —
+ * one more event per context switch, one more span per request —
+ * fails here until the fixture is regenerated (PCON_UPDATE_GOLDEN=1)
+ * and the diff is reviewed.
+ *
+ * Each scenario runs a fixed pre-roll into steady state, then counts
+ * over a fixed window, so every value is a pure function of the
+ * seeded workload.
+ * Lines are sorted by name and doubles render as the shortest
+ * decimal that parses back exactly.
+ */
+
+#include <charconv>
+#include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <map>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "core/container_manager.h"
+#include "core/power_model.h"
+#include "os/kernel.h"
+#include "sim/simulation.h"
+#include "telemetry/overhead.h"
+#include "telemetry/registry.h"
+#include "trace/span.h"
+#include "trace/span_tracer.h"
+#include "workloads/apps.h"
+#include "workloads/experiment.h"
+
+#ifndef PCON_TEST_DATA_DIR
+#error "PCON_TEST_DATA_DIR must point at the committed fixtures"
+#endif
+
+namespace pcon {
+namespace {
+
+using sim::usec;
+
+/** Quantity name -> value; std::map keeps the lines name-sorted. */
+using Shapes = std::map<std::string, double>;
+
+std::shared_ptr<core::LinearPowerModel>
+makeModel()
+{
+    auto model = std::make_shared<core::LinearPowerModel>();
+    model->setIdleW(26.1);
+    model->setCoefficient(core::Metric::Core, 8.0);
+    model->setCoefficient(core::Metric::Ins, 1.5);
+    model->setCoefficient(core::Metric::Cache, 70.0);
+    model->setCoefficient(core::Metric::Mem, 205.0);
+    model->setCoefficient(core::Metric::ChipShare, 5.6);
+    return model;
+}
+
+/** A task that computes forever with the given activity. */
+std::shared_ptr<os::ScriptedLogic>
+busyLogic(hw::ActivityVector activity, double instructions)
+{
+    return std::make_shared<os::ScriptedLogic>(
+        std::vector<os::ScriptedLogic::Step>{
+            [activity, instructions](os::Kernel &, os::Task &,
+                                     const os::OpResult &) -> os::Op {
+                return os::ComputeOp{activity, instructions};
+            }},
+        true);
+}
+
+/** Two short compute loops sharing core 0: every slice switches. */
+void
+spawnPingPong(os::Kernel &kernel, os::RequestContextManager &requests,
+              sim::SimTime now, const std::string &type)
+{
+    for (int i = 0; i < 2; ++i) {
+        os::RequestId req = requests.create(type, now);
+        kernel.spawn(busyLogic({1.2, 0.1, 0.01, 0.002}, 1e5),
+                     i == 0 ? "ping" : "pong", req, 0);
+    }
+}
+
+/** Counts context switches so events/switch has a denominator. */
+struct SwitchCounter : os::KernelHooks
+{
+    std::uint64_t switches = 0;
+
+    void
+    onContextSwitch(int, os::Task *, os::Task *) override
+    {
+        ++switches;
+    }
+};
+
+/**
+ * ledger.sim_events_per_op: simulated events per container-ledger
+ * maintenance update — one busy task, a ledger sample on core 0
+ * every 10 simulated us.
+ */
+void
+ledgerShapes(Shapes &out)
+{
+    wl::ServerWorld world(hw::sandyBridgeConfig(), makeModel());
+    os::RequestId req =
+        world.requests().create("ledger", world.sim().now());
+    world.kernel().spawn(busyLogic({1.5, 0.1, 0.02, 0.004}, 1e15),
+                         "subject", req, 0);
+    world.run(sim::msec(1));
+    sim::SimTime t = world.sim().now();
+    auto update = [&world, &t] {
+        t += usec(10);
+        world.sim().run(t);
+        world.manager().sampleNow(0);
+    };
+    for (int i = 0; i < 15000; ++i)
+        update();
+
+    const std::uint64_t window = 1000;
+    std::uint64_t before = world.sim().eventsExecuted();
+    for (std::uint64_t i = 0; i < window; ++i)
+        update();
+    out["ledger.sim_events_per_op"] =
+        static_cast<double>(world.sim().eventsExecuted() - before) /
+        static_cast<double>(window);
+}
+
+/**
+ * kernel.sim_events_per_switch: simulated events per context switch
+ * in 200 us steps. The container manager follows requests but is
+ * not registered as a kernel hook, so only the kernel's own events
+ * count.
+ */
+void
+kernelShapes(Shapes &out)
+{
+    sim::Simulation sim;
+    hw::Machine machine(sim, hw::sandyBridgeConfig());
+    os::RequestContextManager requests;
+    os::Kernel kernel(machine, requests);
+    core::ContainerManager manager(kernel, makeModel(), {});
+    SwitchCounter counter;
+    kernel.addHooks(&counter);
+    spawnPingPong(kernel, requests, sim.now(), "hotpath");
+
+    sim::SimTime t = sim.now();
+    for (int i = 0; i < 1500; ++i) {
+        t += usec(200);
+        sim.run(t);
+    }
+
+    const std::uint64_t window = 100;
+    std::uint64_t events_before = sim.eventsExecuted();
+    std::uint64_t switches_before = counter.switches;
+    for (std::uint64_t i = 0; i < window; ++i) {
+        t += usec(200);
+        sim.run(t);
+    }
+    std::uint64_t switches = counter.switches - switches_before;
+    ASSERT_GT(switches, 0u);
+    out["kernel.sim_events_per_switch"] =
+        static_cast<double>(sim.eventsExecuted() - events_before) /
+        static_cast<double>(switches);
+}
+
+/**
+ * profiled.hook_calls_per_slice: kernel hook invocations forwarded
+ * through the OverheadProfiler per 200 us slice, with the container
+ * manager wrapped by the profiler.
+ */
+void
+profiledShapes(Shapes &out)
+{
+    sim::Simulation sim;
+    hw::Machine machine(sim, hw::sandyBridgeConfig());
+    os::RequestContextManager requests;
+    os::Kernel kernel(machine, requests);
+    core::ContainerManager manager(kernel, makeModel(), {});
+    telemetry::Registry registry;
+    telemetry::OverheadProfiler profiler(
+        registry, hw::sandyBridgeConfig().freqGhz * 1e9);
+    profiler.wrap(&manager);
+    kernel.addHooks(&profiler);
+    spawnPingPong(kernel, requests, sim.now(), "profiled");
+    const telemetry::Counter &hook_calls =
+        registry.counter("overhead.hook_calls");
+
+    sim::SimTime t = sim.now();
+    for (int i = 0; i < 1500; ++i) {
+        t += usec(200);
+        sim.run(t);
+    }
+
+    const std::uint64_t window = 200;
+    std::uint64_t calls_before = hook_calls.value();
+    for (std::uint64_t i = 0; i < window; ++i) {
+        t += usec(200);
+        sim.run(t);
+    }
+    out["profiled.hook_calls_per_slice"] =
+        static_cast<double>(hook_calls.value() - calls_before) /
+        static_cast<double>(window);
+}
+
+struct WebworkRun
+{
+    double events = 0;
+    double requests = 0;
+    double spans = 0;
+    double completionVisits = 0;
+};
+
+/** 64 WeBWorK requests (seed 7) for 5 simulated seconds. */
+WebworkRun
+runWebwork(bool traced)
+{
+    auto model = std::make_shared<core::LinearPowerModel>(
+        wl::calibrateModel(hw::sandyBridgeConfig(),
+                           core::ModelKind::WithChipShare));
+    wl::ServerWorld world(hw::sandyBridgeConfig(), model);
+
+    trace::SpanCollector spans;
+    telemetry::Registry metrics;
+    std::unique_ptr<trace::SpanTracer> tracer;
+    if (traced) {
+        tracer = std::make_unique<trace::SpanTracer>(
+            world.kernel(), world.manager(), spans, 0);
+        tracer->traceAll();
+        tracer->bindMetrics(metrics);
+        world.kernel().addHooks(tracer.get());
+    }
+
+    wl::WeBWorKApp app(/*seed=*/7);
+    app.deploy(world.kernel());
+    for (int i = 0; i < 64; ++i) {
+        std::string type =
+            wl::WeBWorKApp::bucketType(i % wl::WeBWorKApp::NumBuckets);
+        os::RequestId request =
+            world.requests().create(type, world.sim().now());
+        app.submit(request, type);
+    }
+    world.run(sim::sec(5));
+
+    WebworkRun out;
+    out.events = static_cast<double>(world.sim().eventsExecuted());
+    out.requests =
+        static_cast<double>(world.manager().records().size());
+    out.spans = static_cast<double>(spans.size());
+    out.completionVisits = static_cast<double>(
+        metrics.counter("trace.completion_span_visits").value());
+    return out;
+}
+
+/**
+ * webwork.*: per-request costs of the Figure 4 workload — simulated
+ * events with plain accounting, and the span tracer's footprint
+ * (spans recorded, spans walked at completion) when it traces every
+ * request.
+ */
+void
+webworkShapes(Shapes &out)
+{
+    WebworkRun plain = runWebwork(/*traced=*/false);
+    ASSERT_GT(plain.requests, 0);
+    out["webwork.sim_events_per_request"] =
+        plain.events / plain.requests;
+
+    WebworkRun traced = runWebwork(/*traced=*/true);
+    ASSERT_GT(traced.requests, 0);
+    out["webwork.spans_per_request"] = traced.spans / traced.requests;
+    out["webwork.span_visits_per_completion"] =
+        traced.completionVisits / traced.requests;
+}
+
+std::string
+render(const Shapes &shapes)
+{
+    std::string text;
+    for (const auto &[name, value] : shapes) {
+        // 32 bytes hold the shortest form of any double.
+        char buf[32];
+        char *end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+        text += name + " " + std::string(buf, end) + "\n";
+    }
+    return text;
+}
+
+TEST(GoldenShapes, MatchCommittedFixtureByteForByte)
+{
+    Shapes shapes;
+    ledgerShapes(shapes);
+    kernelShapes(shapes);
+    profiledShapes(shapes);
+    webworkShapes(shapes);
+    ASSERT_FALSE(HasFatalFailure());
+    std::string rendered = render(shapes);
+
+    std::string path =
+        std::string(PCON_TEST_DATA_DIR) + "/golden_shapes.txt";
+    if (std::getenv("PCON_UPDATE_GOLDEN") != nullptr) {
+        std::ofstream out(path, std::ios::trunc);
+        ASSERT_TRUE(out) << "cannot write " << path;
+        out << rendered;
+        GTEST_SKIP() << "fixture regenerated at " << path;
+    }
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << "missing fixture " << path
+                    << " — regenerate with PCON_UPDATE_GOLDEN=1";
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    ASSERT_EQ(rendered, buf.str())
+        << "golden shapes drifted from the committed fixture; if the "
+           "change is intentional, regenerate with "
+           "PCON_UPDATE_GOLDEN=1 and commit the diff with its reason";
+}
+
+} // namespace
+} // namespace pcon

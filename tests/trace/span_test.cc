@@ -96,7 +96,8 @@ TEST(SpanCollector, RequestAndMachineQueries)
 
     EXPECT_EQ(c.requestSpans(1),
               (std::vector<SpanId>{r1, s1, s2}));
-    EXPECT_EQ(c.children(r1), std::vector<SpanId>{s1});
+    EXPECT_EQ(c.span(s1).parent, r1);
+    EXPECT_EQ(c.span(s2).parent, s1);
     EXPECT_EQ(c.requests(), (std::vector<RequestId>{1, 2}));
     EXPECT_DOUBLE_EQ(c.requestEnergyJ(1).value(), 1.5);
     EXPECT_DOUBLE_EQ(c.requestEnergyJ(2).value(), 0.0);

@@ -1,14 +1,13 @@
-"""Bench-timing rule: all host timing in bench/ goes through
-pcon_bench.
+"""Bench-timing rule: no raw clocks under bench/.
 
-Benchmark drivers must not measure time themselves — raw
-``std::chrono`` clocks, ``clock_gettime``/``gettimeofday``/
-``time()``/``clock()``, or rdtsc-style cycle counters anywhere under
-bench/ bypass the shared warmup+repeat protocol and the
-BENCH_<topic>.json output path, producing numbers that the
-regression gate (tools/bench_report) cannot compare. The harness
-itself (bench/pcon_bench.h / .cc) is the single exempted
-implementation site.
+The figure and table drivers under bench/ print simulated results;
+they must not measure host time themselves. Raw ``std::chrono``
+clocks, ``clock_gettime``/``gettimeofday``/``time()``/``clock()``, or
+rdtsc-style cycle counters anywhere under bench/ produce ad-hoc
+numbers with no warmup, repetition or statistics. Micro-benchmarks
+time through Google Benchmark's ``benchmark::State`` loop
+(bench/bench_sec35_overhead.cc); end-to-end and per-layer host time
+is perfbench's job (BENCHMARK.json).
 
 A driver with a genuine reason to touch a clock (e.g. documenting a
 host-API cost) takes ``// pcon-lint: allow(bench-timing)`` with the
@@ -22,24 +21,25 @@ from engine import Finding, Rule
 PATTERNS = [
     (
         re.compile(r"std\s*::\s*chrono"),
-        "raw std::chrono in a benchmark driver; time through "
-        "bench::Suite / bench::scenarioMain (bench/pcon_bench.h)",
+        "raw std::chrono in a benchmark driver; time a "
+        "micro-benchmark in a Google Benchmark benchmark::State "
+        "loop, or a whole run with perfbench",
     ),
     (
         re.compile(
             r"(?<![\w:.])(?:clock_gettime|gettimeofday|time|clock)"
             r"\s*\("
         ),
-        "C clock call in a benchmark driver; use the pcon_bench "
-        "harness protocol instead",
+        "C clock call in a benchmark driver; use a Google "
+        "Benchmark benchmark::State loop or perfbench instead",
     ),
     (
         re.compile(
             r"(?<![\w:.])(?:__rdtsc|_rdtsc|rdtsc|"
             r"__builtin_readcyclecounter)\s*\("
         ),
-        "raw cycle counter in a benchmark driver; use "
-        "bench::cycleCount() via the harness",
+        "raw cycle counter in a benchmark driver; use a Google "
+        "Benchmark benchmark::State loop or perfbench instead",
     ),
 ]
 
@@ -47,17 +47,14 @@ PATTERNS = [
 class BenchTimingRule(Rule):
     name = "bench-timing"
     description = (
-        "benchmark drivers time only through the pcon_bench "
-        "harness; no raw clocks under bench/"
+        "no raw clocks under bench/: micro-benchmarks time "
+        "through Google Benchmark, whole runs through perfbench"
     )
     scope = ("bench",)
-    exempt = ("bench/pcon_bench.h", "bench/pcon_bench.cc")
 
     def run(self, project):
         findings = []
         for source in project.files_under(self.scope):
-            if source.rel in self.exempt:
-                continue
             for idx, line in enumerate(source.blanked_lines):
                 for regex, why in PATTERNS:
                     if regex.search(line):
@@ -86,7 +83,8 @@ class BenchTimingRule(Rule):
                     "// pcon-lint: allow(bench-timing) host API cost\n"
                     "std::uint64_t ok = __rdtsc();\n"
                 ),
-                "bench/pcon_bench.cc": (
+                # A timing harness of its own gets no exemption.
+                "bench/harness.cc": (
                     "auto t = std::chrono::steady_clock::now();\n"
                 ),
                 "src/telemetry/overhead.cc": (
@@ -104,6 +102,7 @@ class BenchTimingRule(Rule):
             ("bench/bench_bad.cc", 2),
             ("bench/bench_bad.cc", 4),
             ("bench/bench_bad.cc", 5),
+            ("bench/harness.cc", 1),
         ]
         if got != want:
             errors.append(

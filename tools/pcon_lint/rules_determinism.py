@@ -29,7 +29,6 @@ CORE_SCOPE = (
     "src/core",
     "src/hw",
     "src/obs",
-    "src/perf",
     "src/telemetry",
     "src/trace",
 )
