@@ -10,6 +10,11 @@
 namespace pcon {
 namespace core {
 
+// Calibrator::fit's design is the intercept plus at most every metric.
+static_assert(NumMetrics + 1 <= linalg::kMaxFeatures,
+              "the solver's fixed-width kernels must cover the "
+              "calibration design");
+
 namespace {
 
 /** Columns used by a model kind: intercept + active features. */
@@ -62,7 +67,8 @@ Calibrator::fit(ModelKind kind, double *rmse_w) const
     linalg::LsqResult fit_result =
         linalg::solveNonNegativeLeastSquares(design, target);
     if (rmse_w != nullptr)
-        *rmse_w = fit_result.rmse;
+        *rmse_w = linalg::residualRmse(design, target,
+                                       fit_result.coefficients);
 
     LinearPowerModel model(kind);
     model.setIdleW(fit_result.coefficients[0]);

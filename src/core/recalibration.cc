@@ -178,7 +178,15 @@ OnlineRecalibrator::scheduleRefitTick()
 void
 OnlineRecalibrator::stop()
 {
+    if (!running_)
+        return;
     running_ = false;
+    // A start() before these fire must not leave a second tick chain.
+    sim::Simulation &simulation = sampler_.kernel().simulation();
+    simulation.cancel(alignEvent_);
+    simulation.cancel(refitEvent_);
+    alignEvent_ = sim::InvalidEventId;
+    refitEvent_ = sim::InvalidEventId;
 }
 
 void

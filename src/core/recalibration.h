@@ -174,7 +174,10 @@ class OnlineRecalibrator
     /** Begin aligning and refitting. */
     void start();
 
-    /** Stop (pending meter deliveries are ignored). */
+    /**
+     * Stop: cancel the pending align and refit ticks and ignore meter
+     * deliveries until the next start().
+     */
     void stop();
 
     /** Current measurement-delay estimate (0 until first alignment). */

@@ -1,7 +1,10 @@
 #include "least_squares.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "util/logging.h"
@@ -15,101 +18,126 @@ using util::panicIf;
 namespace {
 
 /**
- * In-place Householder QR of A (rows >= cols assumed after checks),
- * applying the same transformations to b. On return the upper
- * triangle of A holds R. Returns false when a diagonal of R is
- * (near-)zero, i.e. the design is rank deficient.
+ * Householder step K of the fixed-width QR of a packed row-major
+ * [A | b] buffer (N features, W = N + 1 doubles per row, m rows).
+ * J... = 0..W-K-1 index columns K..N, so every loop over columns is a
+ * compile-time fold: each sweep keeps its accumulators in scalars,
+ * which the compiler holds in registers and pairs in SIMD lanes. A
+ * lane holds one accumulator, so each sum still adds its rows in
+ * ascending order, exactly as a column-at-a-time loop does.
  *
- * Each column k costs two sweeps over rows k..m-1 in storage order.
- * The first accumulates v^T v and v^T x for every column x >= k and
- * for b; the second applies the reflector row by row and accumulates
- * the next column's squared norm from the rows it has just updated.
- * Every sum adds its terms in ascending row order, as a
- * column-at-a-time loop does, so the factors are bit-identical to
- * one.
+ * On entry col_norm2 is the squared norm of column K over rows
+ * K..m-1; on return it is that of column K+1 over rows K+1..m-1.
+ * Returns false when the column or v is (near-)zero, i.e. the design
+ * is rank deficient.
  */
+template <std::size_t N, std::size_t K, std::size_t... J>
 bool
-householderQr(Matrix &a, Vector &b)
+reflectColumn(double *ab, std::size_t m, double &col_norm2,
+              std::index_sequence<J...>)
 {
-    std::size_t m = a.rows();
-    std::size_t n = a.cols();
-    // proj[j] = v^T (column j) for j >= k; proj[n] = v^T b.
-    Vector proj(n + 1);
+    constexpr std::size_t W = N + 1;
+    double col_norm = std::sqrt(col_norm2);
+    if (col_norm < 1e-12)
+        return false;
+
+    // Householder vector v = x - alpha*e1: v0 on the diagonal, column
+    // K itself below it.
+    double *diag_row = ab + K * W;
+    double alpha = diag_row[K] > 0 ? -col_norm : col_norm;
+    double v0 = diag_row[K] - alpha;
+
+    // Sweep 1: v^T v, and p[J] = v^T (column K+J), b last. Every
+    // accumulator starts at 0.0: 0.0 + (-0.0) is +0.0.
+    double v_norm2 = 0.0;
+    std::array<double, W - K> p{};
+    v_norm2 += v0 * v0;
+    ((p[J] += v0 * diag_row[K + J]), ...);
+    for (std::size_t i = K + 1; i < m; ++i) {
+        const double *row = ab + i * W;
+        double vi = row[K];
+        v_norm2 += vi * vi;
+        ((p[J] += vi * row[K + J]), ...);
+    }
+    if (v_norm2 < 1e-24)
+        return false;
+    ((p[J] = 2.0 * p[J] / v_norm2), ...);
+
+    // Sweep 2: apply H = I - 2 v v^T / (v^T v) row by row, reading
+    // v_i before the row changes, and accumulate the next column's
+    // squared norm from the row just updated.
+    ((diag_row[K + J] -= p[J] * v0), ...);
+    col_norm2 = 0.0;
+    for (std::size_t i = K + 1; i < m; ++i) {
+        double *row = ab + i * W;
+        double vi = row[K];
+        ((row[K + J] -= p[J] * vi), ...);
+        if constexpr (K + 1 < N)
+            col_norm2 += row[K + 1] * row[K + 1];
+    }
+    return true;
+}
+
+/** QR of the packed buffer: step K for every column, in order. */
+template <std::size_t N, std::size_t... K>
+bool
+factorPacked(double *ab, std::size_t m, std::index_sequence<K...>)
+{
+    constexpr std::size_t W = N + 1;
     double col_norm2 = 0.0;
     for (std::size_t i = 0; i < m; ++i)
-        col_norm2 += a(i, 0) * a(i, 0);
-    for (std::size_t k = 0; k < n; ++k) {
-        // Norm of column k below (and including) the diagonal.
-        double col_norm = std::sqrt(col_norm2);
-        if (col_norm < 1e-12)
-            return false;
-
-        // Householder vector v = x - alpha*e1: v0 on the diagonal,
-        // column k itself below it.
-        double alpha = a(k, k) > 0 ? -col_norm : col_norm;
-        double v0 = a(k, k) - alpha;
-        double v_norm2 = 0.0;
-        std::fill(proj.begin() + static_cast<std::ptrdiff_t>(k),
-                  proj.end(), 0.0);
-        for (std::size_t i = k; i < m; ++i) {
-            double vi = i == k ? v0 : a(i, k);
-            v_norm2 += vi * vi;
-            for (std::size_t j = k; j < n; ++j)
-                proj[j] += vi * a(i, j);
-            proj[n] += vi * b[i];
-        }
-        if (v_norm2 < 1e-24)
-            return false;
-        for (std::size_t j = k; j <= n; ++j)
-            proj[j] = 2.0 * proj[j] / v_norm2;
-
-        // Apply H = I - 2 v v^T / (v^T v) to A[k:, k:] and b[k:].
-        col_norm2 = 0.0;
-        for (std::size_t i = k; i < m; ++i) {
-            double vi = i == k ? v0 : a(i, k);
-            for (std::size_t j = k; j < n; ++j)
-                a(i, j) -= proj[j] * vi;
-            b[i] -= proj[n] * vi;
-            if (i > k && k + 1 < n)
-                col_norm2 += a(i, k + 1) * a(i, k + 1);
-        }
-    }
-    return true;
+        col_norm2 += ab[i * W] * ab[i * W];
+    return (reflectColumn<N, K>(ab, m, col_norm2,
+                                std::make_index_sequence<W - K>{}) &&
+            ...);
 }
 
-/** Back-substitute R x = c where R is the upper triangle of a. */
+/**
+ * Least squares for a design of exactly N columns: pack [A | b],
+ * factor it, and back-substitute R x = Q^T b. Returns false when the
+ * design is rank deficient.
+ */
+template <std::size_t N>
 bool
-backSubstitute(const Matrix &a, const Vector &c, Vector &x)
+solveFixedWidth(const Matrix &a, const Vector &b, Vector &x)
 {
-    std::size_t n = a.cols();
-    x.assign(n, 0.0);
-    for (std::size_t ri = n; ri-- > 0;) {
-        double diag = a(ri, ri);
-        if (std::abs(diag) < 1e-12)
+    constexpr std::size_t W = N + 1;
+    const std::size_t m = a.rows();
+    auto ab = std::make_unique_for_overwrite<double[]>(m * W);
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t c = 0; c < N; ++c)
+            ab[i * W + c] = a(i, c);
+        ab[i * W + N] = b[i];
+    }
+    if (!factorPacked<N>(ab.get(), m, std::make_index_sequence<N>{}))
+        return false;
+
+    x.assign(N, 0.0);
+    for (std::size_t r = N; r-- > 0;) {
+        const double *row = &ab[r * W];
+        if (std::abs(row[r]) < 1e-12)
             return false;
-        double acc = c[ri];
-        for (std::size_t j = ri + 1; j < n; ++j)
-            acc -= a(ri, j) * x[j];
-        x[ri] = acc / diag;
+        double acc = row[N];
+        for (std::size_t j = r + 1; j < N; ++j)
+            acc -= row[j] * x[j];
+        x[r] = acc / row[r];
     }
     return true;
 }
 
-double
-computeRmse(const Matrix &a, const Vector &b, const Vector &x)
+using FixedWidthSolver = bool (*)(const Matrix &, const Vector &,
+                                  Vector &);
+
+template <std::size_t... I>
+constexpr std::array<FixedWidthSolver, sizeof...(I)>
+fixedWidthSolvers(std::index_sequence<I...>)
 {
-    if (a.rows() == 0)
-        return 0.0;
-    double sse = 0.0;
-    for (std::size_t i = 0; i < b.size(); ++i) {
-        double pred = 0.0;
-        for (std::size_t c = 0; c < a.cols(); ++c)
-            pred += a(i, c) * x[c];
-        double r = pred - b[i];
-        sse += r * r;
-    }
-    return std::sqrt(sse / static_cast<double>(b.size()));
+    return {&solveFixedWidth<I + 1>...};
 }
+
+/** solveFixedWidth<n> at index n - 1, for n = 1..kMaxFeatures. */
+constexpr std::array<FixedWidthSolver, kMaxFeatures> kFixedWidthSolvers =
+    fixedWidthSolvers(std::make_index_sequence<kMaxFeatures>{});
 
 /** Cholesky solve of the SPD system m x = rhs; false if not SPD. */
 bool
@@ -151,7 +179,7 @@ choleskySolve(Matrix m, Vector rhs, Vector &x)
     return true;
 }
 
-/** Ridge coefficients from the normal equations, without the RMSE. */
+/** Ridge coefficients from the normal equations. */
 Vector
 ridgeCoefficients(const Matrix &a, const Vector &b, double lambda)
 {
@@ -166,13 +194,10 @@ ridgeCoefficients(const Matrix &a, const Vector &b, double lambda)
     return x;
 }
 
-/**
- * solveLeastSquares without the RMSE, for the weighted and
- * non-negative solvers: they score other coefficients or another
- * problem than the one solved here.
- */
+} // namespace
+
 LsqResult
-fitLeastSquares(const Matrix &a, const Vector &b)
+solveLeastSquares(const Matrix &a, const Vector &b)
 {
     fatalIf(a.rows() != b.size(),
             "least squares: ", a.rows(), " rows vs ", b.size(),
@@ -181,12 +206,11 @@ fitLeastSquares(const Matrix &a, const Vector &b)
             "least squares: underdetermined system (", a.rows(),
             " samples, ", a.cols(), " features)");
     fatalIf(a.cols() == 0, "least squares: empty design matrix");
+    fatalIf(a.cols() > kMaxFeatures, "least squares: ", a.cols(),
+            " features, at most ", kMaxFeatures, " supported");
 
-    Matrix qr = a;
-    Vector qtb = b;
     LsqResult result;
-    if (householderQr(qr, qtb) &&
-        backSubstitute(qr, qtb, result.coefficients))
+    if (kFixedWidthSolvers[a.cols() - 1](a, b, result.coefficients))
         return result;
 
     // Rank-deficient design: fall back to a mild ridge penalty scaled
@@ -202,43 +226,12 @@ fitLeastSquares(const Matrix &a, const Vector &b)
     return result;
 }
 
-} // namespace
-
-LsqResult
-solveLeastSquares(const Matrix &a, const Vector &b)
-{
-    LsqResult result = fitLeastSquares(a, b);
-    result.rmse = computeRmse(a, b, result.coefficients);
-    return result;
-}
-
-LsqResult
-solveWeightedLeastSquares(const Matrix &a, const Vector &b,
-                          const Vector &weights)
-{
-    fatalIf(weights.size() != a.rows(),
-            "weighted least squares: weight count mismatch");
-    Matrix wa(a.rows(), a.cols());
-    Vector wb(b.size());
-    for (std::size_t r = 0; r < a.rows(); ++r) {
-        fatalIf(weights[r] < 0.0, "negative sample weight");
-        double s = std::sqrt(weights[r]);
-        for (std::size_t c = 0; c < a.cols(); ++c)
-            wa(r, c) = a(r, c) * s;
-        wb[r] = b[r] * s;
-    }
-    LsqResult result = fitLeastSquares(wa, wb);
-    // Report RMSE on the unweighted problem for interpretability.
-    result.rmse = computeRmse(a, b, result.coefficients);
-    return result;
-}
-
 LsqResult
 solveNonNegativeLeastSquares(const Matrix &a, const Vector &b)
 {
     // Start from the unconstrained solution; repeatedly clamp negative
     // coefficients to zero and refit the remaining free columns.
-    LsqResult result = fitLeastSquares(a, b);
+    LsqResult result = solveLeastSquares(a, b);
     std::vector<bool> frozen(a.cols(), false);
     for (std::size_t iter = 0; iter < a.cols(); ++iter) {
         bool any_negative = false;
@@ -261,7 +254,7 @@ solveNonNegativeLeastSquares(const Matrix &a, const Vector &b)
             for (std::size_t r = 0; r < a.rows(); ++r)
                 for (std::size_t j = 0; j < free_cols.size(); ++j)
                     sub(r, j) = a(r, free_cols[j]);
-            LsqResult sub_fit = fitLeastSquares(sub, b);
+            LsqResult sub_fit = solveLeastSquares(sub, b);
             for (std::size_t j = 0; j < free_cols.size(); ++j)
                 coeffs[free_cols[j]] = sub_fit.coefficients[j];
             result.rankDeficient |= sub_fit.rankDeficient;
@@ -270,19 +263,27 @@ solveNonNegativeLeastSquares(const Matrix &a, const Vector &b)
     }
     for (double &c : result.coefficients)
         c = std::max(0.0, c);
-    result.rmse = computeRmse(a, b, result.coefficients);
     return result;
 }
 
-LsqResult
-solveRidge(const Matrix &a, const Vector &b, double lambda)
+double
+residualRmse(const Matrix &a, const Vector &b, const Vector &x)
 {
-    fatalIf(lambda <= 0.0, "ridge lambda must be positive");
-    fatalIf(a.rows() != b.size(), "ridge: shape mismatch");
-    LsqResult result;
-    result.coefficients = ridgeCoefficients(a, b, lambda);
-    result.rmse = computeRmse(a, b, result.coefficients);
-    return result;
+    fatalIf(a.rows() != b.size() || a.cols() != x.size(),
+            "residual rmse: ", a.rows(), " x ", a.cols(),
+            " design vs ", b.size(), " targets and ", x.size(),
+            " coefficients");
+    if (a.rows() == 0)
+        return 0.0;
+    double sse = 0.0;
+    for (std::size_t i = 0; i < b.size(); ++i) {
+        double pred = 0.0;
+        for (std::size_t c = 0; c < a.cols(); ++c)
+            pred += a(i, c) * x[c];
+        double r = pred - b[i];
+        sse += r * r;
+    }
+    return std::sqrt(sse / static_cast<double>(b.size()));
 }
 
 } // namespace linalg

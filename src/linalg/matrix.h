@@ -19,10 +19,13 @@ using Vector = std::vector<double>;
 
 /**
  * Dense row-major matrix of doubles. operator() is the unchecked
- * access the solvers use, defined inline: their loops call it for
- * every element of a ~4,700 x 8 refit design on each pass, and an
- * out-of-line call per access would cost more than the arithmetic.
- * at() is the bounds-checked form.
+ * access, defined inline: the recalibrator fills a ~4,700 x 8 refit
+ * design through it 100 times per simulated second, and the solvers
+ * read every element through it when they pack [A | b] and when they
+ * compute residuals. An out-of-line call per access would cost more
+ * than that work. The QR itself runs on the packed copy, with a
+ * row width fixed at compile time (linalg/least_squares.h). at() is
+ * the bounds-checked form.
  */
 class Matrix
 {

@@ -209,6 +209,53 @@ TEST(OnlineRecalibrator, RefitsReduceModelErrorOnResidualWorkload)
     EXPECT_LT(after, 27.0);
 }
 
+TEST(OnlineRecalibrator, StopThenStartKeepsOneTickChain)
+{
+    RecalWorld w;
+    ModelPowerSampler sampler(w.kernel, w.model, msec(1));
+    sampler.start();
+    w.meter.start();
+    RecalibratorConfig cfg;
+    cfg.maxDelaySamples = 32;
+    cfg.alignEvery = msec(200);
+    cfg.refitEvery = msec(50);
+    cfg.baselineW = 2.0;
+    OnlineRecalibrator recal(sampler, w.meter, w.model, {}, cfg);
+    ActivityVector hot{1.0, 0.0, 0.05, 0.01};
+    auto logic = std::make_shared<ScriptedLogic>(
+        std::vector<ScriptedLogic::Step>{
+            [=](os::Kernel &, Task &, const OpResult &) -> Op {
+                return ComputeOp{hot, 5e6};
+            },
+            [](os::Kernel &, Task &, const OpResult &) -> Op {
+                return SleepOp{msec(2)};
+            }},
+        true);
+    w.kernel.spawn(logic, "hot");
+
+    recal.start();
+    while (recal.refits() == 0 && w.sim.now() < sec(10))
+        w.sim.run(w.sim.now() + cfg.refitEvery);
+    ASSERT_GT(recal.refits(), 0u);
+
+    std::uint64_t stopped_at = recal.refits();
+    recal.stop();
+    w.sim.run(w.sim.now() + sec(1));
+    EXPECT_EQ(recal.refits(), stopped_at);
+
+    // Resume, then stop and restart at once, mid-period, before the
+    // ticks stop() cancelled would have fired. One tick chain refits
+    // at most once per refitEvery; a leftover second chain doubles it.
+    recal.start();
+    w.sim.run(w.sim.now() + msec(120));
+    recal.stop();
+    recal.start();
+    std::uint64_t restarted_at = recal.refits();
+    w.sim.run(w.sim.now() + sec(1));
+    EXPECT_GT(recal.refits(), restarted_at);
+    EXPECT_LE(recal.refits() - restarted_at, 20u);
+}
+
 TEST(OnlineRecalibrator, OfflineSamplesAnchorTheFit)
 {
     // With only one online operating point, the fit is ill-posed;

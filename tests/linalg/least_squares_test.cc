@@ -1,5 +1,7 @@
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <iomanip>
 #include <sstream>
@@ -30,7 +32,7 @@ TEST(LeastSquares, RecoversExactLinearSystem)
     EXPECT_NEAR(fit.coefficients[0], 2.0, 1e-9);
     EXPECT_NEAR(fit.coefficients[1], 3.0, 1e-9);
     EXPECT_NEAR(fit.coefficients[2], -0.5, 1e-9);
-    EXPECT_NEAR(fit.rmse, 0.0, 1e-9);
+    EXPECT_NEAR(residualRmse(a, b, fit.coefficients), 0.0, 1e-9);
     EXPECT_FALSE(fit.rankDeficient);
 }
 
@@ -50,8 +52,9 @@ TEST(LeastSquares, NoisyFitIsCloseAndRmsePositive)
     EXPECT_NEAR(fit.coefficients[0], 1.5, 0.05);
     EXPECT_NEAR(fit.coefficients[1], 0.8, 0.03);
     EXPECT_NEAR(fit.coefficients[2], 2.0, 0.03);
-    EXPECT_GT(fit.rmse, 0.0);
-    EXPECT_LT(fit.rmse, 0.1);
+    double rmse = residualRmse(a, b, fit.coefficients);
+    EXPECT_GT(rmse, 0.0);
+    EXPECT_LT(rmse, 0.1);
 }
 
 TEST(LeastSquares, RankDeficientFallsBackToRidge)
@@ -67,7 +70,7 @@ TEST(LeastSquares, RankDeficientFallsBackToRidge)
     EXPECT_TRUE(fit.rankDeficient);
     // Ridge splits the weight; predictions should still be accurate.
     EXPECT_NEAR(fit.coefficients[0] + fit.coefficients[1], 4.0, 1e-3);
-    EXPECT_LT(fit.rmse, 1e-2);
+    EXPECT_LT(residualRmse(a, b, fit.coefficients), 1e-2);
 }
 
 TEST(LeastSquares, ShapeErrorsAreFatal)
@@ -81,48 +84,13 @@ TEST(LeastSquares, ShapeErrorsAreFatal)
     Matrix empty(3, 0);
     Vector b3{1.0, 2.0, 3.0};
     EXPECT_THROW(solveLeastSquares(empty, b3), util::FatalError);
-}
-
-TEST(WeightedLeastSquares, ZeroWeightIgnoresSample)
-{
-    // Two clean samples fix the line; one wild outlier has weight 0.
-    Matrix a;
-    a.appendRow({1.0, 0.0});
-    a.appendRow({1.0, 1.0});
-    a.appendRow({1.0, 2.0});
-    Vector b{1.0, 3.0, 100.0};
-    Vector w{1.0, 1.0, 0.0};
-    LsqResult fit = solveWeightedLeastSquares(a, b, w);
-    EXPECT_NEAR(fit.coefficients[0], 1.0, 1e-9);
-    EXPECT_NEAR(fit.coefficients[1], 2.0, 1e-9);
-}
-
-TEST(WeightedLeastSquares, HeavyWeightDominates)
-{
-    Matrix a;
-    Vector b;
-    // Two inconsistent clusters: y = x and y = 2x.
-    for (int i = 1; i <= 5; ++i) {
-        a.appendRow({double(i)});
-        b.push_back(double(i));
-        a.appendRow({double(i)});
-        b.push_back(2.0 * i);
-    }
-    Vector w(10, 1.0);
-    for (std::size_t i = 0; i < 10; i += 2)
-        w[i] = 1e6; // favor y = x samples
-    LsqResult fit = solveWeightedLeastSquares(a, b, w);
-    EXPECT_NEAR(fit.coefficients[0], 1.0, 1e-3);
-}
-
-TEST(WeightedLeastSquares, NegativeWeightIsFatal)
-{
-    Matrix a;
-    a.appendRow({1.0});
-    a.appendRow({2.0});
-    Vector b{1.0, 2.0};
-    Vector w{1.0, -1.0};
-    EXPECT_THROW(solveWeightedLeastSquares(a, b, w), util::FatalError);
+    Matrix wide(12, kMaxFeatures + 1);
+    for (std::size_t r = 0; r < wide.rows(); ++r)
+        wide(r, r % wide.cols()) = 1.0;
+    Vector b12(12, 1.0);
+    EXPECT_THROW(solveLeastSquares(wide, b12), util::FatalError);
+    EXPECT_THROW(residualRmse(a, b, Vector{1.0, 2.0}), util::FatalError);
+    EXPECT_THROW(residualRmse(under, b1, Vector{1.0}), util::FatalError);
 }
 
 TEST(NonNegativeLeastSquares, ClampsNegativeCoefficients)
@@ -158,25 +126,11 @@ TEST(NonNegativeLeastSquares, AgreesWithUnconstrainedWhenPositive)
         EXPECT_NEAR(nn.coefficients[i], un.coefficients[i], 1e-8);
 }
 
-TEST(Ridge, ShrinksTowardZeroAsLambdaGrows)
-{
-    Matrix a;
-    Vector b;
-    for (int i = 1; i <= 8; ++i) {
-        a.appendRow({double(i)});
-        b.push_back(3.0 * i);
-    }
-    LsqResult small = solveRidge(a, b, 1e-9);
-    LsqResult big = solveRidge(a, b, 1e6);
-    EXPECT_NEAR(small.coefficients[0], 3.0, 1e-6);
-    EXPECT_LT(big.coefficients[0], 1.0);
-    EXPECT_THROW(solveRidge(a, b, 0.0), util::FatalError);
-}
-
 // ---------------------------------------------------------------------
 // Exact-output pins. The solver's cost may change but its output may
 // not (docs/PERFORMANCE.md "Exact refits"): each test below compares
-// the IEEE-754 bit patterns of every result field with values recorded
+// the IEEE-754 bit patterns of every coefficient, the RMSE of the fit
+// (residualRmse) and the rank-deficiency flag with values recorded
 // from the column-at-a-time Householder solver. A sum taken in a
 // different order generally changes some of these bits.
 
@@ -196,22 +150,24 @@ struct PinnedFit
     bool rankDeficient = false;
 };
 
-void
-expectBitIdentical(const LsqResult &fit, const PinnedFit &pin)
-{
-    ASSERT_EQ(fit.coefficients.size(), pin.coefficients.size());
-    for (std::size_t i = 0; i < pin.coefficients.size(); ++i)
-        EXPECT_EQ(hexBits(fit.coefficients[i]), pin.coefficients[i])
-            << "coefficient " << i;
-    EXPECT_EQ(hexBits(fit.rmse), pin.rmse) << "rmse";
-    EXPECT_EQ(fit.rankDeficient, pin.rankDeficient) << "rankDeficient";
-}
-
 struct Design
 {
     Matrix a;
     Vector b;
 };
+
+void
+expectBitIdentical(const Design &d, const LsqResult &fit,
+                   const PinnedFit &pin)
+{
+    ASSERT_EQ(fit.coefficients.size(), pin.coefficients.size());
+    for (std::size_t i = 0; i < pin.coefficients.size(); ++i)
+        EXPECT_EQ(hexBits(fit.coefficients[i]), pin.coefficients[i])
+            << "coefficient " << i;
+    EXPECT_EQ(hexBits(residualRmse(d.a, d.b, fit.coefficients)), pin.rmse)
+        << "rmse";
+    EXPECT_EQ(fit.rankDeficient, pin.rankDeficient) << "rankDeficient";
+}
 
 /**
  * The shape of one online refit at its steady state: 576 offline
@@ -295,13 +251,13 @@ negativeCoefficientDesign()
 TEST(LeastSquaresBits, RefitShapedDesign)
 {
     Design d = refitShapedDesign();
-    expectBitIdentical(solveLeastSquares(d.a, d.b),
+    expectBitIdentical(d, solveLeastSquares(d.a, d.b),
                        {{"401ff88180bc524c", "3ff8113878b5c463",
                          "4007fc00d4cb1129", "4051984745f121cc",
                          "4069d43b03ba5384", "40165b30500a2418",
                          "400fcbff74b4186e", "4007777deb8cf995"},
                         "3fe2549ff15e810c", false});
-    expectBitIdentical(solveNonNegativeLeastSquares(d.a, d.b),
+    expectBitIdentical(d, solveNonNegativeLeastSquares(d.a, d.b),
                        {{"401ff88180bc524c", "3ff8113878b5c463",
                          "4007fc00d4cb1129", "4051984745f121cc",
                          "4069d43b03ba5384", "40165b30500a2418",
@@ -312,11 +268,11 @@ TEST(LeastSquaresBits, RefitShapedDesign)
 TEST(LeastSquaresBits, MinimalSystem)
 {
     Design d = minimalDesign();
-    expectBitIdentical(solveLeastSquares(d.a, d.b),
+    expectBitIdentical(d, solveLeastSquares(d.a, d.b),
                        {{"3ffe0a6403e55ade", "4012d6d2d9c7a01c",
                          "c00090284b90d634", "3febde00874efc15"},
                         "3fd4f3395aefc7ef", false});
-    expectBitIdentical(solveNonNegativeLeastSquares(d.a, d.b),
+    expectBitIdentical(d, solveNonNegativeLeastSquares(d.a, d.b),
                        {{"3ff27ac9f08abb23", "40004a015e9554d9",
                          "0000000000000000", "3ffea9df48dbfd3e"},
                         "3fe48ce2876f77d7", false});
@@ -325,11 +281,11 @@ TEST(LeastSquaresBits, MinimalSystem)
 TEST(LeastSquaresBits, DuplicateColumnTakesRidgeFallback)
 {
     Design d = duplicateColumnDesign();
-    expectBitIdentical(solveLeastSquares(d.a, d.b),
+    expectBitIdentical(d, solveLeastSquares(d.a, d.b),
                        {{"3ff7f824202bd73f", "40004a1f1b0bbc2a",
                          "3ff7f8241edaa055"},
                         "3fadce85a72b5a39", true});
-    expectBitIdentical(solveNonNegativeLeastSquares(d.a, d.b),
+    expectBitIdentical(d, solveNonNegativeLeastSquares(d.a, d.b),
                        {{"3ff7f824202bd73f", "40004a1f1b0bbc2a",
                          "3ff7f8241edaa055"},
                         "3fadce85a72b5a39", true});
@@ -338,28 +294,198 @@ TEST(LeastSquaresBits, DuplicateColumnTakesRidgeFallback)
 TEST(LeastSquaresBits, NegativeCoefficientsIterateNnls)
 {
     Design d = negativeCoefficientDesign();
-    expectBitIdentical(solveLeastSquares(d.a, d.b),
+    expectBitIdentical(d, solveLeastSquares(d.a, d.b),
                        {{"3fffbccbf0a120c0", "bfe68081e46ab72c",
                          "3ff2ddadd378dc71", "bf89f074d06ba1b3"},
                         "3fbc49f7129052be", false});
-    expectBitIdentical(solveNonNegativeLeastSquares(d.a, d.b),
+    expectBitIdentical(d, solveNonNegativeLeastSquares(d.a, d.b),
                        {{"3ffab5bf777237d5", "0000000000000000",
                          "3febc1ebcf77f6f9", "0000000000000000"},
                         "3fd0bbebf38139fb", false});
 }
 
-TEST(LeastSquaresBits, WeightedFitOfTheRefitShape)
+// ---------------------------------------------------------------------
+// Differential check of the fixed-width kernels. The reference is the
+// generic column-loop solver the kernels replaced, kept here verbatim:
+// a QR whose column loops run to a run-time width, its
+// back-substitution, and its RMSE. For every width the solver accepts,
+// the kernel's coefficients, rank-deficiency flag and residualRmse
+// must equal the reference bit for bit.
+
+namespace reference {
+
+/**
+ * In-place Householder QR of A (rows >= cols assumed after checks),
+ * applying the same transformations to b. On return the upper
+ * triangle of A holds R. Returns false when a diagonal of R is
+ * (near-)zero, i.e. the design is rank deficient.
+ */
+bool
+householderQr(Matrix &a, Vector &b)
 {
-    Design d = refitShapedDesign();
-    Vector w(d.a.rows(), 1.0);
-    for (std::size_t r = 0; r < 576; ++r)
-        w[r] = 4096.0 / 576.0;
-    expectBitIdentical(solveWeightedLeastSquares(d.a, d.b, w),
-                       {{"401ffb9ecf7442b4", "3ff8007d619f9d6f",
-                         "40078996179d5501", "4051b425ddd7c5c8",
-                         "4069beeddd39b827", "401653bd391c0e0e",
-                         "40100be0faed7936", "4007bd7651cdc70e"},
-                        "3fe258e2c1d603de", false});
+    std::size_t m = a.rows();
+    std::size_t n = a.cols();
+    // proj[j] = v^T (column j) for j >= k; proj[n] = v^T b.
+    Vector proj(n + 1);
+    double col_norm2 = 0.0;
+    for (std::size_t i = 0; i < m; ++i)
+        col_norm2 += a(i, 0) * a(i, 0);
+    for (std::size_t k = 0; k < n; ++k) {
+        // Norm of column k below (and including) the diagonal.
+        double col_norm = std::sqrt(col_norm2);
+        if (col_norm < 1e-12)
+            return false;
+
+        // Householder vector v = x - alpha*e1: v0 on the diagonal,
+        // column k itself below it.
+        double alpha = a(k, k) > 0 ? -col_norm : col_norm;
+        double v0 = a(k, k) - alpha;
+        double v_norm2 = 0.0;
+        std::fill(proj.begin() + static_cast<std::ptrdiff_t>(k),
+                  proj.end(), 0.0);
+        for (std::size_t i = k; i < m; ++i) {
+            double vi = i == k ? v0 : a(i, k);
+            v_norm2 += vi * vi;
+            for (std::size_t j = k; j < n; ++j)
+                proj[j] += vi * a(i, j);
+            proj[n] += vi * b[i];
+        }
+        if (v_norm2 < 1e-24)
+            return false;
+        for (std::size_t j = k; j <= n; ++j)
+            proj[j] = 2.0 * proj[j] / v_norm2;
+
+        // Apply H = I - 2 v v^T / (v^T v) to A[k:, k:] and b[k:].
+        col_norm2 = 0.0;
+        for (std::size_t i = k; i < m; ++i) {
+            double vi = i == k ? v0 : a(i, k);
+            for (std::size_t j = k; j < n; ++j)
+                a(i, j) -= proj[j] * vi;
+            b[i] -= proj[n] * vi;
+            if (i > k && k + 1 < n)
+                col_norm2 += a(i, k + 1) * a(i, k + 1);
+        }
+    }
+    return true;
+}
+
+/** Back-substitute R x = c where R is the upper triangle of a. */
+bool
+backSubstitute(const Matrix &a, const Vector &c, Vector &x)
+{
+    std::size_t n = a.cols();
+    x.assign(n, 0.0);
+    for (std::size_t ri = n; ri-- > 0;) {
+        double diag = a(ri, ri);
+        if (std::abs(diag) < 1e-12)
+            return false;
+        double acc = c[ri];
+        for (std::size_t j = ri + 1; j < n; ++j)
+            acc -= a(ri, j) * x[j];
+        x[ri] = acc / diag;
+    }
+    return true;
+}
+
+double
+computeRmse(const Matrix &a, const Vector &b, const Vector &x)
+{
+    if (a.rows() == 0)
+        return 0.0;
+    double sse = 0.0;
+    for (std::size_t i = 0; i < b.size(); ++i) {
+        double pred = 0.0;
+        for (std::size_t c = 0; c < a.cols(); ++c)
+            pred += a(i, c) * x[c];
+        double r = pred - b[i];
+        sse += r * r;
+    }
+    return std::sqrt(sse / static_cast<double>(b.size()));
+}
+
+} // namespace reference
+
+/**
+ * A seeded m x n design whose columns span several magnitudes, as the
+ * recalibrator's metric columns do. Column `zero` (if < n) is all
+ * zeros; column `copy_of_first` (if < n) duplicates column 0. Either
+ * makes the design rank deficient.
+ */
+Design
+seededDesign(std::size_t m, std::size_t n, std::uint64_t seed,
+             std::size_t zero = kMaxFeatures,
+             std::size_t copy_of_first = kMaxFeatures)
+{
+    sim::Rng rng(seed);
+    Design d{Matrix(m, n), Vector(m)};
+    for (std::size_t r = 0; r < m; ++r) {
+        double target = rng.uniform(-1.0, 1.0);
+        for (std::size_t c = 0; c < n; ++c) {
+            double scale = c % 3 == 0 ? 8.0 : c % 3 == 1 ? 1.0 : 0.05;
+            d.a(r, c) = scale * rng.uniform(-0.2, 1.0);
+            target += d.a(r, c) * double(c + 1);
+        }
+        d.b[r] = target;
+    }
+    for (std::size_t r = 0; r < m; ++r) {
+        if (zero < n)
+            d.a(r, zero) = 0.0;
+        if (copy_of_first < n)
+            d.a(r, copy_of_first) = d.a(r, 0);
+    }
+    return d;
+}
+
+TEST(LeastSquaresBits, EveryWidthMatchesTheColumnLoop)
+{
+    for (std::size_t n = 1; n <= kMaxFeatures; ++n) {
+        for (std::size_t m : {n + 1, std::size_t{64}, std::size_t{704},
+                              std::size_t{4672}}) {
+            std::uint64_t seed = 1000 * n + m;
+            std::vector<Design> designs;
+            designs.push_back(seededDesign(m, n, seed));
+            designs.push_back(seededDesign(m, n, seed, n / 2));
+            if (n > 1)
+                designs.push_back(
+                    seededDesign(m, n, seed, kMaxFeatures, n - 1));
+            for (std::size_t k = 0; k < designs.size(); ++k) {
+                SCOPED_TRACE(::testing::Message()
+                             << n << " features, " << m << " rows, "
+                             << (k == 0   ? "seeded"
+                                 : k == 1 ? "zero column"
+                                          : "duplicate column"));
+                const Design &d = designs[k];
+                LsqResult fit = solveLeastSquares(d.a, d.b);
+                double rmse = residualRmse(d.a, d.b, fit.coefficients);
+                ASSERT_EQ(fit.coefficients.size(), n);
+
+                Matrix qr = d.a;
+                Vector qtb = d.b;
+                Vector x;
+                bool full_rank = reference::householderQr(qr, qtb) &&
+                    reference::backSubstitute(qr, qtb, x);
+                EXPECT_EQ(fit.rankDeficient, !full_rank);
+                // Only the zero- and duplicate-column designs take the
+                // ridge fallback.
+                EXPECT_EQ(full_rank, k == 0);
+                if (!full_rank) {
+                    // Both take the unchanged ridge fallback on the
+                    // original design, which DuplicateColumnTakes-
+                    // RidgeFallback pins.
+                    EXPECT_EQ(hexBits(rmse),
+                              hexBits(reference::computeRmse(
+                                  d.a, d.b, fit.coefficients)));
+                    continue;
+                }
+                for (std::size_t c = 0; c < n; ++c)
+                    EXPECT_EQ(hexBits(fit.coefficients[c]),
+                              hexBits(x[c]))
+                        << "coefficient " << c;
+                EXPECT_EQ(hexBits(rmse),
+                          hexBits(reference::computeRmse(d.a, d.b, x)));
+            }
+        }
+    }
 }
 
 } // namespace

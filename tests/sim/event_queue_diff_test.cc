@@ -267,8 +267,9 @@ runDifferential(std::uint64_t seed, std::size_t ops)
 
         ASSERT_EQ(real.size(), ref.size());
         ASSERT_EQ(real.size(), live.size());
-        if (!live.empty())
+        if (!live.empty()) {
             ASSERT_EQ(real.nextTime(), ref.nextTime());
+        }
     }
 
     // Drain completely: the full residual order must match.
