@@ -7,7 +7,8 @@
  *    evaluation + statistics update); the paper measures ~0.95 us on
  *    a 3.1 GHz SandyBridge;
  *  - a duty-cycle control register read+write (~0.2 us in the paper);
- *  - one least-squares model recalibration (~16 us in the paper);
+ *  - one least-squares model recalibration (~16 us in the paper), as
+ *    the recalibrator solves it and uncompressed;
  *  - the container state size (784 bytes in the paper's kernel).
  *
  * Also reports the observer-effect constants: the event counts one
@@ -22,6 +23,7 @@
 #include "core/alignment.h"
 #include "core/container_manager.h"
 #include "core/metrics.h"
+#include "core/recalibration.h"
 #include "linalg/least_squares.h"
 #include "os/kernel.h"
 #include "sim/rng.h"
@@ -108,26 +110,35 @@ BM_DutyCycleAdjust(benchmark::State &state)
 }
 BENCHMARK(BM_DutyCycleAdjust);
 
-/**
- * One online model recalibration: a non-negative least-squares fit
- * over 576 offline calibration samples plus the online samples, 8
- * features. The argument is the total row count: 704 (128 online
- * samples, just past warm-up) and 4,672 (a full 4,096-sample online
- * ring, RecalibratorConfig::maxOnlineSamples: every refit at steady
- * state).
- */
+/** `rows` seeded refit rows of 8 features, machine-level magnitudes. */
 void
-BM_RecalibrationFit(benchmark::State &state)
+refitRows(std::size_t rows, linalg::Matrix &design, linalg::Vector &target)
 {
     sim::Rng rng(77);
-    const auto rows = static_cast<std::size_t>(state.range(0));
-    linalg::Matrix design(rows, 8);
-    linalg::Vector target(rows);
+    design = linalg::Matrix(rows, 8);
+    target = linalg::Vector(rows);
     for (std::size_t r = 0; r < rows; ++r) {
         for (std::size_t f = 0; f < 8; ++f)
             design(r, f) = rng.uniform(0.0, f < 2 ? 4.0 : 0.1);
         target[r] = rng.uniform(5.0, 60.0);
     }
+}
+
+/**
+ * A non-negative least-squares fit over 576 offline calibration
+ * samples plus online samples, 8 features, every sample one row. The
+ * argument is the total row count: 704 (128 online samples, just past
+ * warm-up) and 4,672 (a full 4,096-sample online ring,
+ * RecalibratorConfig::maxOnlineSamples). The recalibrator solved
+ * these shapes before its refits were compressed; BM_CompressedRefit
+ * is what it solves now.
+ */
+void
+BM_RecalibrationFit(benchmark::State &state)
+{
+    linalg::Matrix design;
+    linalg::Vector target;
+    refitRows(static_cast<std::size_t>(state.range(0)), design, target);
     for (auto _ : state) {
         linalg::LsqResult fit =
             linalg::solveNonNegativeLeastSquares(design, target);
@@ -135,6 +146,65 @@ BM_RecalibrationFit(benchmark::State &state)
     }
 }
 BENCHMARK(BM_RecalibrationFit)->Arg(704)->Arg(4672);
+
+/**
+ * One online model recalibration at steady state, as the recalibrator
+ * solves it: the 4,672 rows of BM_RecalibrationFit/4672 compressed to
+ * the triangular factor of the 576 offline rows (9 rows), the factors
+ * of 31 closed blocks of 128 online rows (279 rows) and the 128 raw
+ * rows of the two partial blocks: 416 rows with the same Gram matrix
+ * (core/recalibration.h). The factors are computed once, outside the
+ * loop, as the recalibrator computes each once.
+ */
+void
+BM_CompressedRefit(benchmark::State &state)
+{
+    constexpr std::size_t Offline = 576, Blocks = 31, Raw = 128;
+    constexpr std::size_t Block =
+        core::OnlineRecalibrator::kRefitBlockRows;
+    linalg::Matrix rows;
+    linalg::Vector targets;
+    refitRows(Offline + Blocks * Block + Raw, rows, targets);
+
+    linalg::Matrix design;
+    linalg::Vector target;
+    auto append = [&](std::size_t first, std::size_t count,
+                      bool factor) {
+        linalg::Matrix a(count, 8);
+        linalg::Vector b(count);
+        for (std::size_t i = 0; i < count; ++i) {
+            for (std::size_t f = 0; f < 8; ++f)
+                a(i, f) = rows(first + i, f);
+            b[i] = targets[first + i];
+        }
+        if (factor) {
+            linalg::Matrix r = linalg::triangularFactor(a, b);
+            for (std::size_t i = 0; i < r.rows(); ++i) {
+                design.appendRow({r(i, 0), r(i, 1), r(i, 2), r(i, 3),
+                                  r(i, 4), r(i, 5), r(i, 6), r(i, 7)});
+                target.push_back(r(i, 8));
+            }
+            return;
+        }
+        for (std::size_t i = 0; i < count; ++i) {
+            design.appendRow({a(i, 0), a(i, 1), a(i, 2), a(i, 3),
+                              a(i, 4), a(i, 5), a(i, 6), a(i, 7)});
+            target.push_back(b[i]);
+        }
+    };
+    append(0, Offline, true);
+    for (std::size_t k = 0; k < Blocks; ++k)
+        append(Offline + k * Block, Block, true);
+    append(Offline + Blocks * Block, Raw, false);
+
+    for (auto _ : state) {
+        linalg::LsqResult fit = linalg::solveNonNegativeLeastSquares(
+            design, target, rows.rows());
+        benchmark::DoNotOptimize(fit.coefficients.data());
+    }
+    state.counters["rows"] = static_cast<double>(design.rows());
+}
+BENCHMARK(BM_CompressedRefit);
 
 /**
  * A world where the container manager is decorated by the telemetry

@@ -125,6 +125,28 @@ ModelPowerSampler::tick()
 
 // ------------------------- OnlineRecalibrator ----------------------
 
+namespace {
+
+/**
+ * linalg::triangularFactor of `count` samples from `first`, unscaled:
+ * the refit's columns, active watts as the target.
+ */
+template <typename It>
+linalg::Matrix
+factorSamples(It first, std::size_t count, const std::vector<Metric> &cols)
+{
+    linalg::Matrix a(count, cols.size());
+    linalg::Vector b(count);
+    for (std::size_t i = 0; i < count; ++i, ++first) {
+        for (std::size_t c = 0; c < cols.size(); ++c)
+            a(i, c) = first->metrics.get(cols[c]);
+        b[i] = first->measuredFullW;
+    }
+    return linalg::triangularFactor(a, b);
+}
+
+} // namespace
+
 OnlineRecalibrator::OnlineRecalibrator(
     ModelPowerSampler &sampler, hw::PowerMeter &meter,
     std::shared_ptr<LinearPowerModel> model,
@@ -135,6 +157,16 @@ OnlineRecalibrator::OnlineRecalibrator(
 {
     util::fatalIf(!model_, "recalibrator needs a model");
     util::fatalIf(cfg.maxDelaySamples < 1, "bad delay scan range");
+    // Columns: all active features the model uses (no intercept; the
+    // targets are already active power).
+    for (std::size_t i = 0; i < NumMetrics; ++i) {
+        Metric m = static_cast<Metric>(i);
+        if (model_->usesMetric(m))
+            cols_.push_back(m);
+    }
+    if (!offline_.empty())
+        offlineFactor_ =
+            factorSamples(offline_.begin(), offline_.size(), cols_);
     meter_.subscribe([this](const hw::PowerMeter::Sample &s) {
         onMeterSample(s);
     });
@@ -306,10 +338,28 @@ OnlineRecalibrator::absorbAlignedSamples()
         CalibrationSample sample;
         sample.metrics = w.metrics;
         sample.measuredFullW = m.watts.value() - cfg_.baselineW; // active W
-        online_.push_back(sample);
-        if (online_.size() > cfg_.maxOnlineSamples)
-            online_.pop_front();
+        addOnlineSample(sample);
         absorbedUpTo_ = m.arrivedAt;
+    }
+}
+
+void
+OnlineRecalibrator::addOnlineSample(const CalibrationSample &sample)
+{
+    online_.push_back(sample);
+    ++absorbed_;
+    if (online_.size() > cfg_.maxOnlineSamples)
+        online_.pop_front();
+    // A block whose first sample left the ring is raw rows again.
+    std::uint64_t oldest = absorbed_ - online_.size();
+    while (!closed_.empty() && closed_.front().first < oldest)
+        closed_.pop_front();
+    if (absorbed_ % kRefitBlockRows == 0 &&
+        online_.size() >= kRefitBlockRows) {
+        closed_.push_back(ClosedBlock{
+            absorbed_ - kRefitBlockRows,
+            factorSamples(online_.end() - kRefitBlockRows,
+                          kRefitBlockRows, cols_)});
     }
 }
 
@@ -325,18 +375,11 @@ OnlineRecalibrator::refitNow()
         return;
     }
 
-    // Columns: all active features the model uses (no intercept; the
-    // targets are already active power).
-    std::vector<Metric> cols;
-    for (std::size_t i = 0; i < NumMetrics; ++i) {
-        Metric m = static_cast<Metric>(i);
-        if (model_->usesMetric(m))
-            cols.push_back(m);
-    }
-
     // Group balancing: scale online rows by sqrt(w) so the online
     // group carries at least as much total weight as the offline
-    // group (weighted least squares by row scaling).
+    // group (weighted least squares by row scaling). One scale per
+    // group, so scaling a block's factor scales its Gram matrix the
+    // same way.
     double online_weight = 1.0;
     if (cfg_.balanceGroups && !offline_.empty() &&
         online_.size() < offline_.size()) {
@@ -345,51 +388,76 @@ OnlineRecalibrator::refitNow()
     }
     double online_scale = std::sqrt(online_weight);
 
-    std::size_t rows = offline_.size() + online_.size();
-    if (rows < cols.size() + 1) {
+    const std::size_t represented = offline_.size() + online_.size();
+    const std::size_t n = cols_.size();
+    if (represented < n + 1) {
         ++refitsSkipped_;
         return;
     }
-    linalg::Matrix design(rows, cols.size());
+
+    // The compressed stack: the offline factor, then the ring in
+    // order, each closed block as its factor and every other sample
+    // as a raw row.
+    const std::size_t rows = offlineFactor_.rows() +
+        closed_.size() * (n + 1) +
+        (online_.size() - closed_.size() * kRefitBlockRows);
+    linalg::Matrix design(rows, n);
     linalg::Vector target(rows);
     std::size_t r = 0;
-    auto add_sample = [&](const CalibrationSample &s, double scale) {
-        for (std::size_t c = 0; c < cols.size(); ++c)
-            design(r, c) = s.metrics.get(cols[c]) * scale;
-        target[r++] = s.measuredFullW * scale; // active watts
+    auto add_factor = [&](const linalg::Matrix &factor, double scale) {
+        for (std::size_t i = 0; i < factor.rows(); ++i) {
+            for (std::size_t c = 0; c < n; ++c)
+                design(r, c) = factor(i, c) * scale;
+            target[r++] = factor(i, n) * scale;
+        }
     };
-    for (const CalibrationSample &s : offline_)
-        add_sample(s, 1.0);
-    for (const CalibrationSample &s : online_)
-        add_sample(s, online_scale);
+    add_factor(offlineFactor_, 1.0);
+    const std::uint64_t oldest = absorbed_ - online_.size();
+    auto block = closed_.begin();
+    for (std::size_t i = 0; i < online_.size();) {
+        if (block != closed_.end() && block->first == oldest + i) {
+            add_factor(block->factor, online_scale);
+            ++block;
+            i += kRefitBlockRows;
+            continue;
+        }
+        const CalibrationSample &s = online_[i++];
+        for (std::size_t c = 0; c < n; ++c)
+            design(r, c) = s.metrics.get(cols_[c]) * online_scale;
+        target[r++] = s.measuredFullW * online_scale; // active watts
+    }
+    PCON_AUDIT_MSG(r == rows && block == closed_.end(),
+                   "refit stack filled ", r, " of ", rows, " rows");
 
     linalg::LsqResult fit =
-        linalg::solveNonNegativeLeastSquares(design, target);
+        linalg::solveNonNegativeLeastSquares(design, target, represented);
     // Sanity-check the whole solution before applying any of it: a
     // self-calibrating model that drifts negative, non-finite, or
     // absurdly large silently corrupts every downstream attribution
     // (the SmartWatts failure mode). Under fault injection a
     // degenerate design can legitimately produce such a fit — reject
     // it wholesale and keep serving the last good model.
-    for (std::size_t i = 0; i < cols.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         double c = fit.coefficients[i];
         if (!std::isfinite(c) || c < 0.0 || c > cfg_.maxCoefficientW) {
             ++refitsRejected_;
             util::warn("refit rejected: coefficient ", c,
-                       " for metric ", Metrics::name(cols[i]),
+                       " for metric ", Metrics::name(cols_[i]),
                        " fails sanity bounds; keeping last good "
                        "model");
             return;
         }
     }
-    for (std::size_t i = 0; i < cols.size(); ++i)
-        model_->setCoefficient(cols[i], fit.coefficients[i]);
+    for (std::size_t i = 0; i < n; ++i)
+        model_->setCoefficient(cols_[i], fit.coefficients[i]);
     ++refits_;
     if (!refitObservers_.empty()) {
         RefitEvent event;
         event.time = sampler_.kernel().simulation().now();
         event.index = refits_;
         event.onlineSamples = online_.size();
+        event.solverRows = rows;
+        event.rankDeficient = fit.rankDeficient;
         for (const RefitObserver &fn : refitObservers_)
             fn(event);
     }

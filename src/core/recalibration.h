@@ -10,6 +10,17 @@
  * measurement/metric windows into online calibration samples, and
  * periodically refits the shared model — offline and online samples
  * weighed equally, as in the paper.
+ *
+ * A refit solves the non-negative least-squares problem over every
+ * offline sample and the whole online ring (4,672 rows at the
+ * defaults), but not as 4,672 rows: the offline set is reduced once to
+ * its triangular factor (linalg::triangularFactor), and so is each
+ * closed block of kRefitBlockRows consecutive online samples, when it
+ * fills. A refit stacks those factors with the raw rows of the block
+ * still filling and of the oldest one, which the ring has partly
+ * evicted: ~420 rows at steady state. The stack has the Gram matrix
+ * of the full design, so the fit is the full design's up to rounding
+ * (docs/PERFORMANCE.md "Compressed refits").
  */
 
 #ifndef PCON_CORE_RECALIBRATION_H
@@ -23,6 +34,7 @@
 #include "core/metrics.h"
 #include "core/power_model.h"
 #include "hw/power_meter.h"
+#include "linalg/matrix.h"
 #include "os/kernel.h"
 #include "util/units.h"
 
@@ -153,9 +165,20 @@ class OnlineRecalibrator
         std::uint64_t index = 0;
         /** Online samples that participated. */
         std::size_t onlineSamples = 0;
+        /** Rows of the compressed stack the solver saw. */
+        std::size_t solverRows = 0;
+        /** The solver took its rank-deficient (ridge) fallback. */
+        bool rankDeficient = false;
     };
 
     using RefitObserver = std::function<void(const RefitEvent &)>;
+
+    /**
+     * Online samples per closed block: each block is reduced to its
+     * triangular factor once, when its last sample arrives, and goes
+     * back to raw rows when the ring evicts its first sample.
+     */
+    static constexpr std::size_t kRefitBlockRows = 128;
 
     /**
      * @param sampler Metric/model-series source (must be started).
@@ -191,6 +214,18 @@ class OnlineRecalibrator
 
     /** Number of online samples currently held. */
     std::size_t onlineSampleCount() const { return online_.size(); }
+
+    /** Offline samples every refit includes (active watts). */
+    const std::vector<CalibrationSample> &offlineSamples() const
+    {
+        return offline_;
+    }
+
+    /** The online sample ring, oldest first (active watts). */
+    const std::deque<CalibrationSample> &onlineSamples() const
+    {
+        return online_;
+    }
 
     // --- Graceful-degradation observability -------------------------
 
@@ -228,11 +263,21 @@ class OnlineRecalibrator
         util::Watts watts{0};
     };
 
+    /** A closed block of online samples, reduced to its factor. */
+    struct ClosedBlock
+    {
+        /** Absorption ordinal of the block's first sample. */
+        std::uint64_t first = 0;
+        /** linalg::triangularFactor of the block's unscaled rows. */
+        linalg::Matrix factor;
+    };
+
     void onMeterSample(const hw::PowerMeter::Sample &sample);
     void scheduleAlignTick();
     void scheduleRefitTick();
     void alignNow();
     void absorbAlignedSamples();
+    void addOnlineSample(const CalibrationSample &sample);
     void refitNow();
 
     ModelPowerSampler &sampler_;
@@ -254,6 +299,14 @@ class OnlineRecalibrator
     /** Arrival time of the newest measurement already absorbed. */
     sim::SimTime absorbedUpTo_ = -1;
     std::deque<CalibrationSample> online_;
+    /** Online samples ever absorbed: the next sample's ordinal. */
+    std::uint64_t absorbed_ = 0;
+    /** The refit's columns: the model's metrics at construction. */
+    std::vector<Metric> cols_;
+    /** Factor of the offline samples (no rows when there are none). */
+    linalg::Matrix offlineFactor_;
+    /** Closed blocks whose first sample is still in the ring. */
+    std::deque<ClosedBlock> closed_;
     std::vector<RefitObserver> refitObservers_;
     sim::EventId alignEvent_ = sim::InvalidEventId;
     sim::EventId refitEvent_ = sim::InvalidEventId;

@@ -19,26 +19,40 @@ namespace {
 
 /**
  * Householder step K of the fixed-width QR of a packed row-major
- * [A | b] buffer (N features, W = N + 1 doubles per row, m rows).
- * J... = 0..W-K-1 index columns K..N, so every loop over columns is a
- * compile-time fold: each sweep keeps its accumulators in scalars,
- * which the compiler holds in registers and pairs in SIMD lanes. A
- * lane holds one accumulator, so each sum still adds its rows in
- * ascending order, exactly as a column-at-a-time loop does.
+ * buffer of W doubles per row and m rows: [A | b] with N = W - 1
+ * features. J... = 0..W-K-1 index columns K..W-1, so every loop over
+ * columns is a compile-time fold: each sweep keeps its accumulators
+ * in scalars, which the compiler holds in registers and pairs in SIMD
+ * lanes. A lane holds one accumulator, so each sum still adds its
+ * rows in ascending order, exactly as a column-at-a-time loop does.
+ *
+ * A solve (Factor false) reflects the N feature columns and returns
+ * false when a column or v is (near-)zero, i.e. the design is rank
+ * deficient. A factor (Factor true) also reflects b, column N, and
+ * steps over a column that is exactly zero from row K down: it is
+ * already triangular, and a zero diagonal is a valid factor.
  *
  * On entry col_norm2 is the squared norm of column K over rows
  * K..m-1; on return it is that of column K+1 over rows K+1..m-1.
- * Returns false when the column or v is (near-)zero, i.e. the design
- * is rank deficient.
  */
-template <std::size_t N, std::size_t K, std::size_t... J>
+template <std::size_t W, bool Factor, std::size_t K, std::size_t... J>
 bool
 reflectColumn(double *ab, std::size_t m, double &col_norm2,
               std::index_sequence<J...>)
 {
-    constexpr std::size_t W = N + 1;
+    // Columns the factorization reflects: the features, plus b in a
+    // factor.
+    constexpr std::size_t steps = Factor ? W : W - 1;
+    if constexpr (Factor) {
+        if (col_norm2 == 0.0) {
+            if constexpr (K + 1 < steps)
+                for (std::size_t i = K + 1; i < m; ++i)
+                    col_norm2 += ab[i * W + K + 1] * ab[i * W + K + 1];
+            return true;
+        }
+    }
     double col_norm = std::sqrt(col_norm2);
-    if (col_norm < 1e-12)
+    if (!Factor && col_norm < 1e-12)
         return false;
 
     // Householder vector v = x - alpha*e1: v0 on the diagonal, column
@@ -59,7 +73,7 @@ reflectColumn(double *ab, std::size_t m, double &col_norm2,
         v_norm2 += vi * vi;
         ((p[J] += vi * row[K + J]), ...);
     }
-    if (v_norm2 < 1e-24)
+    if (!Factor && v_norm2 < 1e-24)
         return false;
     ((p[J] = 2.0 * p[J] / v_norm2), ...);
 
@@ -72,23 +86,25 @@ reflectColumn(double *ab, std::size_t m, double &col_norm2,
         double *row = ab + i * W;
         double vi = row[K];
         ((row[K + J] -= p[J] * vi), ...);
-        if constexpr (K + 1 < N)
+        if constexpr (K + 1 < steps)
             col_norm2 += row[K + 1] * row[K + 1];
     }
     return true;
 }
 
-/** QR of the packed buffer: step K for every column, in order. */
-template <std::size_t N, std::size_t... K>
+/**
+ * QR of the packed buffer: step K for every column, in order. A
+ * factor never fails.
+ */
+template <std::size_t W, bool Factor, std::size_t... K>
 bool
 factorPacked(double *ab, std::size_t m, std::index_sequence<K...>)
 {
-    constexpr std::size_t W = N + 1;
     double col_norm2 = 0.0;
     for (std::size_t i = 0; i < m; ++i)
         col_norm2 += ab[i * W] * ab[i * W];
-    return (reflectColumn<N, K>(ab, m, col_norm2,
-                                std::make_index_sequence<W - K>{}) &&
+    return (reflectColumn<W, Factor, K>(ab, m, col_norm2,
+                                        std::make_index_sequence<W - K>{}) &&
             ...);
 }
 
@@ -109,7 +125,8 @@ solveFixedWidth(const Matrix &a, const Vector &b, Vector &x)
             ab[i * W + c] = a(i, c);
         ab[i * W + N] = b[i];
     }
-    if (!factorPacked<N>(ab.get(), m, std::make_index_sequence<N>{}))
+    if (!factorPacked<W, false>(ab.get(), m,
+                                std::make_index_sequence<N>{}))
         return false;
 
     x.assign(N, 0.0);
@@ -125,8 +142,39 @@ solveFixedWidth(const Matrix &a, const Vector &b, Vector &x)
     return true;
 }
 
+/**
+ * The (N+1) x (N+1) triangular factor of [A | b] for a design of
+ * exactly N columns. Zero rows pad a block shorter than N + 1 rows:
+ * they add nothing to [A b]^T [A b], and the steps past the last real
+ * row then see zero columns. The pack loop is solveFixedWidth's: as a
+ * shared helper it changed the solve's register allocation at every
+ * width.
+ */
+template <std::size_t N>
+Matrix
+factorFixedWidth(const Matrix &a, const Vector &b)
+{
+    constexpr std::size_t W = N + 1;
+    const std::size_t m = std::max(a.rows(), W);
+    auto ab = std::make_unique<double[]>(m * W);
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        for (std::size_t c = 0; c < N; ++c)
+            ab[i * W + c] = a(i, c);
+        ab[i * W + N] = b[i];
+    }
+    factorPacked<W, true>(ab.get(), m, std::make_index_sequence<W>{});
+    // Below the diagonal the buffer holds what each reflection left of
+    // the entries it zeroed: rounding residue, not part of R.
+    Matrix r(W, W);
+    for (std::size_t i = 0; i < W; ++i)
+        for (std::size_t c = i; c < W; ++c)
+            r(i, c) = ab[i * W + c];
+    return r;
+}
+
 using FixedWidthSolver = bool (*)(const Matrix &, const Vector &,
                                   Vector &);
+using FixedWidthFactor = Matrix (*)(const Matrix &, const Vector &);
 
 template <std::size_t... I>
 constexpr std::array<FixedWidthSolver, sizeof...(I)>
@@ -135,9 +183,21 @@ fixedWidthSolvers(std::index_sequence<I...>)
     return {&solveFixedWidth<I + 1>...};
 }
 
-/** solveFixedWidth<n> at index n - 1, for n = 1..kMaxFeatures. */
+template <std::size_t... I>
+constexpr std::array<FixedWidthFactor, sizeof...(I)>
+fixedWidthFactors(std::index_sequence<I...>)
+{
+    return {&factorFixedWidth<I + 1>...};
+}
+
+/**
+ * solveFixedWidth<n> and factorFixedWidth<n> at index n - 1, for
+ * n = 1..kMaxFeatures.
+ */
 constexpr std::array<FixedWidthSolver, kMaxFeatures> kFixedWidthSolvers =
     fixedWidthSolvers(std::make_index_sequence<kMaxFeatures>{});
+constexpr std::array<FixedWidthFactor, kMaxFeatures> kFixedWidthFactors =
+    fixedWidthFactors(std::make_index_sequence<kMaxFeatures>{});
 
 /** Cholesky solve of the SPD system m x = rhs; false if not SPD. */
 bool
@@ -194,32 +254,50 @@ ridgeCoefficients(const Matrix &a, const Vector &b, double lambda)
     return x;
 }
 
+/** The shape checks every entry point makes. */
+void
+checkShape(const char *what, const Matrix &a, const Vector &b)
+{
+    fatalIf(a.rows() != b.size(), what, ": ", a.rows(), " rows vs ",
+            b.size(), " targets");
+    fatalIf(a.cols() == 0, what, ": empty design matrix");
+    fatalIf(a.cols() > kMaxFeatures, what, ": ", a.cols(),
+            " features, at most ", kMaxFeatures, " supported");
+}
+
 } // namespace
 
-LsqResult
-solveLeastSquares(const Matrix &a, const Vector &b)
+Matrix
+triangularFactor(const Matrix &a, const Vector &b)
 {
-    fatalIf(a.rows() != b.size(),
-            "least squares: ", a.rows(), " rows vs ", b.size(),
-            " targets");
+    checkShape("triangular factor", a, b);
+    return kFixedWidthFactors[a.cols() - 1](a, b);
+}
+
+LsqResult
+solveLeastSquares(const Matrix &a, const Vector &b,
+                  std::size_t represented_rows)
+{
+    checkShape("least squares", a, b);
     fatalIf(a.rows() < a.cols(),
             "least squares: underdetermined system (", a.rows(),
             " samples, ", a.cols(), " features)");
-    fatalIf(a.cols() == 0, "least squares: empty design matrix");
-    fatalIf(a.cols() > kMaxFeatures, "least squares: ", a.cols(),
-            " features, at most ", kMaxFeatures, " supported");
 
     LsqResult result;
     if (kFixedWidthSolvers[a.cols() - 1](a, b, result.coefficients))
         return result;
 
     // Rank-deficient design: fall back to a mild ridge penalty scaled
-    // to the average squared feature magnitude.
+    // to the average squared feature magnitude. The sum of squares is
+    // the trace of A^T A, which a stack of factors keeps; the average
+    // is over the rows the design stands for.
     double scale = 0.0;
     for (std::size_t r = 0; r < a.rows(); ++r)
         for (std::size_t c = 0; c < a.cols(); ++c)
             scale += a(r, c) * a(r, c);
-    scale /= static_cast<double>(std::max<std::size_t>(1, a.rows()));
+    if (represented_rows == 0)
+        represented_rows = a.rows();
+    scale /= static_cast<double>(represented_rows);
     double lambda = std::max(1e-9, 1e-6 * scale);
     result.coefficients = ridgeCoefficients(a, b, lambda);
     result.rankDeficient = true;
@@ -227,11 +305,12 @@ solveLeastSquares(const Matrix &a, const Vector &b)
 }
 
 LsqResult
-solveNonNegativeLeastSquares(const Matrix &a, const Vector &b)
+solveNonNegativeLeastSquares(const Matrix &a, const Vector &b,
+                             std::size_t represented_rows)
 {
     // Start from the unconstrained solution; repeatedly clamp negative
     // coefficients to zero and refit the remaining free columns.
-    LsqResult result = solveLeastSquares(a, b);
+    LsqResult result = solveLeastSquares(a, b, represented_rows);
     std::vector<bool> frozen(a.cols(), false);
     for (std::size_t iter = 0; iter < a.cols(); ++iter) {
         bool any_negative = false;
@@ -254,7 +333,7 @@ solveNonNegativeLeastSquares(const Matrix &a, const Vector &b)
             for (std::size_t r = 0; r < a.rows(); ++r)
                 for (std::size_t j = 0; j < free_cols.size(); ++j)
                     sub(r, j) = a(r, free_cols[j]);
-            LsqResult sub_fit = solveLeastSquares(sub, b);
+            LsqResult sub_fit = solveLeastSquares(sub, b, represented_rows);
             for (std::size_t j = 0; j < free_cols.size(); ++j)
                 coeffs[free_cols[j]] = sub_fit.coefficients[j];
             result.rankDeficient |= sub_fit.rankDeficient;

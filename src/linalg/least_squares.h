@@ -5,28 +5,36 @@
  * well-conditioned case, a ridge-regularized normal-equation
  * fallback for rank-deficient designs, and a non-negative variant.
  *
- * Cost: the online recalibrator refits a 4,672 x 8 design 100 times
- * per simulated second. A solve packs [A | b] into one row-major
- * buffer and factors it with a QR kernel whose width is a template
- * parameter, instantiated for 1..kMaxFeatures features and chosen
- * once per solve, so every column loop is unrolled and each sweep's
- * accumulators stay in registers. One non-negative refit of that
- * shape takes ~0.15-0.2 ms on a 4-vCPU x86-64 VM, about half what the
- * same QR took with a width known only at run time (docs/PERFORMANCE.md
- * "Fixed-width refits"). A solve does not compute the RMSE;
+ * Cost: a solve packs [A | b] into one row-major buffer and factors
+ * it with a QR kernel whose width is a template parameter,
+ * instantiated for 1..kMaxFeatures features and chosen once per
+ * solve, so every column loop is unrolled and each sweep's
+ * accumulators stay in registers (docs/PERFORMANCE.md "Fixed-width
+ * refits"). A solve makes two passes per column over every row:
+ * ~0.15-0.25 ms for a 4,672 x 8 non-negative fit on a 4-vCPU x86-64
+ * VM, ~16-23 us for 416 rows. The online recalibrator keeps its refits
+ * at the second figure by solving a compressed stack instead of its
+ * full design: triangularFactor() reduces each closed block of rows
+ * to n + 1 rows once, and a refit stacks those factors with the few
+ * rows not yet in one (core/recalibration.h, docs/PERFORMANCE.md
+ * "Compressed refits"). A solve does not compute the RMSE;
  * residualRmse() does, for the callers that report it.
  *
  * Contract: the results are a fixed function of the input bits. Every
  * sum (column norms, v^T v, reflector projections, back-substitution,
  * residuals) starts at 0.0 and adds its terms in ascending row (or
- * column) order, and a faster solver must keep that order: the
- * recalibration goldens and ledger fingerprints depend on every bit of
- * every refit. The build compiles every translation unit with
- * -ffp-contract=off (src/util/CMakeLists.txt), so a target with fused
- * multiply-add instructions rounds each a*b + c twice, as x86-64
- * without FMA does. tests/linalg/least_squares_test.cc pins the
- * output bit patterns and checks every width against a column-loop
- * reference.
+ * column) order, and a faster solver must keep that order: offline
+ * calibration, the recalibration goldens and the ledger fingerprints
+ * depend on every bit of every solve. The build compiles every
+ * translation unit with -ffp-contract=off (src/util/CMakeLists.txt),
+ * so a target with fused multiply-add instructions rounds each
+ * a*b + c twice, as x86-64 without FMA does.
+ * tests/linalg/least_squares_test.cc pins the output bit patterns and
+ * checks every width against a column-loop reference. A stack of
+ * factors has the Gram matrix [A b]^T [A b] of the rows it stands
+ * for, so it has the same least-squares solution in exact arithmetic,
+ * for every column subset; in floating point the two agree to
+ * rounding, not bit for bit.
  */
 
 #ifndef PCON_LINALG_LEAST_SQUARES_H
@@ -56,21 +64,44 @@ struct LsqResult
 };
 
 /**
+ * Triangular factor of [A | b] for n = a.cols() features: the
+ * (n+1) x (n+1) upper-triangular R of the Householder QR the solvers
+ * use, with b reflected as column n, so that
+ * R^T R = [A b]^T [A b] up to rounding. Row i of R is a design row
+ * (columns 0..n-1) with its target (column n): stacked in place of
+ * the rows it factors, it leaves every least-squares solution, and
+ * the residual sum of squares, unchanged. A column that is zero from
+ * the diagonal down is stepped over (its diagonal is 0), and with
+ * fewer than n + 1 rows the bottom rows of R are zero.
+ *
+ * @param a Rows to factor (any count, 1..kMaxFeatures columns).
+ * @param b Their targets, length a.rows().
+ */
+Matrix triangularFactor(const Matrix &a, const Vector &b);
+
+/**
  * Solve min ||A x - b||_2 by Householder QR. Falls back to ridge
  * regression (lambda scaled to the design) when A is rank deficient.
  *
  * @param a Design matrix (rows = samples, 1..kMaxFeatures columns).
  * @param b Targets, length a.rows().
+ * @param represented_rows Rows the design stands for when it stacks
+ *        triangular factors (0: a.rows()). The ridge penalty is
+ *        scaled by the mean squared feature over these rows.
  */
-LsqResult solveLeastSquares(const Matrix &a, const Vector &b);
+LsqResult solveLeastSquares(const Matrix &a, const Vector &b,
+                            std::size_t represented_rows = 0);
 
 /**
  * Least squares with non-negativity constraints on the coefficients,
  * solved by iterated clipping (projected coordinate refitting). Power
  * coefficients are physically non-negative; calibration uses this to
  * avoid nonsensical negative per-event energy costs.
+ *
+ * @param represented_rows As for solveLeastSquares().
  */
-LsqResult solveNonNegativeLeastSquares(const Matrix &a, const Vector &b);
+LsqResult solveNonNegativeLeastSquares(const Matrix &a, const Vector &b,
+                                       std::size_t represented_rows = 0);
 
 /**
  * Root-mean-square residual sqrt(sum_i (A_i x - b_i)^2 / rows), 0 for

@@ -18,8 +18,11 @@ LoadClient::LoadClient(ServerApp &app, os::Kernel &kernel,
     util::fatalIf(cfg.mode == ClientConfig::Mode::ClosedLoop &&
                       cfg.concurrency <= 0,
                   "closed-loop client needs positive concurrency");
-    // Completion notifications: track response times per type.
+    // Completion notifications: track response times per type. The
+    // kernel's completion stream also carries other sources' requests.
     kernel_.requests().onComplete([this](const os::RequestInfo &info) {
+        if (outstanding_.erase(info.id) == 0)
+            return;
         ++completed_;
         double seconds =
             sim::toSeconds(info.completed - info.created);
@@ -98,6 +101,7 @@ LoadClient::submitOne()
     }
     os::RequestId id = kernel_.requests().create(
         type, kernel_.simulation().now());
+    outstanding_.insert(id);
     ++submitted_;
     app_.submit(id, type);
 }

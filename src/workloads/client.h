@@ -15,6 +15,7 @@
 
 #include <map>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "os/kernel.h"
@@ -49,6 +50,8 @@ struct ClientConfig
  * Drives one ServerApp. start() begins generation; stop() stops new
  * submissions (in-flight requests drain naturally). Per-type
  * completion statistics accumulate for the experiment drivers.
+ * A client counts, records and (closed loop) resubmits on completions
+ * of its own requests only, so other sources may share the kernel.
  */
 class LoadClient
 {
@@ -69,7 +72,7 @@ class LoadClient
     /** Requests submitted so far. */
     std::uint64_t submitted() const { return submitted_; }
 
-    /** Requests completed so far. */
+    /** Requests of this client completed so far. */
     std::uint64_t completed() const { return completed_; }
 
     /** Response-time statistics per request type (seconds). */
@@ -120,6 +123,8 @@ class LoadClient
     bool running_ = false;
     std::uint64_t submitted_ = 0;
     std::uint64_t completed_ = 0;
+    /** This client's requests that have not completed. */
+    std::unordered_set<os::RequestId> outstanding_;
     std::map<std::string, util::RunningStat> responseStats_;
     util::RunningStat overallResponse_;
     std::map<std::string, std::vector<double>> responseSamples_;

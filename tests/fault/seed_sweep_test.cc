@@ -5,11 +5,17 @@
  * one deterministic function of its seeds. Running the same
  * configuration twice must produce byte-identical ledgers (request
  * records, energies, fault tallies), with faults and without, and
- * the invariant auditor must stay clean throughout.
+ * the invariant auditor must stay clean throughout. CompressedRefit
+ * replays every refit of the same worlds against the uncompressed
+ * refit design.
  */
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -22,6 +28,7 @@
 
 #include "audit/invariant_auditor.h"
 #include "fault/fault_injector.h"
+#include "linalg/least_squares.h"
 #include "workloads/apps.h"
 #include "workloads/client.h"
 #include "workloads/experiment.h"
@@ -57,15 +64,20 @@ sweepPlan()
 /**
  * Run one seeded pipeline and fold everything observable into a
  * fingerprint string. Byte-identical fingerprints == identical runs.
+ * `observe`, when given, sees the world once its recalibrator is
+ * attached, before anything runs.
  */
 std::string
-runFingerprint(std::uint64_t seed, bool with_faults)
+runFingerprint(std::uint64_t seed, bool with_faults,
+               const std::function<void(wl::ServerWorld &)> &observe = {})
 {
     auto model = std::make_shared<core::LinearPowerModel>(
         calibrator().fit(core::ModelKind::WithChipShare));
     wl::ServerWorld world(hw::sandyBridgeConfig(), model);
     world.attachRecalibration(
         wl::toActiveSamples(calibrator(), model->idleW()));
+    if (observe)
+        observe(world);
 
     fault::FaultPlan plan = sweepPlan();
     fault::FaultInjector injector(world.sim(), plan);
@@ -179,6 +191,174 @@ TEST(SeedSweepGolden, FingerprintsMatchCommittedFixture)
            "an optimization changed attribution. If the change is "
            "intentional, regenerate with PCON_UPDATE_GOLDEN=1 and "
            "commit the diff";
+}
+
+/**
+ * The refit the recalibrator solved before its design was compressed,
+ * kept as this test's reference: every offline sample and every ring
+ * sample as one row, the online group up-weighted to the offline
+ * group's size while it is smaller (RecalibratorConfig::balanceGroups).
+ */
+linalg::LsqResult
+fullDesignRefit(const core::OnlineRecalibrator &recal,
+                const std::vector<core::Metric> &cols)
+{
+    const auto &offline = recal.offlineSamples();
+    const auto &online = recal.onlineSamples();
+    double online_scale = 1.0;
+    if (!offline.empty() && online.size() < offline.size())
+        online_scale = std::sqrt(static_cast<double>(offline.size()) /
+                                 static_cast<double>(online.size()));
+    linalg::Matrix design(offline.size() + online.size(), cols.size());
+    linalg::Vector target(design.rows());
+    std::size_t r = 0;
+    auto add = [&](const core::CalibrationSample &s, double scale) {
+        for (std::size_t c = 0; c < cols.size(); ++c)
+            design(r, c) = s.metrics.get(cols[c]) * scale;
+        target[r++] = s.measuredFullW * scale;
+    };
+    for (const core::CalibrationSample &s : offline)
+        add(s, 1.0);
+    for (const core::CalibrationSample &s : online)
+        add(s, online_scale);
+    return linalg::solveNonNegativeLeastSquares(design, target);
+}
+
+/** What checkEveryRefit saw, over every world it watched. */
+struct RefitReplay
+{
+    /** Relative tolerance on each coefficient, against the larger. */
+    double tolerance = 0;
+    std::size_t replayed = 0;
+    std::size_t rankDeficient = 0;
+    std::size_t mostRows = 0;
+    double worst = 0.0;
+
+    void
+    print() const
+    {
+        std::cout << "[ compressed ] " << replayed << " refits replayed ("
+                  << rankDeficient
+                  << " rank deficient); largest relative coefficient "
+                     "difference "
+                  << worst << " (tolerance " << tolerance
+                  << "); largest stack " << mostRows << " rows\n";
+    }
+};
+
+/**
+ * Replay every refit of `world` through fullDesignRefit, from a refit
+ * observer: the compressed stack has the full design's Gram matrix,
+ * so the two fits agree to rounding. The reference must pass the
+ * sanity bounds the recalibrator's fit passed (the same accept
+ * decision), set the same rank-deficiency flag, and give coefficients
+ * within replay.tolerance. Skipped and rejected refits never reach
+ * refit observers.
+ */
+void
+checkEveryRefit(wl::ServerWorld &world, RefitReplay &replay)
+{
+    core::OnlineRecalibrator &recal = *world.recalibrator();
+    std::shared_ptr<core::LinearPowerModel> model = world.model();
+    std::vector<core::Metric> cols;
+    for (std::size_t i = 0; i < core::NumMetrics; ++i)
+        if (model->usesMetric(static_cast<core::Metric>(i)))
+            cols.push_back(static_cast<core::Metric>(i));
+    const double bound = core::RecalibratorConfig{}.maxCoefficientW;
+    recal.onRefit([&recal, &replay, model, cols, bound](
+                      const core::OnlineRecalibrator::RefitEvent &event) {
+        ++replay.replayed;
+        replay.rankDeficient += event.rankDeficient ? 1 : 0;
+        replay.mostRows = std::max(replay.mostRows, event.solverRows);
+        linalg::LsqResult want = fullDesignRefit(recal, cols);
+        EXPECT_EQ(event.rankDeficient, want.rankDeficient)
+            << "refit " << event.index;
+        for (std::size_t c = 0; c < cols.size(); ++c) {
+            double got = model->coefficient(cols[c]);
+            double ref = want.coefficients[c];
+            EXPECT_TRUE(std::isfinite(ref) && ref >= 0.0 && ref <= bound)
+                << "the full design's refit " << event.index
+                << " would be rejected: " << ref;
+            double scale = std::max(std::abs(got), std::abs(ref));
+            double diff = scale > 0.0 ? std::abs(got - ref) / scale : 0.0;
+            replay.worst = std::max(replay.worst, diff);
+            EXPECT_LE(diff, replay.tolerance)
+                << "refit " << event.index << " coefficient "
+                << core::Metrics::name(cols[c]) << ": " << got
+                << " compressed vs " << ref << " full";
+        }
+    });
+}
+
+/**
+ * Every refit of the sweep worlds (the SeedSweepGolden runs, clean and
+ * under the sweep plan) against the uncompressed design built from
+ * the same samples: ~3,000 rows by the end of a run. The online group
+ * is up-weighted for the first ~60 refits, so scaled block factors
+ * are covered. SeedSweepGolden pins the skipped and rejected counts (0
+ * in every sweep world) at the values the uncompressed refits gave.
+ * Every design here has full rank; solving the full design with its
+ * rows in reverse order moves its own coefficients by up to 2e-12.
+ */
+TEST(CompressedRefit, MatchesTheFullDesignOnEverySweepRefit)
+{
+    RefitReplay replay;
+    replay.tolerance = 1e-10;
+    for (std::uint64_t seed : {401u, 402u, 403u}) {
+        for (bool faults : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "seed " << seed
+                         << (faults ? " faulted" : " clean"));
+            std::size_t before = replay.replayed;
+            std::uint64_t refits = 0;
+            runFingerprint(seed, faults, [&](wl::ServerWorld &world) {
+                checkEveryRefit(world, replay);
+                // The world, and its refits(), end with the run.
+                world.recalibrator()->onRefit(
+                    [&refits](const auto &event) { refits = event.index; });
+            });
+            EXPECT_GT(replay.replayed - before, 200u);
+            EXPECT_EQ(replay.replayed - before, refits);
+        }
+    }
+    replay.print();
+}
+
+/**
+ * A world the sweep does not reach: a full 4,096-sample ring, so each
+ * refit's oldest block is partly evicted and closed blocks leave the
+ * stack, and no offline samples with a compute-only workload, so the
+ * Disk and Net columns are zero and every refit takes the ridge
+ * fallback, whose penalty must use the represented row count. The
+ * ridge solves normal equations whose penalty is 1e-6 of the mean
+ * squared feature, so rounding is amplified: the full design solved
+ * with its rows in reverse order moves its own coefficients by up to
+ * 4.5e-9 here, hence the wider tolerance.
+ */
+TEST(CompressedRefit, MatchesTheFullDesignThroughEvictionAndRidge)
+{
+    auto model = std::make_shared<core::LinearPowerModel>(
+        calibrator().fit(core::ModelKind::WithChipShare));
+    wl::ServerWorld world(hw::sandyBridgeConfig(), model);
+    world.attachRecalibration({});
+    RefitReplay replay;
+    replay.tolerance = 1e-7;
+    checkEveryRefit(world, replay);
+
+    auto app = wl::makeApp("RSA-crypto", 404);
+    app->deploy(world.kernel());
+    wl::LoadClient client(*app, world.kernel(),
+                          wl::LoadClient::forUtilization(
+                              *app, world.kernel(), 0.5, 405));
+    client.start();
+    world.run(sec(5));
+    client.stop();
+
+    replay.print();
+    EXPECT_EQ(world.recalibrator()->onlineSampleCount(), 4096u);
+    EXPECT_EQ(replay.replayed, world.recalibrator()->refits());
+    EXPECT_GT(replay.replayed, 400u);
+    EXPECT_EQ(replay.rankDeficient, replay.replayed);
 }
 
 } // namespace

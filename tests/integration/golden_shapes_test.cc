@@ -28,6 +28,7 @@
 
 #include "core/container_manager.h"
 #include "core/power_model.h"
+#include "core/recalibration.h"
 #include "os/kernel.h"
 #include "sim/simulation.h"
 #include "telemetry/overhead.h"
@@ -35,6 +36,7 @@
 #include "trace/span.h"
 #include "trace/span_tracer.h"
 #include "workloads/apps.h"
+#include "workloads/client.h"
 #include "workloads/experiment.h"
 
 #ifndef PCON_TEST_DATA_DIR
@@ -278,6 +280,65 @@ webworkShapes(Shapes &out)
         traced.completionVisits / traced.requests;
 }
 
+/**
+ * recal.solver_rows_per_refit: rows the refit solver sees per refit
+ * once the 4,096-sample online ring is full — the offline factor, the
+ * closed-block factors and the raw rows of the block still filling
+ * and of the partly evicted oldest one, against 64 + 4,096 rows
+ * uncompressed (docs/PERFORMANCE.md "Compressed refits"). WeBWorK at
+ * half load on SandyBridge, with 64 synthetic offline samples; the
+ * mean is over the 100 refits after a 5-second pre-roll.
+ */
+void
+recalShapes(Shapes &out)
+{
+    auto model = std::make_shared<core::LinearPowerModel>(
+        wl::calibrateModel(hw::sandyBridgeConfig(),
+                           core::ModelKind::WithChipShare));
+    wl::ServerWorld world(hw::sandyBridgeConfig(), model);
+    std::vector<core::CalibrationSample> offline;
+    for (int i = 0; i < 64; ++i) {
+        double util = 0.25 + 0.25 * (i % 4);
+        core::CalibrationSample s;
+        s.metrics.set(core::Metric::Core, util * (1 + i % 8));
+        s.metrics.set(core::Metric::Ins, util * (1 + i % 3));
+        s.metrics.set(core::Metric::Cache, 0.01 * (i % 5));
+        s.metrics.set(core::Metric::Mem, 0.002 * (i % 7));
+        s.metrics.set(core::Metric::ChipShare, util);
+        s.measuredFullW = 8.0 * util * (1 + i % 8) + 3.0 * util;
+        offline.push_back(s);
+    }
+    world.attachRecalibration(offline);
+    core::OnlineRecalibrator &recal = *world.recalibrator();
+    double rows = 0;
+    std::uint64_t refits = 0;
+    bool counting = false;
+    recal.onRefit(
+        [&](const core::OnlineRecalibrator::RefitEvent &event) {
+            if (!counting)
+                return;
+            rows += static_cast<double>(event.solverRows);
+            ++refits;
+        });
+
+    wl::WeBWorKApp app(/*seed=*/7);
+    app.deploy(world.kernel());
+    wl::LoadClient client(
+        app, world.kernel(),
+        wl::LoadClient::forUtilization(app, world.kernel(), 0.5, 8));
+    client.start();
+    world.run(sim::sec(5));
+    ASSERT_EQ(recal.onlineSampleCount(), 4096u);
+    counting = true;
+    std::uint64_t before = recal.refits();
+    world.run(sim::sec(1));
+    client.stop();
+    ASSERT_EQ(refits, recal.refits() - before);
+    ASSERT_EQ(refits, 100u);
+    out["recal.solver_rows_per_refit"] =
+        rows / static_cast<double>(refits);
+}
+
 std::string
 render(const Shapes &shapes)
 {
@@ -298,6 +359,7 @@ TEST(GoldenShapes, MatchCommittedFixtureByteForByte)
     kernelShapes(shapes);
     profiledShapes(shapes);
     webworkShapes(shapes);
+    recalShapes(shapes);
     ASSERT_FALSE(HasFatalFailure());
     std::string rendered = render(shapes);
 

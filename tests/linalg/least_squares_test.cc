@@ -488,5 +488,226 @@ TEST(LeastSquaresBits, EveryWidthMatchesTheColumnLoop)
     }
 }
 
+// ---------------------------------------------------------------------
+// Triangular factors (triangularFactor). The recalibrator stacks them
+// in place of the rows they factor, so the property that matters is
+// that R^T R equals [A b]^T [A b]: then every least-squares problem
+// over any column subset has the same solution. Gram entries are
+// compared relative to sqrt(G_ii G_jj), the largest value
+// Cauchy-Schwarz allows.
+
+/** [A b]^T [A b], row-major, (n+1) x (n+1). */
+std::vector<double>
+augmentedGram(const Matrix &a, const Vector &b)
+{
+    const std::size_t w = a.cols() + 1;
+    auto at = [&](std::size_t r, std::size_t c) {
+        return c < a.cols() ? a(r, c) : b[r];
+    };
+    std::vector<double> g(w * w, 0.0);
+    for (std::size_t r = 0; r < a.rows(); ++r)
+        for (std::size_t i = 0; i < w; ++i)
+            for (std::size_t j = 0; j < w; ++j)
+                g[i * w + j] += at(r, i) * at(r, j);
+    return g;
+}
+
+/** A factor as a design (its first n columns) and targets (column n). */
+Design
+splitFactor(const Matrix &r)
+{
+    const std::size_t n = r.cols() - 1;
+    Design d{Matrix(r.rows(), n), Vector(r.rows())};
+    for (std::size_t i = 0; i < r.rows(); ++i) {
+        for (std::size_t c = 0; c < n; ++c)
+            d.a(i, c) = r(i, c);
+        d.b[i] = r(i, n);
+    }
+    return d;
+}
+
+/** Stack designs top to bottom, each scaled by its factor. */
+Design
+stack(const std::vector<std::pair<Design, double>> &parts)
+{
+    Design out;
+    for (const auto &[d, scale] : parts) {
+        for (std::size_t i = 0; i < d.a.rows(); ++i) {
+            Vector row(d.a.cols());
+            for (std::size_t c = 0; c < d.a.cols(); ++c)
+                row[c] = d.a(i, c) * scale;
+            out.a.appendRow(row);
+            out.b.push_back(d.b[i] * scale);
+        }
+    }
+    return out;
+}
+
+/** Rows [first, first + count) of a design. */
+Design
+rowsOf(const Design &d, std::size_t first, std::size_t count)
+{
+    Design out{Matrix(count, d.a.cols()), Vector(count)};
+    for (std::size_t i = 0; i < count; ++i) {
+        for (std::size_t c = 0; c < d.a.cols(); ++c)
+            out.a(i, c) = d.a(first + i, c);
+        out.b[i] = d.b[first + i];
+    }
+    return out;
+}
+
+void
+expectSameGram(const Design &rows, const Design &stacked)
+{
+    std::vector<double> g = augmentedGram(rows.a, rows.b);
+    std::vector<double> h = augmentedGram(stacked.a, stacked.b);
+    const std::size_t w = rows.a.cols() + 1;
+    for (std::size_t i = 0; i < w; ++i)
+        for (std::size_t j = 0; j < w; ++j)
+            EXPECT_LE(std::abs(g[i * w + j] - h[i * w + j]),
+                      1e-12 * std::sqrt(g[i * w + i] * g[j * w + j]))
+                << "Gram entry (" << i << ", " << j << "): "
+                << g[i * w + j] << " vs " << h[i * w + j];
+}
+
+/**
+ * Check a factor of `d`: (n+1) x (n+1), exactly zero below the
+ * diagonal, and the Gram matrix of the rows it replaces.
+ */
+void
+expectFactorOf(const Design &d, const Matrix &r)
+{
+    const std::size_t w = d.a.cols() + 1;
+    ASSERT_EQ(r.rows(), w);
+    ASSERT_EQ(r.cols(), w);
+    for (std::size_t i = 0; i < w; ++i)
+        for (std::size_t c = 0; c < i; ++c)
+            EXPECT_EQ(r(i, c), 0.0) << "below the diagonal at (" << i
+                                    << ", " << c << ")";
+    expectSameGram(d, splitFactor(r));
+}
+
+/** Largest |x_i - y_i| / max(|x_i|, |y_i|), 0 where both are 0. */
+double
+maxRelativeDifference(const Vector &x, const Vector &y)
+{
+    double worst = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        double scale = std::max(std::abs(x[i]), std::abs(y[i]));
+        if (scale > 0.0)
+            worst = std::max(worst, std::abs(x[i] - y[i]) / scale);
+    }
+    return worst;
+}
+
+TEST(TriangularFactor, KeepsTheGramMatrixOfTheRowsItReplaces)
+{
+    for (std::size_t n = 1; n <= kMaxFeatures; ++n) {
+        for (std::size_t m : {std::size_t{1}, n + 1, std::size_t{128},
+                              std::size_t{576}}) {
+            SCOPED_TRACE(::testing::Message()
+                         << n << " features, " << m << " rows");
+            Design d = seededDesign(m, n, 77 * n + m);
+            expectFactorOf(d, triangularFactor(d.a, d.b));
+        }
+    }
+}
+
+TEST(TriangularFactor, StepsOverAnAllZeroColumn)
+{
+    // An idle device leaves whole blocks with zero Disk and Net
+    // columns; a zero target is the other column a factor reflects.
+    for (std::size_t zero : {std::size_t{0}, std::size_t{3},
+                             std::size_t{7}, std::size_t{8}}) {
+        SCOPED_TRACE(::testing::Message() << "zero column " << zero);
+        Design d = seededDesign(128, 8, 404 + zero, zero);
+        if (zero == 8)
+            std::fill(d.b.begin(), d.b.end(), 0.0);
+        if (zero == 7)
+            for (std::size_t r = 0; r < d.a.rows(); ++r)
+                d.a(r, 6) = 0.0;
+        Matrix r = triangularFactor(d.a, d.b);
+        expectFactorOf(d, r);
+        EXPECT_EQ(r(zero, zero), 0.0);
+    }
+}
+
+TEST(TriangularFactor, FewerRowsThanColumnsLeavesZeroRows)
+{
+    Design d = seededDesign(3, 8, 5);
+    Matrix r = triangularFactor(d.a, d.b);
+    expectFactorOf(d, r);
+    for (std::size_t i = 3; i < r.rows(); ++i)
+        for (std::size_t c = 0; c < r.cols(); ++c)
+            EXPECT_EQ(r(i, c), 0.0) << "row " << i;
+    // An empty block factors to zeros.
+    Matrix empty = triangularFactor(Matrix(0, 8), Vector{});
+    ASSERT_EQ(empty.rows(), 9u);
+    for (std::size_t i = 0; i < 9; ++i)
+        for (std::size_t c = 0; c < 9; ++c)
+            EXPECT_EQ(empty(i, c), 0.0);
+}
+
+TEST(TriangularFactor, ScaledStackSolvesLikeTheFullDesign)
+{
+    // The recalibrator's stack before its online ring fills: offline
+    // rows as one factor, online rows up-weighted by sqrt(576 / 300),
+    // two closed blocks of 128 as factors and the rest raw. The
+    // unconstrained fit has negative coefficients, so the clipping
+    // NNLS solves column subsets too.
+    Design offline = negativeCoefficientDesign();
+    Design online = rowsOf(negativeCoefficientDesign(), 0, 300);
+    for (std::size_t r = 0; r < online.a.rows(); ++r)
+        online.b[r] += 0.3 * online.a(r, 1);
+    const double scale = std::sqrt(576.0 / 300.0);
+    Design full = stack({{offline, 1.0}, {online, scale}});
+
+    auto factor = [](const Design &d) {
+        return splitFactor(triangularFactor(d.a, d.b));
+    };
+    Design compressed =
+        stack({{factor(offline), 1.0},
+               {factor(rowsOf(online, 0, 128)), scale},
+               {factor(rowsOf(online, 128, 128)), scale},
+               {rowsOf(online, 256, 44), scale}});
+    ASSERT_EQ(compressed.a.rows(), 5u + 5u + 5u + 44u);
+    expectSameGram(full, compressed);
+
+    LsqResult want = solveNonNegativeLeastSquares(full.a, full.b);
+    LsqResult got = solveNonNegativeLeastSquares(
+        compressed.a, compressed.b, full.a.rows());
+    EXPECT_FALSE(want.rankDeficient);
+    EXPECT_FALSE(got.rankDeficient);
+    ASSERT_EQ(want.coefficients[1], 0.0) << "the NNLS never clipped";
+    EXPECT_LT(maxRelativeDifference(want.coefficients, got.coefficients),
+              1e-12);
+}
+
+TEST(TriangularFactor, RidgeFallbackScalesByTheRepresentedRows)
+{
+    // A zero column makes the design rank deficient, so both solves
+    // take the ridge fallback. Its penalty is 1e-6 times the mean
+    // squared feature: over the 1,000 rows the stack stands for, not
+    // over the stack's 4, which would make it 250 times larger.
+    Design full = seededDesign(1000, 3, 61, 2);
+    Design compressed = splitFactor(triangularFactor(full.a, full.b));
+    ASSERT_EQ(compressed.a.rows(), 4u);
+
+    LsqResult want = solveNonNegativeLeastSquares(full.a, full.b);
+    LsqResult got = solveNonNegativeLeastSquares(
+        compressed.a, compressed.b, full.a.rows());
+    EXPECT_TRUE(want.rankDeficient);
+    EXPECT_TRUE(got.rankDeficient);
+    EXPECT_LT(maxRelativeDifference(want.coefficients, got.coefficients),
+              1e-10);
+
+    // The test can tell the two penalties apart.
+    LsqResult stack_rows =
+        solveNonNegativeLeastSquares(compressed.a, compressed.b);
+    EXPECT_GT(
+        maxRelativeDifference(want.coefficients, stack_rows.coefficients),
+        1e-8);
+}
+
 } // namespace
 } // namespace pcon::linalg

@@ -1,4 +1,6 @@
+#include <functional>
 #include <memory>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -201,6 +203,52 @@ TEST(Workloads, ClientPercentilesAreOrderedAndPerType)
                  util::FatalError);
     client.clearStats();
     EXPECT_THROW(client.responsePercentile(0.5), util::FatalError);
+}
+
+TEST(Workloads, ClosedLoopClientCountsOnlyItsOwnRequests)
+{
+    // A second source submits to the same kernel every 25 ms. The
+    // closed-loop client must keep exactly its 3 requests outstanding
+    // and count, record and resubmit on its own completions only.
+    ServerWorld world(smallMachine(), roughModel());
+    RsaCryptoApp app(12);
+    app.deploy(world.kernel());
+    ClientConfig ccfg;
+    ccfg.concurrency = 3;
+    LoadClient client(app, world.kernel(), ccfg);
+
+    std::set<os::RequestId> live;
+    std::set<os::RequestId> other;
+    std::uint64_t other_completed = 0;
+    world.requests().onCreate(
+        [&live](const os::RequestInfo &info) { live.insert(info.id); });
+    world.requests().onComplete([&](const os::RequestInfo &info) {
+        live.erase(info.id);
+        other_completed += other.erase(info.id);
+    });
+    std::function<void()> submit_other = [&] {
+        os::RequestId id =
+            world.requests().create("rsa-small", world.sim().now());
+        other.insert(id);
+        app.submit(id, "rsa-small");
+        world.sim().schedule(msec(25), submit_other);
+    };
+    world.sim().schedule(msec(25), submit_other);
+
+    client.start();
+    for (int i = 0; i < 20; ++i) {
+        world.run(msec(250));
+        std::size_t mine = 0;
+        for (os::RequestId id : live)
+            mine += other.count(id) == 0 ? 1 : 0;
+        EXPECT_EQ(mine, 3u) << "at " << world.sim().now();
+        EXPECT_EQ(client.submitted() - client.completed(), 3u);
+    }
+    client.stop();
+    EXPECT_GT(other_completed, 100u);
+    EXPECT_GT(client.completed(), 50u);
+    EXPECT_EQ(client.completed() + 3 + other.size() + other_completed,
+              world.requests().createdCount());
 }
 
 TEST(Workloads, OpenLoopClientMatchesConfiguredRate)
