@@ -4,15 +4,15 @@
  * event counters, modeled energy, CPU time, and the most recent power
  * estimate for one request context. In the paper this is a 784-byte
  * kernel structure with locks and a reference count; the simulator is
- * single-threaded, so the locks are represented by explicit lifecycle
- * management in the ContainerManager.
+ * single-threaded, so it needs neither: the ContainerManager creates
+ * and retires each container explicitly.
  *
  * Layout (ISSUE 8 hot-path pass): the mutable ledger lives in a
  * LedgerStore — a structure-of-arrays keyed by slot, one column per
  * field — so the per-slice attribution loop walks contiguous memory
  * instead of pointer-chasing heap-scattered objects. PowerContainer
  * is the handle: it owns a slot for its lifetime and carries only the
- * cold identity fields (request id, type, creation time) inline. All
+ * cold identity fields (request id, type) inline. All
  * reads go through accessors; all writes go through the charge
  * methods the accounting engine uses, which keeps the floating-point
  * accumulation order identical to the old AoS layout (the golden
@@ -50,15 +50,6 @@ class LedgerStore
     LedgerStore(const LedgerStore &) = delete;
     LedgerStore &operator=(const LedgerStore &) = delete;
 
-    /** Slots currently held by live containers. */
-    std::size_t liveSlots() const
-    {
-        return events_.size() - freeSlots_.size();
-    }
-
-    /** Rows ever materialized (live + free-listed). */
-    std::size_t capacity() const { return events_.size(); }
-
   private:
     friend class PowerContainer;
 
@@ -75,7 +66,6 @@ class LedgerStore
             cpuTimeNs_[slot] = 0;
             lastPowerW_[slot] = util::Watts(0);
             sampleCount_[slot] = 0;
-            refCount_[slot] = 0;
             return slot;
         }
         events_.emplace_back();
@@ -84,7 +74,6 @@ class LedgerStore
         cpuTimeNs_.push_back(0);
         lastPowerW_.emplace_back(0);
         sampleCount_.push_back(0);
-        refCount_.push_back(0);
         return static_cast<std::uint32_t>(events_.size() - 1);
     }
 
@@ -98,7 +87,6 @@ class LedgerStore
     std::vector<double> cpuTimeNs_;
     std::vector<util::Watts> lastPowerW_;
     std::vector<std::uint64_t> sampleCount_;
-    std::vector<std::int32_t> refCount_;
     std::vector<std::uint32_t> freeSlots_;
 };
 
@@ -114,12 +102,11 @@ class PowerContainer
      * @param store Backing store; must outlive the container.
      * @param id Request this container accounts for (0 = background).
      * @param type Request type tag copied from the context manager.
-     * @param created_at Creation time of the container.
      */
     PowerContainer(LedgerStore &store, os::RequestId id,
-                   std::string type, sim::SimTime created_at)
+                   std::string type)
         : store_(&store), slot_(store.acquire()), id_(id),
-          type_(std::move(type)), createdAt_(created_at)
+          type_(std::move(type))
     {
     }
 
@@ -133,9 +120,6 @@ class PowerContainer
 
     /** Request type tag copied from the context manager. */
     const std::string &type() const { return type_; }
-
-    /** Creation time of the container. */
-    sim::SimTime createdAt() const { return createdAt_; }
 
     /** Cumulative attributed hardware events. */
     const hw::CounterSnapshot &events() const
@@ -169,9 +153,6 @@ class PowerContainer
     {
         return store_->sampleCount_[slot_];
     }
-
-    /** Number of tasks currently bound (paper's reference count). */
-    std::int32_t refCount() const { return store_->refCount_[slot_]; }
 
     /** Total attributed energy (CPU + devices). */
     util::Joules totalEnergyJ() const
@@ -218,16 +199,11 @@ class PowerContainer
         store_->ioEnergyJ_[slot_] += energy;
     }
 
-    /** Adjust the bound-task reference count (paper's refcount). */
-    void bindTask() { ++store_->refCount_[slot_]; }
-    void unbindTask() { --store_->refCount_[slot_]; }
-
   private:
     LedgerStore *store_;
     std::uint32_t slot_;
     os::RequestId id_ = os::NoRequest;
     std::string type_;
-    sim::SimTime createdAt_ = 0;
 };
 
 /**

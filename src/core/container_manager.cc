@@ -17,8 +17,7 @@ ContainerManager::ContainerManager(
 {
     util::fatalIf(!model_, "ContainerManager needs a model");
     background_ = std::make_shared<PowerContainer>(
-        ledgers_, os::NoRequest, "background",
-        kernel_.simulation().now());
+        ledgers_, os::NoRequest, "background");
 
     sim::SimTime now = kernel_.simulation().now();
     // One batched read seeds every core's window boundary.
@@ -224,8 +223,7 @@ ContainerManager::requestCreated(const os::RequestInfo &info)
 {
     containers_.emplace(info.id,
                         std::make_shared<PowerContainer>(
-                            ledgers_, info.id, info.type,
-                            info.created));
+                            ledgers_, info.id, info.type));
 }
 
 void

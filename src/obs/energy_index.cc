@@ -252,15 +252,6 @@ EnergyIndex::requestAvgPowerW(os::RequestId request) const
     return entry->energyJ / util::SimSeconds(entry->cpuTimeNs * 1e-9);
 }
 
-sim::SimTime
-EnergyIndex::requestWall(os::RequestId request) const
-{
-    const PerRequest *entry = find(request);
-    if (entry == nullptr || !entry->anyClosed)
-        return 0;
-    return entry->lastClose - entry->firstOpen;
-}
-
 std::vector<trace::SpanId>
 EnergyIndex::requestSpans(os::RequestId request) const
 {

@@ -131,9 +131,6 @@ class EnergyIndex : public trace::SpanObserver
     /** Energy over attributed on-CPU time (0 before any CPU time). */
     util::Watts requestAvgPowerW(os::RequestId request) const;
 
-    /** Closed-span first-open to last-close envelope. */
-    sim::SimTime requestWall(os::RequestId request) const;
-
     /** Span ids of a request, ascending: the attached collector's
      * per-request entry (empty when detached). */
     std::vector<trace::SpanId> requestSpans(os::RequestId request) const;

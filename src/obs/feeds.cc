@@ -2,51 +2,8 @@
 
 #include <string>
 
-#include "os/task.h"
-
 namespace pcon {
 namespace obs {
-
-void
-JournalHooks::onContextRebind(os::Task &task, os::RequestId old_ctx,
-                              os::RequestId new_ctx)
-{
-    journal_.append(RecordKind::Rebind, Severity::Info,
-                    kernel_.simulation().now(), new_ctx, new_ctx,
-                    "rebind",
-                    "task " + task.name + " ctx " +
-                        std::to_string(old_ctx) + " to " +
-                        std::to_string(new_ctx),
-                    static_cast<double>(new_ctx));
-}
-
-void
-JournalHooks::onActuation(int core, int duty_level, int pstate)
-{
-    journal_.append(RecordKind::Throttle, Severity::Info,
-                    kernel_.simulation().now(), os::NoRequest,
-                    os::NoRequest, "actuation",
-                    "core " + std::to_string(core) + " duty " +
-                        std::to_string(duty_level) + " pstate " +
-                        std::to_string(pstate),
-                    static_cast<double>(duty_level));
-}
-
-void
-journalRefits(Journal &journal,
-              core::OnlineRecalibrator &recalibrator)
-{
-    recalibrator.onRefit(
-        [&journal](const core::OnlineRecalibrator::RefitEvent &ev) {
-            journal.append(RecordKind::Refit, Severity::Info, ev.time,
-                           os::NoRequest, os::NoRequest, "refit",
-                           "refit " + std::to_string(ev.index) +
-                               " from " +
-                               std::to_string(ev.onlineSamples) +
-                               " online samples",
-                           static_cast<double>(ev.onlineSamples));
-        });
-}
 
 void
 exportJournalToPerfetto(const Journal &journal,

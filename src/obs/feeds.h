@@ -1,55 +1,18 @@
 /**
  * @file
- * Journal feeds: the wiring that turns facility activity into
- * journal records. JournalHooks is a KernelHooks implementation
- * recording context rebinds and power actuations (throttles);
- * journalRefits() subscribes a journal to the recalibrator's refit
- * events; exportJournalToPerfetto() renders the retained records as
- * instants on the Perfetto "journal" track (pid 6), which appears
- * only when the journal was used.
+ * Journal feeds: exportJournalToPerfetto() renders a journal's
+ * retained records as instants on the Perfetto "journal" track
+ * (pid 6), which appears only when the journal was used.
  */
 
 #ifndef PCON_OBS_FEEDS_H
 #define PCON_OBS_FEEDS_H
 
-#include "core/recalibration.h"
 #include "obs/journal.h"
-#include "os/hooks.h"
-#include "os/kernel.h"
 #include "telemetry/perfetto.h"
 
 namespace pcon {
 namespace obs {
-
-/**
- * Kernel-event journal feed. Register with kernel.addHooks(); every
- * context rebind and actuator write becomes an Info record. The
- * bounded ring keeps the cost flat no matter how chatty the kernel
- * is.
- */
-class JournalHooks : public os::KernelHooks
-{
-  public:
-    JournalHooks(Journal &journal, os::Kernel &kernel)
-        : journal_(journal), kernel_(kernel)
-    {
-    }
-
-    void onContextRebind(os::Task &task, os::RequestId old_ctx,
-                         os::RequestId new_ctx) override;
-    void onActuation(int core, int duty_level, int pstate) override;
-
-  private:
-    Journal &journal_;
-    os::Kernel &kernel_;
-};
-
-/**
- * Subscribe `journal` to completed refits: each RefitEvent becomes
- * an Info record ("refit", value = online samples used).
- */
-void journalRefits(Journal &journal,
-                   core::OnlineRecalibrator &recalibrator);
 
 /**
  * Render every retained record as an instant on the exporter's

@@ -88,12 +88,8 @@ recordKindName(RecordKind kind)
 }
 
 Journal::Journal(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity)
+    : ring_(capacity == 0 ? 1 : capacity)
 {
-    ring_ = static_cast<JournalRecord *>(arena_.allocate(
-        capacity_ * sizeof(JournalRecord), alignof(JournalRecord)));
-    for (std::size_t i = 0; i < capacity_; ++i)
-        ::new (static_cast<void *>(ring_ + i)) JournalRecord();
 }
 
 void
@@ -102,7 +98,7 @@ Journal::append(RecordKind kind, Severity severity, sim::SimTime at,
                 const std::string &what, const std::string &detail,
                 double value)
 {
-    JournalRecord &slot = ring_[total_ % capacity_];
+    JournalRecord &slot = ring_[total_ % ring_.size()];
     slot.seq = total_;
     slot.at = at;
     slot.kind = kind;
@@ -113,7 +109,7 @@ Journal::append(RecordKind kind, Severity severity, sim::SimTime at,
     copyTruncated(slot.what, sizeof(slot.what), what);
     copyTruncated(slot.detail, sizeof(slot.detail), detail);
     ++total_;
-    if (live_ < capacity_)
+    if (live_ < ring_.size())
         ++live_;
     else
         ++dropped_; // overwrote the oldest retained record
@@ -127,7 +123,7 @@ Journal::snapshot() const
     std::vector<JournalRecord> out;
     out.reserve(live_);
     for (std::uint64_t seq = total_ - live_; seq < total_; ++seq)
-        out.push_back(ring_[seq % capacity_]);
+        out.push_back(ring_[seq % ring_.size()]);
     return out;
 }
 

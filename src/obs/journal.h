@@ -1,6 +1,6 @@
 /**
  * @file
- * Structured event journal: a bounded, arena-backed ring of typed
+ * Structured event journal: a bounded ring of typed
  * records (cap throttles, context rebinds, model refits, injected
  * faults, watchdog alerts) with severity, simulated timestamp, and
  * container/request ids. The journal is the "what happened and when"
@@ -11,10 +11,10 @@
  * instant track (obs/feeds.h), so two identical runs produce
  * identical bytes.
  *
- * Records are fixed-size and trivially destructible; the ring is
- * carved from a util::SlabArena at construction and never grows, so
- * steady-state appends touch no allocator and the oldest records are
- * overwritten once the ring wraps (dropped() counts the overwrites).
+ * Records are fixed-size; the ring is one vector sized at
+ * construction that never grows, so appends touch no allocator and
+ * the oldest records are overwritten once the ring wraps (dropped()
+ * counts the overwrites).
  */
 
 #ifndef PCON_OBS_JOURNAL_H
@@ -23,12 +23,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "os/request_context.h"
 #include "sim/time.h"
-#include "util/slab_arena.h"
 
 namespace pcon {
 namespace obs {
@@ -63,8 +61,8 @@ enum class RecordKind
 const char *recordKindName(RecordKind kind);
 
 /**
- * One journal entry. Fixed-size (fixed char buffers, no heap) so the
- * ring slots are trivially destructible arena storage.
+ * One journal entry. Fixed-size (fixed char buffers, no heap), so an
+ * append overwrites a slot in place.
  */
 struct JournalRecord
 {
@@ -85,9 +83,6 @@ struct JournalRecord
     /** Free-form human detail; truncated to fit. */
     char detail[96] = {};
 };
-
-static_assert(std::is_trivially_destructible<JournalRecord>::value,
-              "ring slots are arena storage; no destructors run");
 
 /** The bounded journal. */
 class Journal
@@ -126,7 +121,7 @@ class Journal
     void writeJsonl(const std::string &path) const;
 
     /** Ring capacity. */
-    std::size_t capacity() const { return capacity_; }
+    std::size_t capacity() const { return ring_.size(); }
 
     /** Records currently retained (<= capacity). */
     std::size_t size() const { return live_; }
@@ -156,15 +151,11 @@ class Journal
     void clear() { live_ = 0; }
 
   private:
-    /** Backing storage for the ring slots. */
-    util::SlabArena arena_;
-    /** Ring capacity; immutable after construction. */
-    std::size_t capacity_;
-
-    JournalRecord *ring_ = nullptr;
-    /** Records ever appended; head slot is total_ % capacity_. */
+    /** The ring slots; sized once, never resized. */
+    std::vector<JournalRecord> ring_;
+    /** Records ever appended; head slot is total_ % capacity(). */
     std::uint64_t total_ = 0;
-    /** Retained count (== min(total_, capacity_) unless cleared). */
+    /** Retained count (== min(total_, capacity()) unless cleared). */
     std::size_t live_ = 0;
     std::uint64_t dropped_ = 0;
     std::uint64_t bySeverity_[3] = {};

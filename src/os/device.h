@@ -52,9 +52,6 @@ class IoDevice
     /** Enqueue an operation on behalf of a (blocked) task. */
     void submit(Task *task, double bytes);
 
-    /** Operations waiting or in service. */
-    std::size_t queueDepth() const { return queue_.size(); }
-
     /**
      * Cumulative device busy time (sum of completed service spans).
      * OS-visible bookkeeping, used to form device-utilization metrics

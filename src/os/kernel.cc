@@ -207,8 +207,6 @@ Kernel::socketPair()
     b->peer_ = a.get();
     a->kernel_ = this;
     b->kernel_ = this;
-    a->rx_.bindPool(segmentPool_);
-    b->rx_.bindPool(segmentPool_);
     Socket *ra = a.get();
     Socket *rb = b.get();
     sockets_.push_back(std::move(a));
@@ -226,8 +224,6 @@ Kernel::connect(Kernel &a, Kernel &b, sim::SimTime latency)
     sb->peer_ = sa.get();
     sa->kernel_ = &a;
     sb->kernel_ = &b;
-    sa->rx_.bindPool(a.segmentPool_);
-    sb->rx_.bindPool(b.segmentPool_);
     sa->latency_ = latency;
     sb->latency_ = latency;
     Socket *ra = sa.get();

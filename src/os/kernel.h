@@ -128,12 +128,6 @@ class Kernel
      */
     void setSegmentPerturber(SegmentPerturber fn);
 
-    /** The installed segment perturber (may be empty). */
-    const SegmentPerturber &segmentPerturber() const
-    {
-        return segmentPerturber_;
-    }
-
     /**
      * Create a task.
      * @param logic Behaviour.
@@ -291,14 +285,6 @@ class Kernel
     TaskId nextTaskId_ = 1;
     std::vector<CoreState> cores_;
     std::vector<int> placementOrder_;
-    /**
-     * Backing store for every local socket's rx segment nodes
-     * (os/socket.h SegmentQueue). Declared before sockets_ so the
-     * arena outlives the queues pointing into it; unreleased nodes
-     * simply die with the arena.
-     */
-    util::SlabArena segmentArena_;
-    util::SlabPool<SegmentQueue::Node> segmentPool_{segmentArena_};
     std::vector<std::unique_ptr<Socket>> sockets_;
     IoDevice disk_;
     IoDevice net_;

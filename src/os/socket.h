@@ -14,14 +14,13 @@
 #ifndef PCON_OS_SOCKET_H
 #define PCON_OS_SOCKET_H
 
-#include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <functional>
-#include <type_traits>
 #include <vector>
 
 #include "os/request_context.h"
 #include "sim/time.h"
-#include "util/slab_arena.h"
 #include "util/units.h"
 
 namespace pcon {
@@ -63,108 +62,6 @@ struct Segment
     /** Sender-side container statistics (cross-machine accounting). */
     RequestStatsTag stats{};
 };
-
-/**
- * FIFO of buffered segments over a kernel-owned slab pool (ISSUE 8
- * hot-path pass): push_back/pop_front recycle fixed-size nodes
- * through the pool's intrusive free list, so the per-message buffer
- * churn of a busy connection never touches the global allocator (the
- * former std::deque paid a heap block per burst). Node addresses are
- * stable for the node's lifetime; iteration is oldest-first. Nodes
- * die with the owning kernel's arena, so sockets need no drain-on-
- * destroy pass (Segment is trivially destructible — enforced below).
- */
-class SegmentQueue
-{
-  public:
-    /** One pooled node; lives in the owning kernel's arena. */
-    struct Node
-    {
-        Segment seg{};
-        Node *next = nullptr;
-    };
-
-    /** Bind the backing pool; must precede any push_back. */
-    void bindPool(util::SlabPool<Node> &pool) { pool_ = &pool; }
-
-    bool empty() const { return head_ == nullptr; }
-    std::size_t size() const { return size_; }
-
-    /** Oldest buffered segment; undefined when empty. */
-    const Segment &front() const { return head_->seg; }
-
-    /** Buffer a copy of `segment` at the tail. */
-    void
-    push_back(const Segment &segment)
-    {
-        Node *node = pool_->allocate();
-        node->seg = segment;
-        node->next = nullptr;
-        if (tail_ == nullptr)
-            head_ = node;
-        else
-            tail_->next = node;
-        tail_ = node;
-        ++size_;
-    }
-
-    /** Drop the oldest segment, recycling its node. */
-    void
-    pop_front()
-    {
-        Node *node = head_;
-        head_ = node->next;
-        if (head_ == nullptr)
-            tail_ = nullptr;
-        --size_;
-        pool_->release(node);
-    }
-
-    /** Forward const iterator, oldest segment first. */
-    class const_iterator
-    {
-      public:
-        explicit const_iterator(const Node *node) : node_(node) {}
-
-        const Segment &operator*() const { return node_->seg; }
-        const Segment *operator->() const { return &node_->seg; }
-
-        const_iterator &
-        operator++()
-        {
-            node_ = node_->next;
-            return *this;
-        }
-
-        bool
-        operator!=(const const_iterator &other) const
-        {
-            return node_ != other.node_;
-        }
-
-        bool
-        operator==(const const_iterator &other) const
-        {
-            return node_ == other.node_;
-        }
-
-      private:
-        const Node *node_;
-    };
-
-    const_iterator begin() const { return const_iterator(head_); }
-    const_iterator end() const { return const_iterator(nullptr); }
-
-  private:
-    util::SlabPool<Node> *pool_ = nullptr;
-    Node *head_ = nullptr;
-    Node *tail_ = nullptr;
-    std::size_t size_ = 0;
-};
-
-static_assert(std::is_trivially_destructible_v<Segment>,
-              "SegmentQueue skips per-node destruction; a Segment "
-              "with a destructor would leak resources into the arena");
 
 /**
  * One delivery a segment perturber asks for: the (possibly rewritten)
@@ -228,11 +125,8 @@ class Socket
      */
     void setSegmentCallback(std::function<void(const Segment &)> fn);
 
-    /** Buffered, unread segments (oldest first; pooled nodes). */
-    const SegmentQueue &buffered() const { return rx_; }
-
-    /** Most recently *arrived* tag (the naive mode's only state). */
-    RequestId lastArrivedTag() const { return lastArrivedTag_; }
+    /** Buffered, unread segments (oldest first). */
+    const std::deque<Segment> &buffered() const { return rx_; }
 
   private:
     friend class Kernel;
@@ -243,9 +137,9 @@ class Socket
     Socket *peer_ = nullptr;
     Kernel *kernel_ = nullptr;
     sim::SimTime latency_ = 0;
-    /** Node storage lives in the owning kernel's segment pool. */
-    SegmentQueue rx_;
+    std::deque<Segment> rx_;
     Task *waitingReader_ = nullptr;
+    /** Most recently *arrived* tag (the naive mode's only state). */
     RequestId lastArrivedTag_ = NoRequest;
     std::function<void(double, RequestId)> deliveryCallback_;
     std::function<void(const Segment &)> segmentCallback_;

@@ -45,7 +45,6 @@
 #include "core/prediction.h"
 #include "core/profiles.h"
 #include "core/recalibration.h"
-#include "core/trace.h"
 
 // Correctness auditing (contracts + runtime invariant checks).
 #include "audit/invariant_auditor.h"

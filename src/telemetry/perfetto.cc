@@ -127,8 +127,6 @@ void
 PerfettoExporter::onContextSwitch(int core, os::Task *prev,
                                   os::Task *next)
 {
-    if (!cfg_.trackScheduling)
-        return;
     sim::SimTime now = kernel_.simulation().now();
     if (prev != nullptr)
         closeSlice(core, now);
@@ -146,8 +144,6 @@ PerfettoExporter::onContextRebind(os::Task &task,
                                   os::RequestId old_ctx,
                                   os::RequestId new_ctx)
 {
-    if (!cfg_.trackRebinds)
-        return;
     (void)old_ctx;
     Event e;
     e.phase = Event::Phase::Instant;
@@ -162,7 +158,7 @@ PerfettoExporter::onContextRebind(os::Task &task,
     ++instants_;
     // A rebind of the running task also splits its slice so the new
     // binding is visible on the core track.
-    if (cfg_.trackScheduling && task.core >= 0) {
+    if (task.core >= 0) {
         OpenSlice &slice = open_[static_cast<std::size_t>(task.core)];
         if (slice.open && slice.name == task.name) {
             sim::SimTime now = kernel_.simulation().now();
@@ -180,8 +176,6 @@ PerfettoExporter::onIoComplete(hw::DeviceKind device,
                                os::RequestId context,
                                sim::SimTime busy_time, double bytes)
 {
-    if (!cfg_.trackIo)
-        return;
     (void)busy_time;
     Event e;
     e.phase = Event::Phase::Instant;
@@ -199,8 +193,6 @@ PerfettoExporter::onIoComplete(hw::DeviceKind device,
 void
 PerfettoExporter::onActuation(int core, int duty_level, int pstate)
 {
-    if (!cfg_.trackActuations)
-        return;
     std::string base = "core" + std::to_string(core);
     Event duty;
     duty.phase = Event::Phase::Counter;

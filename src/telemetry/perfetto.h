@@ -45,17 +45,9 @@
 namespace pcon {
 namespace telemetry {
 
-/** Which event families the exporter records. */
+/** Exporter limits. Every event family is always recorded. */
 struct PerfettoConfig
 {
-    /** Per-core task scheduling slices. */
-    bool trackScheduling = true;
-    /** Request-context rebind instants. */
-    bool trackRebinds = true;
-    /** Device I/O completion instants. */
-    bool trackIo = true;
-    /** Duty/P-state counter tracks. */
-    bool trackActuations = true;
     /** Event cap; recording stops silently past it (0 = unbounded). */
     std::size_t maxEvents = 1 << 22;
 };

@@ -14,6 +14,7 @@
 #define PCON_TRACE_SPAN_H
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
 #include <vector>
@@ -21,7 +22,6 @@
 #include "os/request_context.h"
 #include "sim/time.h"
 #include "util/logging.h"
-#include "util/slab_arena.h"
 #include "util/units.h"
 
 namespace pcon {
@@ -146,9 +146,9 @@ struct Span
  * ids; everything is deterministic (dense ids in open order, ordered
  * maps).
  *
- * Span nodes live in an arena-backed util::ChunkedVector: growth
- * appends whole chunks and never moves existing nodes, so a reference
- * returned by span() stays valid for the collector's lifetime.
+ * Spans live in a std::deque: push_back never moves an existing
+ * element, so a reference returned by span() stays valid for the
+ * collector's lifetime.
  *
  * Per-request queries (rootOf, requestSpans, requests, requestEnergyJ,
  * machineEnergyJ, criticalPath) read one ordered entry per request —
@@ -195,9 +195,9 @@ class SpanCollector
         return spans_[static_cast<std::size_t>(id) - 1];
     }
 
-    /** All spans, id order (id = index + 1). Chunked storage:
-     * iterate with range-for; element addresses are stable. */
-    const util::ChunkedVector<Span> &spans() const { return spans_; }
+    /** All spans, id order (id = index + 1); element addresses are
+     * stable. */
+    const std::deque<Span> &spans() const { return spans_; }
 
     /** Recorded span count. */
     std::size_t size() const { return spans_.size(); }
@@ -268,8 +268,8 @@ class SpanCollector
      * changing anything. */
     void indexSpan(const Span &span);
 
-    /** Arena-chunked so node addresses never move (see class doc). */
-    util::ChunkedVector<Span> spans_;
+    /** A deque so span addresses never move (see class doc). */
+    std::deque<Span> spans_;
     std::map<os::RequestId, RequestEntry> requests_;
     /** Distinct machines of the recorded spans, ascending. */
     std::vector<int> machines_;

@@ -8,13 +8,14 @@
  */
 
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/anomaly.h"
 #include "core/conditioning.h"
 #include "core/energy_quota.h"
-#include "core/trace.h"
+#include "trace/span_tracer.h"
 #include "workloads/apps.h"
 #include "workloads/client.h"
 #include "workloads/experiment.h"
@@ -86,7 +87,8 @@ TEST(FullPipeline, AllFacilitiesComposeOnGaeHybrid)
     conditioner.install();
     conditioner.enable();
 
-    core::RequestTracer tracer(world.kernel(), world.manager());
+    trace::SpanCollector spans;
+    trace::SpanTracer tracer(world.kernel(), world.manager(), spans, 0);
     world.kernel().addHooks(&tracer);
 
     core::AnomalyDetectorConfig det_cfg;
@@ -117,14 +119,19 @@ TEST(FullPipeline, AllFacilitiesComposeOnGaeHybrid)
     world.run(sec(4));
     client.stop();
 
-    // 1. The virus completed, is in the records, and was traced.
-    bool virus_completed = false;
+    // 1. The virus completed, is in the records, and was traced:
+    // its spans are closed and partition its ledger.
+    const core::RequestRecord *virus_record = nullptr;
     for (const core::RequestRecord &r : world.manager().records())
-        virus_completed |= r.id == virus;
-    ASSERT_TRUE(virus_completed);
-    EXPECT_FALSE(tracer.events(virus).empty());
-    EXPECT_EQ(tracer.events(virus).back().kind,
-              core::TraceEvent::Kind::Completed);
+        if (r.id == virus)
+            virus_record = &r;
+    ASSERT_NE(virus_record, nullptr);
+    std::vector<trace::SpanId> virus_spans = spans.requestSpans(virus);
+    ASSERT_FALSE(virus_spans.empty());
+    for (trace::SpanId id : virus_spans)
+        EXPECT_FALSE(spans.span(id).open) << "span " << id;
+    EXPECT_NEAR(spans.requestEnergyJ(virus).value(),
+                virus_record->totalEnergyJ().value(), 1e-9);
 
     // 2. The detector flagged it (and only power-hungry requests).
     std::vector<core::PowerAnomaly> anomalies = detector.scan();

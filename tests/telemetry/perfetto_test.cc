@@ -326,19 +326,15 @@ TEST(PerfettoExporter, GoldenTraceIsByteIdenticalAcrossRuns)
     EXPECT_EQ(w1.runGolden(), w2.runGolden());
 }
 
-TEST(PerfettoExporter, ConfigGatesEventFamilies)
+TEST(PerfettoExporter, TraceWithoutEventsStillParses)
 {
-    PerfettoConfig cfg;
-    cfg.trackScheduling = false;
-    cfg.trackRebinds = false;
-    cfg.trackIo = false;
-    cfg.trackActuations = false;
+    // The exporter is never registered as hooks, so it sees no
+    // event while the workload runs.
     sim::Simulation sim;
     hw::Machine machine(sim, PerfettoWorld::config());
     os::RequestContextManager requests;
     os::Kernel kernel(machine, requests);
-    PerfettoExporter exporter(kernel, cfg);
-    kernel.addHooks(&exporter);
+    PerfettoExporter exporter(kernel);
     RequestId r = requests.create("r", sim.now());
     kernel.spawn(PerfettoWorld::forkAndIo(), "t", r, 0);
     sim.schedule(msec(1), [&] { kernel.setDutyLevel(0, 2); });

@@ -65,6 +65,29 @@ TEST(SpanCollector, ChargeAndIoBytesAccumulate)
     EXPECT_DOUBLE_EQ(span.avgPowerW().value(), 0.75 / 2e-3);
 }
 
+TEST(SpanCollector, SpanReferencesSurviveGrowth)
+{
+    // Tracers and observers hold span() references while later
+    // open()s grow the store; growth must never move a span.
+    SpanCollector c;
+    SpanId first = c.open(1, 2, "req", SpanKind::Root, NoSpan, msec(1));
+    c.charge(first, util::Joules(0.5), 1e6, util::Cycles(3e6), 4e6);
+    const Span &held = c.span(first);
+    const Span *address = &held;
+    for (int i = 0; i < 5000; ++i)
+        c.open(1, 0, "stage", SpanKind::Stage, first, msec(2));
+    EXPECT_EQ(c.size(), 5001u);
+    EXPECT_EQ(&c.span(first), address);
+    EXPECT_EQ(held.id, first);
+    EXPECT_EQ(held.request, 1u);
+    EXPECT_EQ(held.machine, 2);
+    EXPECT_EQ(held.name, "req");
+    EXPECT_EQ(held.kind, SpanKind::Root);
+    EXPECT_EQ(held.openedAt, msec(1));
+    EXPECT_DOUBLE_EQ(held.energyJ.value(), 0.5);
+    EXPECT_DOUBLE_EQ(held.instructions, 4e6);
+}
+
 TEST(SpanCollector, ReparentRewiresTheCausalEdge)
 {
     SpanCollector c;

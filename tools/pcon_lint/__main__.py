@@ -7,7 +7,7 @@ Usage:
 
 Runs the project's static-analysis rules (layering, units,
 hook-order, determinism, concurrency-primitives, bench-timing,
-arena-nodes, unordered-iteration, pointer-order, wall-clock) over the
+unordered-iteration, pointer-order, wall-clock) over the
 repository and reports findings as ``path:line: [rule] message``
 lines, as a JSON document with ``--json`` (used by CI to upload an
 artifact), or as SARIF 2.1.0 with ``--sarif FILE`` (uploaded to
@@ -42,7 +42,6 @@ from engine import (
     report_json,
     run_rules_with_stale,
 )
-from rules_arena import ArenaNodesRule
 from rules_bench_timing import BenchTimingRule
 from rules_concurrency import ConcurrencyPrimitivesRule
 from rules_determinism import DeterminismRule
@@ -63,7 +62,6 @@ def default_rules():
         DeterminismRule(),
         ConcurrencyPrimitivesRule(),
         BenchTimingRule(),
-        ArenaNodesRule(),
         UnorderedIterationRule(),
         PointerOrderRule(),
         WallClockRule(),
