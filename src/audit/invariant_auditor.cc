@@ -12,21 +12,16 @@ using util::panic;
 
 namespace {
 
+/** Relative tolerance of the attribution-sum check. */
+constexpr double kAttributionRelTol = 0.05;
+/** Absolute slack of the attribution-sum check, Joules. */
+constexpr double kAttributionSlackJ = 0.5;
+
 /** Finite and not NaN. */
 bool
 finite(double x)
 {
     return std::isfinite(x);
-}
-
-/** Sum of attributed energy over a manager's completed records. */
-util::Joules
-recordEnergyJ(const core::ContainerManager &manager)
-{
-    util::Joules total{0};
-    for (const core::RequestRecord &r : manager.records())
-        total += r.totalEnergyJ();
-    return total;
 }
 
 } // namespace
@@ -62,9 +57,6 @@ InvariantAuditor::watch(core::ContainerManager &manager)
     state.baseAccountedJ = manager.accountedEnergyJ().value();
     state.baseMachineJ = kernel_.machine().machineEnergyJ().value();
     state.baseTime = kernel_.simulation().now();
-    state.lastRecordCount = manager.records().size();
-    state.clearedRecordEnergyJ = util::Joules{0};
-    state.lastRecordEnergyJ = recordEnergyJ(manager);
     managers_.push_back(state);
     watchModel(manager.model());
 }
@@ -83,15 +75,11 @@ InvariantAuditor::audit(sim::SimTime now)
 {
     try {
         checkClockMonotone(now);
-        if (cfg_.checkCounters)
-            checkCounterInvariants();
-        if (cfg_.checkActuators)
-            checkActuatorBounds();
-        if (cfg_.checkEnergy)
-            checkEnergyAccounts();
-        if (cfg_.checkModel)
-            checkModels();
-        for (ManagerState &state : managers_)
+        checkCounterInvariants();
+        checkActuatorBounds();
+        checkEnergyAccounts();
+        checkModels();
+        for (const ManagerState &state : managers_)
             checkManager(state);
     } catch (const util::PanicError &) {
         // Count the violation (telemetry) and re-raise: catching is
@@ -217,7 +205,7 @@ InvariantAuditor::checkModels()
 }
 
 void
-InvariantAuditor::checkManager(ManagerState &state)
+InvariantAuditor::checkManager(const ManagerState &state)
 {
     core::ContainerManager &manager = *state.manager;
     double accounted = manager.accountedEnergyJ().value();
@@ -248,49 +236,34 @@ InvariantAuditor::checkManager(ManagerState &state)
         live_j += entry.second->totalEnergyJ().value();
     }
 
-    // Track completed-record energy across clearRecords() resets so
-    // the attribution sum stays comparable to the monotone
-    // accountedEnergyJ counter.
-    util::Joules record_j = recordEnergyJ(manager);
-    if (manager.records().size() < state.lastRecordCount)
-        state.clearedRecordEnergyJ +=
-            state.lastRecordEnergyJ - record_j;
-    state.lastRecordCount = manager.records().size();
-    state.lastRecordEnergyJ = record_j;
+    // Completed-record energy is a running total, so the sum stays
+    // comparable to the monotone accountedEnergyJ counter across
+    // clearRecords() resets.
+    double completed_j = manager.completedEnergyJ().value();
+    double sum = live_j + completed_j;
+    double attribution_slack = kAttributionSlackJ +
+        kAttributionRelTol * std::max(std::abs(accounted), std::abs(sum));
+    if (std::abs(accounted - sum) > attribution_slack)
+        panic("invariant 'container-energy-conservation' "
+              "violated: accounted ",
+              accounted, " J but containers hold ", sum,
+              " J (live+background ", live_j, " J, completed ",
+              completed_j, " J)");
 
-    if (cfg_.checkAttribution) {
-        double sum = live_j + record_j.value() +
-            state.clearedRecordEnergyJ.value();
-        double slack = cfg_.attributionSlackJ +
-            cfg_.attributionRelTol *
-                std::max(std::abs(accounted), std::abs(sum));
-        if (std::abs(accounted - sum) > slack)
-            panic("invariant 'container-energy-conservation' "
-                  "violated: accounted ",
-                  accounted, " J but containers hold ", sum,
-                  " J (live+background ", live_j, " J, records ",
-                  record_j, " J, cleared ", state.clearedRecordEnergyJ,
-                  " J)");
-    }
-
-    if (cfg_.checkConservation) {
-        hw::Machine &machine = kernel_.machine();
-        double machine_j =
-            machine.machineEnergyJ().value() - state.baseMachineJ;
-        double idle_j = machine.config().truth.machineIdleW *
-            sim::toSeconds(kernel_.simulation().now() -
-                           state.baseTime);
-        double active_j = machine_j - idle_j;
-        double accounted_j = accounted - state.baseAccountedJ;
-        double slack = cfg_.conservationSlackJ +
-            cfg_.conservationRelTol * std::max(active_j, 0.0);
-        if (std::abs(accounted_j - active_j) > slack)
-            panic("invariant 'chip-energy-conservation' violated: "
-                  "containers accounted ",
-                  accounted_j, " J but the machine measured ",
-                  active_j, " J of active energy (tolerance ", slack,
-                  " J)");
-    }
+    hw::Machine &machine = kernel_.machine();
+    double machine_j =
+        machine.machineEnergyJ().value() - state.baseMachineJ;
+    double idle_j = machine.config().truth.machineIdleW *
+        sim::toSeconds(kernel_.simulation().now() - state.baseTime);
+    double active_j = machine_j - idle_j;
+    double accounted_j = accounted - state.baseAccountedJ;
+    double slack = cfg_.conservationSlackJ +
+        cfg_.conservationRelTol * std::max(active_j, 0.0);
+    if (std::abs(accounted_j - active_j) > slack)
+        panic("invariant 'chip-energy-conservation' violated: "
+              "containers accounted ",
+              accounted_j, " J but the machine measured ", active_j,
+              " J of active energy (tolerance ", slack, " J)");
 }
 
 } // namespace audit

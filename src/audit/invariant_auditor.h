@@ -29,39 +29,26 @@
 namespace pcon {
 namespace audit {
 
-/** Which invariants run and with how much tolerance. */
+/**
+ * Audit cadence and the conservation check's tolerance. Every check
+ * always runs: counters (monotone, non-halt <= elapsed), actuator
+ * bounds, machine/package energy (monotone, finite), watched models
+ * (coefficients finite and non-negative), and for watched managers
+ * the attribution sum and energy conservation.
+ */
 struct InvariantAuditorConfig
 {
     /** Event cadence of periodic checks (passed to addAuditor). */
     std::uint64_t everyEvents = 4096;
-    /** Per-core counter monotonicity and nonhalt <= elapsed. */
-    bool checkCounters = true;
-    /** Duty-cycle level and P-state within hardware bounds. */
-    bool checkActuators = true;
-    /** Machine/package energy monotone and finite. */
-    bool checkEnergy = true;
-    /** Watched models: coefficients finite and non-negative. */
-    bool checkModel = true;
     /**
-     * Watched managers: sum of per-container energies matches
-     * accountedEnergyJ (internal attribution bookkeeping).
+     * Relative tolerance of the conservation check: accounted energy
+     * tracks the machine's measured active energy (Equations 1-3).
+     * Loose by default for approximate models; tighten it when the
+     * model is near-exact.
      */
-    bool checkAttribution = true;
-    /**
-     * Watched managers: accounted energy tracks the machine's
-     * measured active energy (Equations 1-3 conservation). Only
-     * meaningful when the model is near-exact; relax or disable the
-     * tolerance when auditing a deliberately coarse model.
-     */
-    bool checkConservation = true;
-    /** Relative tolerance of the conservation check. */
     double conservationRelTol = 0.25;
     /** Absolute slack of the conservation check, Joules. */
     double conservationSlackJ = 1.0;
-    /** Relative tolerance of the attribution-sum check. */
-    double attributionRelTol = 0.05;
-    /** Absolute slack of the attribution-sum check, Joules. */
-    double attributionSlackJ = 0.5;
 };
 
 /**
@@ -75,7 +62,7 @@ class InvariantAuditor : public sim::Auditor
   public:
     /**
      * @param kernel Kernel whose machine and actuators are audited.
-     * @param cfg Check selection and tolerances.
+     * @param cfg Audit cadence and conservation tolerance.
      */
     explicit InvariantAuditor(os::Kernel &kernel,
                               const InvariantAuditorConfig &cfg = {});
@@ -97,7 +84,7 @@ class InvariantAuditor : public sim::Auditor
     // --- sim::Auditor ---
     void audit(sim::SimTime now) override;
 
-    /** Run every enabled check immediately (tests, breakpoints). */
+    /** Run every check immediately (tests, breakpoints). */
     void checkNow();
 
     /** Number of audit passes performed so far. */
@@ -120,12 +107,6 @@ class InvariantAuditor : public sim::Auditor
         double baseMachineJ;
         /** Time of the watch() baseline. */
         sim::SimTime baseTime;
-        /** Completed-record count at the last audit (reset detect). */
-        std::size_t lastRecordCount;
-        /** Record energy dropped by clearRecords() so far. */
-        util::Joules clearedRecordEnergyJ{0};
-        /** Record energy at the last audit. */
-        util::Joules lastRecordEnergyJ{0};
     };
 
     void checkClockMonotone(sim::SimTime now);
@@ -133,7 +114,7 @@ class InvariantAuditor : public sim::Auditor
     void checkActuatorBounds();
     void checkEnergyAccounts();
     void checkModels();
-    void checkManager(ManagerState &state);
+    void checkManager(const ManagerState &state);
 
     os::Kernel &kernel_;
     InvariantAuditorConfig cfg_;

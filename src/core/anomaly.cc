@@ -55,8 +55,16 @@ PowerAnomalyDetector::scan()
         fleet_.add(r.meanPowerW.value());
     }
 
-    // Live requests: catch a virus while it still runs.
-    for (const auto &[id, container] : manager_.live()) {
+    // Live requests: catch a virus while it still runs. Sorted id
+    // order: live() is an unordered map, and callers journal the
+    // detections in the order returned.
+    std::vector<os::RequestId> ids;
+    ids.reserve(manager_.live().size());
+    for (const auto &kv : manager_.live())
+        ids.push_back(kv.first);
+    std::sort(ids.begin(), ids.end());
+    for (os::RequestId id : ids) {
+        const PowerContainer *container = manager_.container(id);
         if (container->cpuTimeNs() < cfg_.minCpuTimeNs)
             continue;
         util::Watts mean = container->meanPowerW();

@@ -7,16 +7,10 @@
  * single-threaded, so it needs neither: the ContainerManager creates
  * and retires each container explicitly.
  *
- * Layout (ISSUE 8 hot-path pass): the mutable ledger lives in a
- * LedgerStore — a structure-of-arrays keyed by slot, one column per
- * field — so the per-slice attribution loop walks contiguous memory
- * instead of pointer-chasing heap-scattered objects. PowerContainer
- * is the handle: it owns a slot for its lifetime and carries only the
- * cold identity fields (request id, type) inline. All
- * reads go through accessors; all writes go through the charge
- * methods the accounting engine uses, which keeps the floating-point
- * accumulation order identical to the old AoS layout (the golden
- * ledger fingerprints pin this byte-for-byte).
+ * The ledger fields are private: reads go through accessors and
+ * writes through the charge methods the accounting engine uses, so
+ * every window is folded in one fixed floating-point accumulation
+ * order (the golden ledger fingerprints pin it byte-for-byte).
  */
 
 #ifndef PCON_CORE_CONTAINER_H
@@ -24,7 +18,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "hw/counters.h"
 #include "os/request_context.h"
@@ -34,86 +27,18 @@
 namespace pcon {
 namespace core {
 
-class PowerContainer;
-
-/**
- * Structure-of-arrays backing store for container ledgers. One
- * column per ledger field, indexed by slot; slots are recycled
- * through a free list when a container dies. Owned by the
- * ContainerManager (one store per kernel); the store must outlive
- * every PowerContainer carved from it.
- */
-class LedgerStore
-{
-  public:
-    LedgerStore() = default;
-    LedgerStore(const LedgerStore &) = delete;
-    LedgerStore &operator=(const LedgerStore &) = delete;
-
-  private:
-    friend class PowerContainer;
-
-    /** Hand out a zeroed row, recycling freed slots first. */
-    std::uint32_t
-    acquire()
-    {
-        if (!freeSlots_.empty()) {
-            std::uint32_t slot = freeSlots_.back();
-            freeSlots_.pop_back();
-            events_[slot] = hw::CounterSnapshot{};
-            cpuEnergyJ_[slot] = util::Joules(0);
-            ioEnergyJ_[slot] = util::Joules(0);
-            cpuTimeNs_[slot] = 0;
-            lastPowerW_[slot] = util::Watts(0);
-            sampleCount_[slot] = 0;
-            return slot;
-        }
-        events_.emplace_back();
-        cpuEnergyJ_.emplace_back(0);
-        ioEnergyJ_.emplace_back(0);
-        cpuTimeNs_.push_back(0);
-        lastPowerW_.emplace_back(0);
-        sampleCount_.push_back(0);
-        return static_cast<std::uint32_t>(events_.size() - 1);
-    }
-
-    void release(std::uint32_t slot) { freeSlots_.push_back(slot); }
-
-    // The SoA columns. util strong types keep the units explicit
-    // while costing nothing over a raw double column.
-    std::vector<hw::CounterSnapshot> events_;
-    std::vector<util::Joules> cpuEnergyJ_;
-    std::vector<util::Joules> ioEnergyJ_;
-    std::vector<double> cpuTimeNs_;
-    std::vector<util::Watts> lastPowerW_;
-    std::vector<std::uint64_t> sampleCount_;
-    std::vector<std::uint32_t> freeSlots_;
-};
-
-/**
- * Accounting handle for one request context: cold identity inline,
- * hot ledger in the owning LedgerStore's columns.
- */
+/** Accounting ledger for one request context. */
 class PowerContainer
 {
   public:
     /**
-     * Carve a slot from `store` for this container's lifetime.
-     * @param store Backing store; must outlive the container.
      * @param id Request this container accounts for (0 = background).
      * @param type Request type tag copied from the context manager.
      */
-    PowerContainer(LedgerStore &store, os::RequestId id,
-                   std::string type)
-        : store_(&store), slot_(store.acquire()), id_(id),
-          type_(std::move(type))
+    PowerContainer(os::RequestId id, std::string type)
+        : id_(id), type_(std::move(type))
     {
     }
-
-    ~PowerContainer() { store_->release(slot_); }
-
-    PowerContainer(const PowerContainer &) = delete;
-    PowerContainer &operator=(const PowerContainer &) = delete;
 
     /** Request this container accounts for (0 = background). */
     os::RequestId id() const { return id_; }
@@ -122,37 +47,22 @@ class PowerContainer
     const std::string &type() const { return type_; }
 
     /** Cumulative attributed hardware events. */
-    const hw::CounterSnapshot &events() const
-    {
-        return store_->events_[slot_];
-    }
+    const hw::CounterSnapshot &events() const { return events_; }
 
     /** Modeled CPU/memory active energy attributed so far. */
-    util::Joules cpuEnergyJ() const
-    {
-        return store_->cpuEnergyJ_[slot_];
-    }
+    util::Joules cpuEnergyJ() const { return cpuEnergyJ_; }
 
     /** Device (disk/NIC) energy attributed so far. */
-    util::Joules ioEnergyJ() const
-    {
-        return store_->ioEnergyJ_[slot_];
-    }
+    util::Joules ioEnergyJ() const { return ioEnergyJ_; }
 
     /** Cumulative on-CPU (non-halt) time, nanoseconds. */
-    double cpuTimeNs() const { return store_->cpuTimeNs_[slot_]; }
+    double cpuTimeNs() const { return cpuTimeNs_; }
 
     /** Most recent modeled power while executing. */
-    util::Watts lastPowerW() const
-    {
-        return store_->lastPowerW_[slot_];
-    }
+    util::Watts lastPowerW() const { return lastPowerW_; }
 
     /** Number of attribution samples folded in. */
-    std::uint64_t sampleCount() const
-    {
-        return store_->sampleCount_[slot_];
-    }
+    std::uint64_t sampleCount() const { return sampleCount_; }
 
     /** Total attributed energy (CPU + devices). */
     util::Joules totalEnergyJ() const
@@ -178,32 +88,32 @@ class PowerContainer
     /**
      * Fold one closed attribution window into the ledger: modeled
      * energy, on-CPU time, the counter delta, and the window's power
-     * estimate. Accumulation order matches the old field-by-field
-     * writes exactly.
+     * estimate.
      */
     void
     chargeCpuWindow(util::Joules energy, double cpu_ns,
                     const hw::CounterSnapshot &delta,
                     util::Watts power)
     {
-        store_->cpuEnergyJ_[slot_] += energy;
-        store_->cpuTimeNs_[slot_] += cpu_ns;
-        store_->events_[slot_].accumulate(delta);
-        store_->lastPowerW_[slot_] = power;
-        ++store_->sampleCount_[slot_];
+        cpuEnergyJ_ += energy;
+        cpuTimeNs_ += cpu_ns;
+        events_.accumulate(delta);
+        lastPowerW_ = power;
+        ++sampleCount_;
     }
 
     /** Attribute device (disk/NIC) energy from an I/O completion. */
-    void chargeIo(util::Joules energy)
-    {
-        store_->ioEnergyJ_[slot_] += energy;
-    }
+    void chargeIo(util::Joules energy) { ioEnergyJ_ += energy; }
 
   private:
-    LedgerStore *store_;
-    std::uint32_t slot_;
     os::RequestId id_ = os::NoRequest;
     std::string type_;
+    hw::CounterSnapshot events_{};
+    util::Joules cpuEnergyJ_{0};
+    util::Joules ioEnergyJ_{0};
+    double cpuTimeNs_ = 0;
+    util::Watts lastPowerW_{0};
+    std::uint64_t sampleCount_ = 0;
 };
 
 /**

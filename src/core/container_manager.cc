@@ -16,14 +16,12 @@ ContainerManager::ContainerManager(
       cores_(static_cast<std::size_t>(kernel.machine().totalCores()))
 {
     util::fatalIf(!model_, "ContainerManager needs a model");
-    background_ = std::make_shared<PowerContainer>(
-        ledgers_, os::NoRequest, "background");
+    background_ =
+        std::make_shared<PowerContainer>(os::NoRequest, "background");
 
     sim::SimTime now = kernel_.simulation().now();
-    // One batched read seeds every core's window boundary.
-    kernel_.machine().readCountersBatch(batchSnapshots_);
     for (int c = 0; c < kernel_.machine().totalCores(); ++c) {
-        cores_[c].lastSnapshot = batchSnapshots_[c];
+        cores_[c].lastSnapshot = kernel_.machine().readCounters(c);
         cores_[c].windowStart = now;
         cores_[c].recentUtilTime = now;
     }
@@ -221,9 +219,8 @@ ContainerManager::chipShare(int core, double my_util)
 void
 ContainerManager::requestCreated(const os::RequestInfo &info)
 {
-    containers_.emplace(info.id,
-                        std::make_shared<PowerContainer>(
-                            ledgers_, info.id, info.type));
+    containers_.emplace(
+        info.id, std::make_shared<PowerContainer>(info.id, info.type));
 }
 
 void
@@ -249,6 +246,7 @@ ContainerManager::requestCompleted(const os::RequestInfo &info)
     record.ioEnergyJ = c.ioEnergyJ();
     record.cpuTimeNs = c.cpuTimeNs();
     record.meanPowerW = c.meanPowerW();
+    completedEnergyJ_ += record.totalEnergyJ();
     records_.push_back(record);
     // Release the container state; any core still mid-window holds a
     // shared_ptr and finishes its attribution safely.

@@ -116,6 +116,12 @@ class ContainerManager : public os::KernelHooks
     void clearRecords() { records_.clear(); }
 
     /**
+     * Total energy of every request completed so far: a running sum
+     * of the records' totalEnergyJ(), not reset by clearRecords().
+     */
+    util::Joules completedEnergyJ() const { return completedEnergyJ_; }
+
+    /**
      * Total energy attributed to any container so far (requests +
      * background + I/O) — the numerator of the Figure 8 validation.
      */
@@ -165,19 +171,12 @@ class ContainerManager : public os::KernelHooks
     os::Kernel &kernel_;
     std::shared_ptr<LinearPowerModel> model_;
     ContainerManagerConfig cfg_;
-    /**
-     * SoA ledger columns for every container this manager owns.
-     * Declared before any shared_ptr<PowerContainer> member so the
-     * store outlives all handles during destruction.
-     */
-    LedgerStore ledgers_;
-    /** Scratch for Machine::readCountersBatch (avoids reallocs). */
-    std::vector<hw::CounterSnapshot> batchSnapshots_;
     std::vector<CoreAccounting> cores_;
     std::unordered_map<os::RequestId, std::shared_ptr<PowerContainer>>
         containers_;
     std::shared_ptr<PowerContainer> background_;
     std::vector<RequestRecord> records_;
+    util::Joules completedEnergyJ_{0};
     util::Joules accountedEnergyJ_{0};
     std::uint64_t maintenanceOps_ = 0;
 };

@@ -165,18 +165,6 @@ Machine::readCounters(int core)
 }
 
 void
-Machine::readCountersBatch(std::vector<CounterSnapshot> &out)
-{
-    sync();
-    out.resize(cores_.size());
-    for (std::size_t core = 0; core < cores_.size(); ++core) {
-        out[core] = cores_[core].counters;
-        if (counterFaultHook_)
-            counterFaultHook_(static_cast<int>(core), out[core]);
-    }
-}
-
-void
 Machine::setCounterFaultHook(CounterFaultHook fn)
 {
     counterFaultHook_ = std::move(fn);

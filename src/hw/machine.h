@@ -113,15 +113,6 @@ class Machine
     CounterSnapshot readCounters(int core);
 
     /**
-     * Read every core's counters in one pass: a single sync, then
-     * one snapshot (and one fault-hook application, exactly as
-     * readCounters would) per core. `out` is resized to totalCores().
-     * The per-slice sampling path in core/container_manager uses
-     * this so one synchronization services all containers.
-     */
-    void readCountersBatch(std::vector<CounterSnapshot> &out);
-
-    /**
      * Rewrites the snapshot readCounters() reports for a core (fault
      * injection: stuck-at or saturated counters). Operates on the
      * returned copy only — ground-truth counters and energy are

@@ -5,45 +5,13 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace pcon {
 namespace obs {
 
 namespace {
-
-/** JSON string escaping for what/detail fields. */
-std::string
-jsonEscape(const char *s)
-{
-    std::string out;
-    for (const char *p = s; *p != '\0'; ++p) {
-        char c = *p;
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 std::string
 fmt(const char *format, double v)
@@ -137,8 +105,8 @@ Journal::jsonl() const
             << ",\"kind\":\"" << recordKindName(r.kind)
             << "\",\"severity\":\"" << severityName(r.severity)
             << "\",\"container\":" << r.container << ",\"request\":"
-            << r.request << ",\"what\":\"" << jsonEscape(r.what)
-            << "\",\"detail\":\"" << jsonEscape(r.detail)
+            << r.request << ",\"what\":\"" << util::jsonEscape(r.what)
+            << "\",\"detail\":\"" << util::jsonEscape(r.detail)
             << "\",\"value\":" << fmt("%.6f", r.value) << "}\n";
     }
     return out.str();

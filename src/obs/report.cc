@@ -5,6 +5,7 @@
 #include <sstream>
 #include <vector>
 
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace pcon {
@@ -31,39 +32,6 @@ std::string
 millis(sim::SimTime t)
 {
     return fmt("%.3f", static_cast<double>(t) * 1e-6);
-}
-
-/** JSON string escaping for span/root names. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 const trace::SpanCollector &
@@ -203,7 +171,7 @@ reportJson(const EnergyIndex &index, const ReportOptions &opts)
         first_req = false;
         RequestRollup r = index.rollup(id);
         out << "{\"request\":" << id << ",\"root\":\""
-            << jsonEscape(r.rootName) << "\",\"spans\":"
+            << util::jsonEscape(r.rootName) << "\",\"spans\":"
             << r.spanCount << ",\"machines\":" << r.machineCount
             << ",\"energy_j\":" << joules(r.energyJ.value())
             << ",\"wall_ms\":" << millis(r.wall);
@@ -220,7 +188,7 @@ reportJson(const EnergyIndex &index, const ReportOptions &opts)
                     << s.parent << ",\"kind\":\""
                     << trace::spanKindName(s.kind) << "\",\"machine\":"
                     << s.machine << ",\"name\":\""
-                    << jsonEscape(s.name) << "\",\"energy_j\":"
+                    << util::jsonEscape(s.name) << "\",\"energy_j\":"
                     << joules(s.energyJ.value())
                     << ",\"avg_power_w\":"
                     << fmt("%.3f", s.avgPowerW().value())
@@ -243,7 +211,7 @@ reportJson(const EnergyIndex &index, const ReportOptions &opts)
                 out << "{\"span\":" << s.id << ",\"kind\":\""
                     << trace::spanKindName(s.kind) << "\",\"machine\":"
                     << s.machine << ",\"name\":\""
-                    << jsonEscape(s.name) << "\",\"open_ms\":"
+                    << util::jsonEscape(s.name) << "\",\"open_ms\":"
                     << millis(s.openedAt) << ",\"close_ms\":"
                     << millis(s.closedAt) << ",\"energy_j\":"
                     << joules(s.energyJ.value()) << "}";
@@ -264,7 +232,7 @@ reportJson(const EnergyIndex &index, const ReportOptions &opts)
             double total = index.requestEnergyJ(id).value();
             double peak = 0;
             out << "{\"request\":" << id << ",\"root\":\""
-                << jsonEscape(index.rootName(id))
+                << util::jsonEscape(index.rootName(id))
                 << "\",\"per_machine_j\":{";
             bool first_m = true;
             for (int m : machines) {

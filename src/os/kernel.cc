@@ -262,7 +262,7 @@ std::size_t
 Kernel::liveTaskCount() const
 {
     std::size_t live = 0;
-    // NOLINT-DETERMINISM(pure count, iteration order irrelevant)
+    // pcon-lint: allow(unordered-iteration) pure count, order irrelevant
     for (const auto &[id, task] : tasks_)
         if (task->state != TaskState::Exited)
             ++live;
@@ -274,7 +274,7 @@ Kernel::liveTaskIds() const
 {
     std::vector<TaskId> ids;
     ids.reserve(tasks_.size());
-    // NOLINT-DETERMINISM(sorted before returning)
+    // pcon-lint: allow(unordered-iteration) sorted before returning
     for (const auto &[id, task] : tasks_)
         if (task->state != TaskState::Exited)
             ids.push_back(id);

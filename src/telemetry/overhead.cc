@@ -1,7 +1,7 @@
 #include "overhead.h"
 
-// NOLINT-DETERMINISM(host-side self-measurement; results feed
-// telemetry histograms only, never simulation state)
+// Host-side self-measurement; results feed telemetry histograms
+// only, never simulation state.
 #include <chrono>
 
 #include <string>
@@ -86,14 +86,14 @@ OverheadProfiler::timed(HookCost &cost, F &&fn)
     // result never alters simulation state.
     calls_->add();
     cost.calls->add();
-    // NOLINT-DETERMINISM(host monotonic clock; telemetry-only)
+    // pcon-lint: allow(wall-clock) host monotonic clock; telemetry-only
     auto start = std::chrono::steady_clock::now();
     fn();
-    // NOLINT-DETERMINISM(host monotonic clock; see above)
+    // pcon-lint: allow(wall-clock) host monotonic clock; see above
     auto end = std::chrono::steady_clock::now();
     double ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end -
-                                                             start)
+        // pcon-lint: allow(wall-clock) the two host reads' difference
+        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
             .count());
     double cycles = ns * cyclesPerNs_;
     cost.cycles->add(

@@ -2,38 +2,17 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "os/task.h"
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace pcon {
 namespace telemetry {
 
 namespace {
-
-/** Shortest round-trippable decimal rendering of a double. */
-std::string
-numJson(double v)
-{
-    char buf[40];
-    // Integral values print plainly ("10", not "1e+01").
-    if (v == static_cast<double>(static_cast<long long>(v)) &&
-        v > -1e15 && v < 1e15) {
-        std::snprintf(buf, sizeof(buf), "%.0f", v);
-        return buf;
-    }
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    for (int prec = 1; prec < 17; ++prec) {
-        char probe[40];
-        std::snprintf(probe, sizeof(probe), "%.*g", prec, v);
-        if (std::strtod(probe, nullptr) == v)
-            return probe;
-    }
-    return buf;
-}
 
 /** Nanoseconds -> trace-event microseconds (3 exact decimals). */
 std::string
@@ -43,32 +22,6 @@ tsJson(sim::SimTime ns)
     std::snprintf(buf, sizeof(buf), "%.3f",
                   static_cast<double>(ns) / 1000.0);
     return buf;
-}
-
-/** JSON string escape (quotes, backslashes, control characters). */
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 constexpr std::int32_t kPidCores = 1;
@@ -394,7 +347,7 @@ PerfettoExporter::json() const
           << pid;
         if (has_tid)
             m << ",\"tid\":" << tid;
-        m << ",\"args\":{\"name\":\"" << escapeJson(name) << "\"}}";
+        m << ",\"args\":{\"name\":\"" << util::jsonEscape(name) << "\"}}";
         emit(m.str());
     };
 
@@ -428,7 +381,7 @@ PerfettoExporter::json() const
 
     for (const Event &e : events_) {
         std::ostringstream obj;
-        obj << "{\"name\":\"" << escapeJson(e.name) << "\"";
+        obj << "{\"name\":\"" << util::jsonEscape(e.name) << "\"";
         switch (e.phase) {
           case Event::Phase::Slice:
             obj << ",\"cat\":\""
@@ -460,7 +413,7 @@ PerfettoExporter::json() const
         }
         if (e.hasArg)
             obj << ",\"args\":{\"" << e.argName
-                << "\":" << numJson(e.argValue) << "}";
+                << "\":" << util::jsonNumber(e.argValue) << "}";
         obj << "}";
         emit(obj.str());
     }

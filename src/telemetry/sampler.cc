@@ -1,42 +1,15 @@
 #include "sampler.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
 
 #include "util/csv.h"
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace pcon {
 namespace telemetry {
-
-namespace {
-
-/** Shortest round-trippable decimal rendering of a double. */
-std::string
-numCell(double v)
-{
-    char buf[40];
-    // Integral values print plainly ("10", not "1e+01").
-    if (v == static_cast<double>(static_cast<long long>(v)) &&
-        v > -1e15 && v < 1e15) {
-        std::snprintf(buf, sizeof(buf), "%.0f", v);
-        return buf;
-    }
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    // Prefer the shortest representation that parses back exactly.
-    for (int prec = 1; prec < 17; ++prec) {
-        char probe[40];
-        std::snprintf(probe, sizeof(probe), "%.*g", prec, v);
-        if (std::strtod(probe, nullptr) == v)
-            return probe;
-    }
-    return buf;
-}
-
-} // namespace
 
 Sampler::Sampler(sim::Simulation &sim, Registry &registry,
                  const SamplerConfig &cfg)
@@ -145,9 +118,9 @@ Sampler::writeCsv(const std::string &path) const
 
     for (const Snapshot &snap : snapshots_) {
         std::vector<std::string> row(columns.size() + 1);
-        row[0] = numCell(sim::toMillis(snap.time));
+        row[0] = util::jsonNumber(sim::toMillis(snap.time));
         for (const auto &kv : snap.values)
-            row[columns.at(kv.first) + 1] = numCell(kv.second);
+            row[columns.at(kv.first) + 1] = util::jsonNumber(kv.second);
         csv.writeRow(row);
     }
 }
@@ -156,14 +129,14 @@ std::string
 Sampler::json() const
 {
     std::ostringstream out;
-    out << "{\"period_ms\":" << numCell(sim::toMillis(cfg_.period))
+    out << "{\"period_ms\":" << util::jsonNumber(sim::toMillis(cfg_.period))
         << ",\"snapshots\":[";
     bool first_snap = true;
     for (const Snapshot &snap : snapshots_) {
         if (!first_snap)
             out << ",";
         first_snap = false;
-        out << "{\"t_ms\":" << numCell(sim::toMillis(snap.time))
+        out << "{\"t_ms\":" << util::jsonNumber(sim::toMillis(snap.time))
             << ",\"values\":{";
         bool first_val = true;
         for (const auto &kv : snap.values) {
@@ -171,7 +144,7 @@ Sampler::json() const
                 out << ",";
             first_val = false;
             // Metric names obey [a-z0-9_.]+, so no escaping needed.
-            out << "\"" << kv.first << "\":" << numCell(kv.second);
+            out << "\"" << kv.first << "\":" << util::jsonNumber(kv.second);
         }
         out << "}}";
     }

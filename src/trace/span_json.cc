@@ -1,65 +1,19 @@
 #include "span_json.h"
 
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace pcon {
 namespace trace {
 
 namespace {
-
-/** Shortest round-trippable decimal rendering of a double. */
-std::string
-numJson(double v)
-{
-    char buf[40];
-    if (v == static_cast<double>(static_cast<long long>(v)) &&
-        v > -1e15 && v < 1e15) {
-        std::snprintf(buf, sizeof(buf), "%.0f", v);
-        return buf;
-    }
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    for (int prec = 1; prec < 17; ++prec) {
-        char probe[40];
-        std::snprintf(probe, sizeof(probe), "%.*g", prec, v);
-        if (std::strtod(probe, nullptr) == v)
-            return probe;
-    }
-    return buf;
-}
-
-/** JSON string escape (quotes, backslashes, control characters). */
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /** Minimal recursive-descent parser over the dump schema. */
 class Parser
@@ -360,14 +314,14 @@ renderSpanJson(const SpanCollector &collector)
             << ",\"request\":" << s.request
             << ",\"machine\":" << s.machine << ",\"kind\":\""
             << spanKindName(s.kind) << "\",\"name\":\""
-            << escapeJson(s.name) << "\",\"opened_ns\":" << s.openedAt
+            << util::jsonEscape(s.name) << "\",\"opened_ns\":" << s.openedAt
             << ",\"closed_ns\":" << s.closedAt << ",\"open\":"
             << (s.open ? "true" : "false")
-            << ",\"energy_j\":" << numJson(s.energyJ.value())
-            << ",\"cpu_time_ns\":" << numJson(s.cpuTimeNs)
-            << ",\"cycles\":" << numJson(s.cycles.value())
-            << ",\"instructions\":" << numJson(s.instructions)
-            << ",\"io_bytes\":" << numJson(s.ioBytes) << "}";
+            << ",\"energy_j\":" << util::jsonNumber(s.energyJ.value())
+            << ",\"cpu_time_ns\":" << util::jsonNumber(s.cpuTimeNs)
+            << ",\"cycles\":" << util::jsonNumber(s.cycles.value())
+            << ",\"instructions\":" << util::jsonNumber(s.instructions)
+            << ",\"io_bytes\":" << util::jsonNumber(s.ioBytes) << "}";
     }
     out << "\n]}\n";
     return out.str();

@@ -221,7 +221,6 @@ TEST(InvariantAuditorTest, MiscalibratedModelBreaksConservation)
     InvariantAuditorConfig cfg;
     cfg.conservationRelTol = 0.10;
     cfg.conservationSlackJ = 0.05;
-    cfg.checkAttribution = true; // still holds: books are consistent
     InvariantAuditor auditor(rig.kernel, cfg);
     auditor.watch(rig.manager);
 
@@ -265,8 +264,15 @@ TEST(InvariantAuditorTest, ClearRecordsDoesNotFalsifyAttribution)
     rig.requests.complete(rig.reqs.front(), rig.sim.now());
     rig.sim.run(sim::msec(150));
     ASSERT_FALSE(rig.manager.records().empty());
+    util::Joules completed{0};
+    for (const core::RequestRecord &r : rig.manager.records())
+        completed += r.totalEnergyJ();
+    EXPECT_EQ(rig.manager.completedEnergyJ().value(), completed.value());
     EXPECT_NO_THROW(auditor.checkNow());
     rig.manager.clearRecords();
+    // The running total the attribution check reads survives the
+    // reset.
+    EXPECT_EQ(rig.manager.completedEnergyJ().value(), completed.value());
     EXPECT_NO_THROW(auditor.checkNow());
     rig.sim.run(sim::msec(200));
     EXPECT_NO_THROW(auditor.checkNow());

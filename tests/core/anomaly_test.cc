@@ -148,6 +148,42 @@ TEST(AnomalyDetector, FlagsLiveVirusMidExecution)
     EXPECT_TRUE(found[0].live);
 }
 
+TEST(AnomalyDetector, LiveAnomaliesComeBackInIdOrder)
+{
+    AnomalyWorld w;
+    AnomalyDetectorConfig cfg;
+    cfg.minBaselineSamples = 20;
+    PowerAnomalyDetector detector(w.manager, cfg);
+    sim::Rng rng(4);
+    for (int i = 0; i < 25; ++i) {
+        ActivityVector act = kNormal;
+        act.ipc = rng.uniform(0.9, 1.1);
+        w.runRequest("normal", act, 3e6);
+    }
+    detector.scan();
+
+    // Two viruses, one per core, both still running at scan time:
+    // live() is a hash map, but detections are journaled in the
+    // order scan() returns them.
+    std::vector<RequestId> viruses;
+    for (int core = 0; core < 2; ++core) {
+        RequestId id = w.requests.create("virus", w.sim.now());
+        auto logic = std::make_shared<ScriptedLogic>(
+            std::vector<ScriptedLogic::Step>{
+                [](os::Kernel &, Task &, const OpResult &) -> Op {
+                    return ComputeOp{kVirus, 1e12};
+                }});
+        w.kernel.spawn(logic, "virus", id, core);
+        viruses.push_back(id);
+    }
+    w.sim.run(w.sim.now() + msec(50));
+    std::vector<PowerAnomaly> found = detector.scan();
+    ASSERT_EQ(found.size(), 2u);
+    EXPECT_EQ(found[0].id, viruses[0]);
+    EXPECT_EQ(found[1].id, viruses[1]);
+    EXPECT_TRUE(found[0].live && found[1].live);
+}
+
 TEST(AnomalyDetector, SilentBeforeBaselineAccumulates)
 {
     AnomalyWorld w;

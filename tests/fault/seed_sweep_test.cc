@@ -154,7 +154,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep,
 /**
  * Cross-build regression: the seeds-401..403 fingerprints are pinned
  * byte-for-byte against a committed fixture, so a hot-path rewrite
- * (event queue, SoA ledgers, span and segment storage) can never
+ * (event queue, container ledgers, span and segment storage) can never
  * silently drift attribution. Together with the golden trace /
  * flamegraph / span-dump fixtures this locks the observable output
  * of the whole pipeline across optimization PRs. Regenerate with

@@ -1,5 +1,5 @@
-// Iterating an unordered container with observable writes in the
-// body: hash order reaches the journal. Must be reported.
+// Iterating an unordered container: hash order reaches the journal.
+// Must be reported.
 #include <unordered_map>
 
 namespace pcon::core {
@@ -13,7 +13,8 @@ void flushAll(Journal &journal)
     }
 }
 
-// Aggregation only: order-independent, no finding.
+// Aggregation only, yet reported too: the rule does not read loop
+// bodies, so an order-insensitive walk takes a justified allow().
 long totalEnergy()
 {
     long sum = 0;

@@ -164,9 +164,9 @@ TEST(Registry, InvalidMetricNamesAreRejected)
     EXPECT_FALSE(Registry::validName("kernel switches"));
     EXPECT_FALSE(Registry::validName("kernel-switches"));
     Registry r;
-    // NOLINT-DETERMINISM(deliberately invalid name under test)
+    // pcon-lint: allow(determinism) deliberately invalid name under test
     EXPECT_THROW(r.counter("BadName"), util::FatalError);
-    // NOLINT-DETERMINISM(deliberately invalid name under test)
+    // pcon-lint: allow(determinism) deliberately invalid name under test
     EXPECT_THROW(r.gauge("no spaces"), util::FatalError);
 }
 

@@ -1,20 +1,20 @@
 """pcon-lint command line.
 
 Usage:
-  python3 tools/pcon_lint [--root REPO] [--rules a,b] [--json]
-                          [--selftest] [--list-rules] [--strict]
-                          [--sarif FILE] [--check-inventory FILE]
+  python3 tools/pcon_lint [--root REPO] [--rules a,b] [--selftest]
+                          [--list-rules] [--strict] [--sarif FILE]
+                          [--check-inventory FILE]
 
 Runs the project's static-analysis rules (layering, units,
-hook-order, determinism, concurrency-primitives, bench-timing,
-unordered-iteration, pointer-order, wall-clock) over the
-repository and reports findings as ``path:line: [rule] message``
-lines, as a JSON document with ``--json`` (used by CI to upload an
-artifact), or as SARIF 2.1.0 with ``--sarif FILE`` (uploaded to
-GitHub code scanning). ``--selftest`` first exercises the shared
-engine (comment/string/raw-string blanking, suppressions) and every
-selected rule against its embedded synthetic violations — proving
-each rule still fails where it must — and then scans the real tree.
+hook-order, determinism, concurrency-primitives,
+unordered-iteration, pointer-order, wall-clock) over the repository
+and reports findings as ``path:line: [rule] message`` lines, and
+also as SARIF 2.1.0 with ``--sarif FILE`` (uploaded to GitHub code
+scanning; the one machine-readable report). ``--selftest`` first
+exercises the shared engine (comment/string/raw-string blanking,
+suppressions) and every selected rule against its embedded synthetic
+violations — proving each rule still fails where it must — and then
+scans the real tree.
 
 Suppressions that no longer silence anything — including markers
 naming rules that do not exist — are reported as *stale*;
@@ -39,10 +39,8 @@ from engine import (
     Project,
     engine_selftest,
     report_human,
-    report_json,
     run_rules_with_stale,
 )
-from rules_bench_timing import BenchTimingRule
 from rules_concurrency import ConcurrencyPrimitivesRule
 from rules_determinism import DeterminismRule
 from rules_hook_order import HookOrderRule
@@ -61,7 +59,6 @@ def default_rules():
         HookOrderRule(),
         DeterminismRule(),
         ConcurrencyPrimitivesRule(),
-        BenchTimingRule(),
         UnorderedIterationRule(),
         PointerOrderRule(),
         WallClockRule(),
@@ -86,11 +83,6 @@ def main(argv=None):
         help="comma-separated rule names to run (default: all)",
     )
     parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit a JSON report instead of human-readable lines",
-    )
-    parser.add_argument(
         "--selftest",
         action="store_true",
         help="run the engine selftests and each selected "
@@ -100,8 +92,8 @@ def main(argv=None):
     parser.add_argument(
         "--strict",
         action="store_true",
-        help="fail (exit 1) on stale suppressions — allow() or "
-        "legacy markers that no longer silence any finding",
+        help="fail (exit 1) on stale suppressions — allow() "
+        "markers that no longer silence any finding",
     )
     parser.add_argument(
         "--sarif",
@@ -195,9 +187,8 @@ def main(argv=None):
     findings, suppressions, stale = run_rules_with_stale(
         project, rules, known_rule_names=inventory
     )
-    report = report_json if args.json else report_human
-    report(rules, project, findings, suppressions,
-           stale=stale, strict=args.strict)
+    report_human(rules, project, findings, suppressions,
+                 stale=stale, strict=args.strict)
     if args.sarif:
         write_sarif(args.sarif, rules, project, findings,
                     suppressions, stale, args.strict)

@@ -4,18 +4,17 @@ A rule is a class with a stable name, a scope (directories it scans,
 relative to the repository root), and a ``run(project)`` method that
 returns Finding objects. The engine owns everything shared between
 rules: file discovery, comment/string blanking, suppression comments,
-stale-suppression detection, and the human/JSON reports.
+stale-suppression detection, and the human-readable report (the
+SARIF report lives in sarif.py).
 
 Suppression: append ``// pcon-lint: allow(<rule>)`` to the offending
-line or the line directly above it. Rules may additionally honour
-their own legacy suppression markers (the determinism rule accepts
-``NOLINT-DETERMINISM(reason)``). A suppression that no longer
-silences any finding is reported as *stale* so exemptions cannot rot;
-``--strict`` turns stale suppressions into failures.
+line or the line directly above it; it is the only suppression
+syntax. A suppression that no longer silences any finding is
+reported as *stale* so exemptions cannot rot; ``--strict`` turns
+stale suppressions into failures.
 """
 
 import dataclasses
-import json
 import pathlib
 import re
 import sys
@@ -44,7 +43,7 @@ class Finding:
 
 @dataclasses.dataclass
 class Suppression:
-    """A finding silenced by an allow() or legacy marker."""
+    """A finding silenced by an allow() marker."""
 
     rule: str
     path: str
@@ -60,7 +59,7 @@ class Suppression:
 
 @dataclasses.dataclass
 class StaleSuppression:
-    """An allow()/legacy marker that silenced nothing this run."""
+    """An allow() marker that silenced nothing this run."""
 
     rule: str
     path: str
@@ -418,14 +417,6 @@ def run_rules_with_stale(project, rules, known_rule_names=None):
     )
 
 
-def run_rules(project, rules):
-    """Run every rule; returns (findings, suppressions) sorted by
-    path, line, rule. Thin wrapper kept for the lint_determinism
-    shim and older callers that do not consume stale markers."""
-    findings, suppressions, _ = run_rules_with_stale(project, rules)
-    return findings, suppressions
-
-
 def report_human(rules, project, findings, suppressions,
                  out=sys.stdout, stale=(), strict=False):
     for s in suppressions:
@@ -454,27 +445,6 @@ def report_human(rules, project, findings, suppressions,
             f"{len(suppressions)} suppression(s), "
             f"{len(stale)} stale)\n"
         )
-
-
-def report_json(rules, project, findings, suppressions,
-                out=sys.stdout, stale=(), strict=False):
-    doc = {
-        "tool": "pcon-lint",
-        "rules": [
-            {"name": r.name, "description": r.description}
-            for r in rules
-        ],
-        "files_scanned": len(project.files),
-        "findings": [dataclasses.asdict(f) for f in findings],
-        "suppressions": [dataclasses.asdict(s) for s in suppressions],
-        "stale_suppressions": [
-            dataclasses.asdict(s) for s in stale
-        ],
-        "strict": bool(strict),
-        "clean": not findings and not (strict and stale),
-    }
-    json.dump(doc, out, indent=2, sort_keys=True)
-    out.write("\n")
 
 
 def engine_selftest():

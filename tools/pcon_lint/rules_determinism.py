@@ -1,71 +1,37 @@
-"""Determinism rule: the deterministic core must be reproducible.
+"""Determinism rule: no ambient randomness, stable metric names.
 
-Folded into pcon-lint from the original tools/lint_determinism.py
-(whose CLI is preserved as a thin shim). Simulation results must be
-bit-identical across runs and platforms; this rule scans the
-deterministic core for reproducibility hazards:
+Simulation results must be bit-identical across runs and platforms.
+Host clocks, unordered iteration and pointer-keyed order each have a
+rule of their own (``wall-clock``, ``unordered-iteration``,
+``pointer-order``); this rule checks the two hazards none of them
+covers:
 
-  wall-clock       time(), clock(), gettimeofday(), std::chrono
-                   system/steady/high_resolution clocks.
-  ambient-rng      std::random_device, rand()/srand()/random(),
-                   drand48(), std::mt19937 & friends.
-  unordered-iter   range-for over a std::unordered_{map,set} member
-                   declared in the scanned tree.
-  ptr-keyed-order  std::{map,set} keyed by a raw pointer type.
-  metric-name      registry counter()/gauge()/histogram() names must
-                   match the grammar [a-z0-9_.]+.
+  ambient-rng   std::random_device, rand()/srand()/random(),
+                drand48(), std::mt19937 & friends, anywhere in src/.
+  metric-name   registry counter()/gauge()/histogram() names must
+                match the grammar [a-z0-9_.]+ wherever instruments
+                are registered: src/, tests/, examples/ and bench/.
 
-Suppress with the legacy ``// NOLINT-DETERMINISM(reason)`` (reason
-mandatory) on the line or the line above, or with the framework-wide
-``// pcon-lint: allow(determinism)``.
+Suppress with ``// pcon-lint: allow(determinism) <reason>`` on the
+line or the line above; the reason is mandatory.
 """
 
 import re
 
 from engine import Finding, Rule
 
-CORE_SCOPE = (
-    "src/sim",
-    "src/core",
-    "src/hw",
-    "src/obs",
-    "src/telemetry",
-    "src/trace",
-)
-
-LEGACY_SUPPRESS_RE = re.compile(r"NOLINT-DETERMINISM\(([^)]+)\)")
-
-PATTERN_HAZARDS = [
+RNG_HAZARDS = [
     (
-        "wall-clock",
-        re.compile(
-            r"(?<![\w:.])(?:time|clock|gettimeofday|clock_gettime)"
-            r"\s*\("
-        ),
-        "wall-clock call; use sim::Simulation::now() instead",
-    ),
-    (
-        "wall-clock",
-        re.compile(
-            r"std\s*::\s*chrono\s*::\s*"
-            r"(?:system_clock|steady_clock|high_resolution_clock)"
-        ),
-        "host clock; simulated components must use sim time",
-    ),
-    (
-        "ambient-rng",
         re.compile(r"std\s*::\s*random_device"),
         "non-deterministic entropy source; seed a sim::Rng instead",
     ),
     (
-        "ambient-rng",
         re.compile(
             r"(?<![\w:.])(?:rand|srand|random|drand48|lrand48)\s*\("
         ),
         "C library RNG with process-global state; use sim::Rng",
     ),
     (
-        "ambient-rng",
         re.compile(
             r"std\s*::\s*(?:mt19937(?:_64)?|minstd_rand0?|"
             r"default_random_engine|ranlux\w+|knuth_b)"
@@ -73,21 +39,7 @@ PATTERN_HAZARDS = [
         "standard-library engine; distributions differ across "
         "implementations, use sim::Rng",
     ),
-    (
-        "ptr-keyed-order",
-        re.compile(r"std\s*::\s*(?:map|set)\s*<[^,>]*\*\s*[,>]"),
-        "ordered container keyed by pointer value; iteration order "
-        "depends on allocation addresses",
-    ),
 ]
-
-DECL_RE = re.compile(
-    r"std\s*::\s*unordered_(?:map|set|multimap|multiset)\s*<"
-    r"[^;{}()]*>(?:\s*&)?\s+(\w+)\s*[;{=]"
-)
-RANGE_FOR_RE = re.compile(
-    r"for\s*\([^;)]*:\s*\*?\s*([A-Za-z_]\w*)\s*\)"
-)
 
 METRIC_CALL_RE = re.compile(
     r"(?<![\w:])(?:counter|gauge|histogram)\s*\("
@@ -122,42 +74,22 @@ def metric_name_findings(raw_line, blanked_line):
 class DeterminismRule(Rule):
     name = "determinism"
     description = (
-        "no wall-clock, ambient RNG, or hash-order dependence in "
-        "the deterministic core; metric names follow [a-z0-9_.]+"
+        "no ambient RNG in src/; metric names follow [a-z0-9_.]+ "
+        "wherever instruments are registered"
     )
-    scope = CORE_SCOPE
-
-    def __init__(self, scope=None, metric_names_only=False):
-        if scope is not None:
-            self.scope = tuple(scope)
-        self.metric_names_only = metric_names_only
+    scope = ("src", "tests", "examples", "bench")
+    require_justification = True
 
     def run(self, project):
-        files = project.files_under(self.scope)
-        unordered_names = set()
-        for source in files:
-            for m in DECL_RE.finditer(source.blanked):
-                unordered_names.add(m.group(1))
-
         findings = []
-        for source in files:
+        for source in project.files_under(self.scope):
+            in_src = source.rel.startswith("src/")
             for idx, line in enumerate(source.blanked_lines):
                 hits = []
-                if not self.metric_names_only:
-                    for hazard, regex, why in PATTERN_HAZARDS:
+                if in_src:
+                    for regex, why in RNG_HAZARDS:
                         if regex.search(line):
-                            hits.append((hazard, why))
-                    for m in RANGE_FOR_RE.finditer(line):
-                        if m.group(1) in unordered_names:
-                            hits.append(
-                                (
-                                    "unordered-iter",
-                                    f"range-for over unordered "
-                                    f"container '{m.group(1)}'; "
-                                    f"hash order is not "
-                                    f"reproducible",
-                                )
-                            )
+                            hits.append(("ambient-rng", why))
                 if idx < len(source.raw_lines):
                     hits.extend(
                         metric_name_findings(
@@ -175,25 +107,6 @@ class DeterminismRule(Rule):
                     )
         return findings
 
-    def suppression_at(self, source, idx):
-        """Accept the legacy NOLINT-DETERMINISM(reason) marker in
-        addition to the framework-wide allow(determinism)."""
-        for look in (idx, idx - 1):
-            if 0 <= look < len(source.raw_lines):
-                m = LEGACY_SUPPRESS_RE.search(source.raw_lines[look])
-                if m:
-                    return m.group(1).strip(), look
-        return super().suppression_at(source, idx)
-
-    def suppression_markers(self, source):
-        """Legacy NOLINT-DETERMINISM markers are also subject to
-        stale detection, so retired exemptions cannot linger."""
-        out = set(super().suppression_markers(source))
-        for idx, line in enumerate(source.raw_lines):
-            if LEGACY_SUPPRESS_RE.search(line):
-                out.add(idx)
-        return sorted(out)
-
     def selftest(self):
         errors = []
         rule = DeterminismRule()
@@ -203,37 +116,66 @@ class DeterminismRule(Rule):
                     "#include <chrono>\n"
                     "auto t = std::chrono::steady_clock::now();\n"
                     "int r = rand();\n"
-                    "// NOLINT-DETERMINISM(test fixture)\n"
+                    "// pcon-lint: allow(determinism) test fixture\n"
                     "int s = rand();\n"
+                    "double u = rng.uniform();\n"
+                ),
+                # Ambient RNG is checked in every directory of src/.
+                "src/os/seed.cc": (
+                    "std::random_device entropy;\n"
+                    "std::mt19937 engine(42);\n"
                 ),
                 "src/core/metrics.cc": (
                     'reg.counter("Bad Name");\n'
                     'reg.counter("good.name");\n'
                 ),
+                # Ambient RNG is src/'s hazard; names are checked
+                # wherever instruments are registered.
+                "tests/telemetry/registry_test.cc": (
+                    "std::mt19937 gen(1);\n"
+                    'r.gauge("Bad Name");\n'
+                    "// pcon-lint: allow(determinism) name under "
+                    "test\n"
+                    'r.counter("BadName");\n'
+                ),
+                "bench/bench_fig.cc": 'reg.counter("Bad Name");\n',
+                "examples/demo.cc": 'reg.histogram("demo-ms");\n',
                 "src/core/stale.cc": (
-                    "// NOLINT-DETERMINISM(no longer needed)\n"
+                    "// pcon-lint: allow(determinism) no longer "
+                    "needed\n"
                     "int fine = 0;\n"
                 ),
             }
         )
         from engine import run_rules_with_stale
 
-        kept, _, stale = run_rules_with_stale(project, [rule])
+        kept, sups, stale = run_rules_with_stale(project, [rule])
         got = sorted((f.path, f.line) for f in kept)
         want = [
+            ("bench/bench_fig.cc", 1),
+            ("examples/demo.cc", 1),
             ("src/core/metrics.cc", 1),
-            ("src/sim/clock.cc", 2),
+            ("src/os/seed.cc", 1),
+            ("src/os/seed.cc", 2),
             ("src/sim/clock.cc", 3),
+            ("tests/telemetry/registry_test.cc", 2),
         ]
         if got != want:
             errors.append(
                 f"determinism selftest: expected findings at "
-                f"{want}, got {[f.render() for f in kept]}"
+                f"{want}, got {[f.render() for f in kept]} (host "
+                f"clocks are wall-clock's, and RNG outside src/ "
+                f"stays quiet)"
+            )
+        if len(sups) != 2:
+            errors.append(
+                f"determinism selftest: expected the two allow() "
+                f"markers to suppress, got {len(sups)}"
             )
         got_stale = [(s.path, s.line) for s in stale]
         if got_stale != [("src/core/stale.cc", 1)]:
             errors.append(
-                f"determinism selftest: expected one stale legacy "
+                f"determinism selftest: expected one stale "
                 f"suppression at src/core/stale.cc:1, got "
                 f"{got_stale}"
             )

@@ -17,6 +17,8 @@ patterns through which addresses leak into an observable order:
   * ``reinterpret_cast<uintptr_t>`` — laundering an address into an
     integer, almost always to compare or hash it.
 
+A pointer anywhere in a key's first template argument counts, so a
+composite key such as ``std::pair<Task *, int>`` is caught too.
 Smart-pointer keys (``unique_ptr``/``shared_ptr``) compare by the
 held address and are caught by the same ``*``-in-key patterns where
 spelled with a raw pointer; a genuinely order-insensitive use (e.g.
@@ -32,7 +34,7 @@ PATTERNS = [
     (
         re.compile(
             r"std\s*::\s*(?:map|set|multimap|multiset)\s*<"
-            r"[^,<>]*\*\s*[,>]"
+            r"[^,>]*\*\s*[,>]"
         ),
         "ordered container keyed by raw pointer; iteration order "
         "is the allocator's, use dense ids",
@@ -40,7 +42,7 @@ PATTERNS = [
     (
         re.compile(
             r"std\s*::\s*unordered_(?:map|set|multimap|multiset)"
-            r"\s*<[^,<>]*\*\s*[,>]"
+            r"\s*<[^,>]*\*\s*[,>]"
         ),
         "unordered container keyed by raw pointer; bucket order "
         "hashes the address, use dense ids",
@@ -103,6 +105,9 @@ class PointerOrderRule(Rule):
                     "// pcon-lint: allow(pointer-order) debug-only "
                     "identity cache, never serialized\n"
                     "std::hash<Op *> debug_h;\n"
+                    "std::map<std::pair<Task *, int>, int> by_pair;\n"
+                    "std::unordered_map<std::pair<Seg *, int>, int> u;\n"
+                    "std::map<std::pair<int, int>, Task *> by_ids;\n"
                 ),
             }
         )
@@ -110,12 +115,13 @@ class PointerOrderRule(Rule):
 
         kept, sups, _ = run_rules_with_stale(project, [rule])
         got = sorted({f.line for f in kept})
-        if got != [1, 2, 3, 4, 5]:
+        if got != [1, 2, 3, 4, 5, 10, 11]:
             errors.append(
                 f"pointer-order selftest: expected findings on "
-                f"lines 1-5 only, got {got} (pointer *values* in "
-                f"maps and string keys must stay quiet; the "
-                f"justified allow must suppress line 9)"
+                f"lines 1-5, 10 and 11 only, got {got} (pointer "
+                f"*values* in maps and string and id-pair keys must "
+                f"stay quiet; the justified allow must suppress "
+                f"line 9)"
             )
         if len(sups) != 1:
             errors.append(

@@ -1,54 +1,47 @@
-"""Wall-clock rule: every timestamp in src/ derives from sim time.
+"""Wall-clock rule: no host clock in src/ or bench/.
 
-The bench-timing rule polices ``bench/``; the determinism rule
-polices the deterministic core. This rule closes the gap: *all* of
-``src/`` — including os/, util/, fault/, and workloads/ where the
-determinism rule does not reach — must take time from the simulation
-clock (``sim::Simulation::now()``), never from the host. A host
-timestamp anywhere in src/ is either a latent determinism bug (it
-differs from run to run) or a self-measurement that belongs in
-``telemetry::OverheadProfiler``.
+All of ``src/`` takes time from the simulation clock
+(``sim::Simulation::now()``), never from the host. A host timestamp
+there is either a latent determinism bug (it differs from run to run)
+or a self-measurement that belongs in ``telemetry::OverheadProfiler``.
+The figure and table drivers under ``bench/`` print simulated results
+and take no host time themselves: micro-benchmarks time through
+Google Benchmark's ``benchmark::State`` loop
+(bench/bench_sec35_overhead.cc), and end-to-end and per-layer host
+time is perfbench's job (BENCHMARK.json).
 
-Flags ``std::chrono`` system/steady/high_resolution clocks, the C
-clock family (``time``/``clock``/``gettimeofday``/``clock_gettime``
-/``timespec_get``), and TSC intrinsics (``__rdtsc``/``__rdtscp``/
-``_mm_rdtsc``).
-
-The two sanctioned exceptions keep their existing markers: the
-OverheadProfiler's self-measurement sites carry
-``NOLINT-DETERMINISM(reason)``, which this rule honours exactly like
-the determinism rule does (one marker satisfies both, and stale
-detection still applies to it). Anything new needs a justified
-``allow(wall-clock)`` — bare allows do not suppress.
+Flags any ``std::chrono`` use, the C clock family (``time``/``clock``
+/``gettimeofday``/``clock_gettime``/``timespec_get``), and cycle
+counters (``__rdtsc``/``__rdtscp``/``_mm_rdtsc``/``rdtsc``/
+``__builtin_readcyclecounter``). The sanctioned exception, the
+OverheadProfiler's self-measurement, carries justified
+``allow(wall-clock)`` markers; a bare allow does not suppress.
 """
 
 import re
 
 from engine import Finding, Rule
-from rules_determinism import LEGACY_SUPPRESS_RE
+
+HINT = (
+    "simulated time comes from sim::Simulation::now(), host time "
+    "from a Google Benchmark benchmark::State loop or perfbench"
+)
 
 PATTERNS = [
-    (
-        re.compile(
-            r"std\s*::\s*chrono\s*::\s*"
-            r"(?:system_clock|steady_clock|high_resolution_clock)"
-        ),
-        "host chrono clock; derive timestamps from "
-        "sim::Simulation::now()",
-    ),
+    (re.compile(r"std\s*::\s*chrono\b"), "host std::chrono; " + HINT),
     (
         re.compile(
             r"(?<![\w:.])(?:time|clock|gettimeofday|clock_gettime|"
             r"timespec_get)\s*\("
         ),
-        "C wall-clock call; derive timestamps from "
-        "sim::Simulation::now()",
+        "C clock call; " + HINT,
     ),
     (
-        re.compile(r"(?<!\w)(?:__rdtscp?|_mm_rdtsc)\s*\("),
-        "TSC read; cycle counters differ from run to run, use sim "
-        "time (self-measurement belongs in "
-        "telemetry::OverheadProfiler)",
+        re.compile(
+            r"(?<!\w)(?:__rdtscp?|_mm_rdtsc|_rdtsc|rdtsc|"
+            r"__builtin_readcyclecounter)\s*\("
+        ),
+        "cycle-counter read; " + HINT,
     ),
 ]
 
@@ -56,10 +49,10 @@ PATTERNS = [
 class WallClockRule(Rule):
     name = "wall-clock"
     description = (
-        "all of src/ takes time from the sim clock; host clocks "
-        "only in bench/ and telemetry::OverheadProfiler"
+        "src/ and bench/ take no host time: sim clock in src/, "
+        "Google Benchmark or perfbench for host timing"
     )
-    scope = ("src",)
+    scope = ("src", "bench")
     require_justification = True
 
     def run(self, project):
@@ -75,35 +68,6 @@ class WallClockRule(Rule):
                         )
         return findings
 
-    def suppression_at(self, source, idx):
-        """Honour the OverheadProfiler's existing
-        NOLINT-DETERMINISM(reason) markers so one marker satisfies
-        both this rule and the determinism rule."""
-        for look in (idx, idx - 1):
-            if 0 <= look < len(source.raw_lines):
-                m = LEGACY_SUPPRESS_RE.search(source.raw_lines[look])
-                if m:
-                    return m.group(1).strip(), look
-        return super().suppression_at(source, idx)
-
-    def suppression_markers(self, source):
-        """Track legacy markers for staleness only when they sit on
-        a wall-clock pattern (or the line above one): elsewhere in
-        src/ the same marker spelling suppresses *other* determinism
-        hazards and is not this rule's to police."""
-        out = set(super().suppression_markers(source))
-        for idx, line in enumerate(source.raw_lines):
-            if not LEGACY_SUPPRESS_RE.search(line):
-                continue
-            nearby = source.blanked_lines[idx : idx + 2]
-            if any(
-                regex.search(text)
-                for text in nearby
-                for regex, _ in PATTERNS
-            ):
-                out.add(idx)
-        return sorted(out)
-
     def selftest(self):
         errors = []
         rule = WallClockRule()
@@ -115,15 +79,35 @@ class WallClockRule(Rule):
                     "time_t raw = time(nullptr);\n"
                     "uint64_t c = __rdtsc();\n"
                     "int timeout = settle_time(3);\n"
+                    "auto k = __builtin_readcyclecounter();\n"
+                ),
+                "src/sim/clock.cc": (
+                    "#include <chrono>\n"
+                    "auto t = std::chrono::steady_clock::now();\n"
                 ),
                 "src/telemetry/overhead.cc": (
-                    "// NOLINT-DETERMINISM(profiler self-measures "
-                    "its own host-time overhead)\n"
+                    "// pcon-lint: allow(wall-clock) profiler "
+                    "self-measures its own host-time overhead\n"
                     "auto t = std::chrono::steady_clock::now();\n"
                 ),
                 "src/util/fmt.cc": (
                     "// pcon-lint: allow(wall-clock)\n"
                     "clock_t c = clock();\n"
+                ),
+                "bench/bench_bad.cc": (
+                    "#include <chrono>\n"
+                    "auto t0 = std::chrono::steady_clock::now();\n"
+                    "struct timespec ts;\n"
+                    "clock_gettime(CLOCK_MONOTONIC, &ts);\n"
+                    "std::uint64_t c = __rdtsc();\n"
+                    "double runtime = simulated_time(x);\n"
+                    "// pcon-lint: allow(wall-clock) host API cost\n"
+                    "std::uint64_t ok = __rdtsc();\n"
+                    "auto d = std::chrono::duration<double>(x);\n"
+                ),
+                # A timing harness of its own gets no exemption.
+                "bench/harness.cc": (
+                    "auto t = std::chrono::steady_clock::now();\n"
                 ),
             }
         )
@@ -132,21 +116,33 @@ class WallClockRule(Rule):
         kept, sups, stale = run_rules_with_stale(project, [rule])
         got = sorted((f.path, f.line) for f in kept)
         want = [
+            ("bench/bench_bad.cc", 2),
+            ("bench/bench_bad.cc", 4),
+            ("bench/bench_bad.cc", 5),
+            ("bench/bench_bad.cc", 9),
+            ("bench/harness.cc", 1),
             ("src/os/sched.cc", 1),
             ("src/os/sched.cc", 3),
             ("src/os/sched.cc", 4),
+            ("src/os/sched.cc", 6),
+            ("src/sim/clock.cc", 2),
             ("src/util/fmt.cc", 2),  # bare allow must not suppress
         ]
         if got != want:
             errors.append(
                 f"wall-clock selftest: expected findings at {want}, "
-                f"got {got} (sim.now(), settle_time() and the "
-                f"legacy-marked profiler line must stay quiet)"
+                f"got {got} (sim.now(), settle_time(), "
+                f"simulated_time(), #include <chrono> and the "
+                f"allowed lines must stay quiet)"
             )
-        if len(sups) != 1 or "self-measures" not in sups[0].reason:
+        got_sups = sorted((s.path, s.line) for s in sups)
+        if got_sups != [
+            ("bench/bench_bad.cc", 8),
+            ("src/telemetry/overhead.cc", 2),
+        ]:
             errors.append(
-                "wall-clock selftest: legacy NOLINT-DETERMINISM "
-                "marker not honoured"
+                f"wall-clock selftest: justified allow() markers "
+                f"not honoured, got {got_sups}"
             )
         if [(s.path, s.line) for s in stale] != [
             ("src/util/fmt.cc", 1)
