@@ -92,7 +92,7 @@ main()
                 "policies:\n\n");
 
     // Phase 2: run the dispatched cluster (short windows; see
-    // bench_fig14_request_distribution for the full experiment).
+    // `pcon_paper fig14` for the full experiment).
     wl::ClusterExperimentConfig cluster_cfg;
     cluster_cfg.machines = {hw::sandyBridgeConfig(),
                             hw::woodcrestConfig()};

@@ -7,8 +7,10 @@
  * throttling alternative.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "core/anomaly.h"
 #include "core/conditioning.h"
@@ -101,10 +103,17 @@ main()
     std::printf("  active power %.1f W (cap %.1f W)\n\n", capped_w,
                 target_w);
 
-    // Fairness report.
+    // Fairness report, summed in id order: stats() is an unordered
+    // map, so hash order would decide the sums' last bits.
+    std::vector<os::RequestId> ids;
+    // pcon-lint: allow(unordered-iteration) sorted before use
+    for (const auto &[id, stats] : conditioner.stats())
+        ids.push_back(id);
+    std::sort(ids.begin(), ids.end());
     double virus_duty = 0, normal_duty = 0;
     std::uint64_t virus_n = 0, normal_n = 0;
-    for (const auto &[id, stats] : conditioner.stats()) {
+    for (os::RequestId id : ids) {
+        const core::ThrottleStats &stats = conditioner.stats().at(id);
         if (stats.type == wl::GaeHybridApp::virusType()) {
             virus_duty += stats.meanDutyFraction;
             ++virus_n;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/logging.h"
 
@@ -230,10 +231,19 @@ InvariantAuditor::checkManager(const ManagerState &state)
                   c.id(), " cpu time is ", c.cpuTimeNs(), " ns");
     };
     check_container(manager.background());
+    // Sum in id order: live() is an unordered map, so hash order
+    // would decide the sum's last bits.
+    std::vector<os::RequestId> ids;
+    ids.reserve(manager.live().size());
+    // pcon-lint: allow(unordered-iteration) sorted before use
+    for (const auto &entry : manager.live())
+        ids.push_back(entry.first);
+    std::sort(ids.begin(), ids.end());
     double live_j = manager.background().totalEnergyJ().value();
-    for (const auto &entry : manager.live()) {
-        check_container(*entry.second);
-        live_j += entry.second->totalEnergyJ().value();
+    for (os::RequestId id : ids) {
+        const core::PowerContainer &c = *manager.container(id);
+        check_container(c);
+        live_j += c.totalEnergyJ().value();
     }
 
     // Completed-record energy is a running total, so the sum stays

@@ -60,6 +60,7 @@ PowerAnomalyDetector::scan()
     // detections in the order returned.
     std::vector<os::RequestId> ids;
     ids.reserve(manager_.live().size());
+    // pcon-lint: allow(unordered-iteration) sorted before use
     for (const auto &kv : manager_.live())
         ids.push_back(kv.first);
     std::sort(ids.begin(), ids.end());

@@ -138,6 +138,7 @@ WatchdogSet::checkCaps(sim::SimTime now)
     // must not depend on hash order.
     std::vector<os::RequestId> ids;
     ids.reserve(manager_->live().size());
+    // pcon-lint: allow(unordered-iteration) sorted before use
     for (const auto &kv : manager_->live())
         ids.push_back(kv.first);
     std::sort(ids.begin(), ids.end());

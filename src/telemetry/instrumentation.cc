@@ -225,6 +225,7 @@ SystemTelemetry::watch(core::PowerConditioner &conditioner)
         // so floating-point sums stay bit-identical across runs.
         std::vector<const core::ThrottleStats *> stats;
         stats.reserve(conditioner.stats().size());
+        // pcon-lint: allow(unordered-iteration) sorted before use
         for (const auto &kv : conditioner.stats())
             stats.push_back(&kv.second);
         std::sort(stats.begin(), stats.end(),

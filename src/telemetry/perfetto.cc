@@ -179,6 +179,7 @@ PerfettoExporter::samplePower(core::ContainerManager &manager)
     std::vector<os::RequestId> ids;
     ids.reserve(manager.live().size() + 1);
     ids.push_back(manager.background().id());
+    // pcon-lint: allow(unordered-iteration) sorted before use
     for (const auto &kv : manager.live())
         ids.push_back(kv.first);
     std::sort(ids.begin(), ids.end());

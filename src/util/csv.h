@@ -1,6 +1,6 @@
 /**
  * @file
- * Minimal CSV writer for experiment drivers. Rows are written
+ * Minimal CSV writer for experiment tables and telemetry. Rows are written
  * immediately; cells containing separators or quotes are escaped.
  */
 
@@ -8,8 +8,6 @@
 #define PCON_UTIL_CSV_H
 
 #include <fstream>
-#include <initializer_list>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,30 +24,13 @@ class CsvWriter
     /** Open (truncate) the target file; fatal() when unwritable. */
     explicit CsvWriter(const std::string &path);
 
-    /** Write one row of preformatted cells. */
+    /**
+     * Write one row of preformatted cells (numbers through
+     * util::jsonNumber keep full precision).
+     */
     void writeRow(const std::vector<std::string> &cells);
 
-    /** Convenience: write a row of heterogeneous streamable values. */
-    template <typename... Args>
-    void
-    row(const Args &...args)
-    {
-        std::vector<std::string> cells;
-        cells.reserve(sizeof...(args));
-        (cells.push_back(toCell(args)), ...);
-        writeRow(cells);
-    }
-
   private:
-    template <typename T>
-    static std::string
-    toCell(const T &value)
-    {
-        std::ostringstream out;
-        out << value;
-        return out.str();
-    }
-
     static std::string escape(const std::string &cell);
 
     std::ofstream out_;

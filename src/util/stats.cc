@@ -106,50 +106,6 @@ Histogram::binFraction(std::size_t i) const
         static_cast<double>(total_);
 }
 
-std::vector<std::string>
-Histogram::asciiRows(std::size_t width) const
-{
-    std::size_t peak = 0;
-    for (std::size_t c : counts_)
-        peak = std::max(peak, c);
-    std::vector<std::string> rows;
-    rows.reserve(counts_.size());
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        std::size_t bar = peak == 0 ? 0 : counts_[i] * width / peak;
-        rows.push_back(std::string(bar, '#'));
-    }
-    return rows;
-}
-
-TimeSeries::TimeSeries(long long start_ns, long long period_ns)
-    : start_(start_ns), period_(period_ns)
-{
-    fatalIf(period_ns <= 0, "TimeSeries period must be positive");
-}
-
-void
-TimeSeries::append(double value)
-{
-    values_.push_back(value);
-}
-
-long long
-TimeSeries::timeAt(std::size_t i) const
-{
-    return start_ + static_cast<long long>(i) * period_;
-}
-
-double
-TimeSeries::mean() const
-{
-    if (values_.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (double v : values_)
-        sum += v;
-    return sum / static_cast<double>(values_.size());
-}
-
 double
 quantile(std::vector<double> values, double q)
 {

@@ -1,14 +1,13 @@
 /**
  * @file
- * Small statistics helpers shared by the simulator and experiment
- * drivers: running moments, quantiles, histograms, and time series.
+ * Small statistics helpers shared by the simulator and the
+ * experiments: running moments, quantiles and histograms.
  */
 
 #ifndef PCON_UTIL_STATS_H
 #define PCON_UTIL_STATS_H
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace pcon {
@@ -92,63 +91,11 @@ class Histogram
     /** Fraction of observations in bin i (0 when empty). */
     double binFraction(std::size_t i) const;
 
-    /**
-     * Render a one-line-per-bin ASCII bar chart, `width` characters at
-     * the modal bin, for terminal output of the distribution figures.
-     */
-    std::vector<std::string> asciiRows(std::size_t width = 50) const;
-
   private:
     double lo_;
     double hi_;
     std::vector<std::size_t> counts_;
     std::size_t total_ = 0;
-};
-
-/**
- * A uniformly sampled time series (fixed period, absolute start time).
- * Stores doubles; used for meter readings and model power traces.
- */
-class TimeSeries
-{
-  public:
-    /**
-     * @param start_ns Timestamp of sample 0, nanoseconds.
-     * @param period_ns Spacing between samples, nanoseconds (> 0).
-     */
-    TimeSeries(long long start_ns, long long period_ns);
-
-    /** Append the next sample. */
-    void append(double value);
-
-    /** Number of samples. */
-    std::size_t size() const { return values_.size(); }
-
-    /** True when no samples are stored. */
-    bool empty() const { return values_.empty(); }
-
-    /** Value of sample i. */
-    double at(std::size_t i) const { return values_.at(i); }
-
-    /** Timestamp of sample i in nanoseconds. */
-    long long timeAt(std::size_t i) const;
-
-    /** Sample period in nanoseconds. */
-    long long period() const { return period_; }
-
-    /** Timestamp of sample 0 in nanoseconds. */
-    long long start() const { return start_; }
-
-    /** Underlying values. */
-    const std::vector<double> &values() const { return values_; }
-
-    /** Mean of all samples; 0 when empty. */
-    double mean() const;
-
-  private:
-    long long start_;
-    long long period_;
-    std::vector<double> values_;
 };
 
 /**

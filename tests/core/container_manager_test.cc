@@ -79,8 +79,9 @@ struct World
     ContainerManager manager;
 
     explicit World(const ContainerManagerConfig &cfg = {},
-                   const MachineConfig &mc = linearConfig())
-        : machine(sim, mc), kernel(machine, requests),
+                   const MachineConfig &mc = linearConfig(),
+                   const os::KernelConfig &kcfg = {})
+        : machine(sim, mc), kernel(machine, requests, kcfg),
           model(exactModel(mc)), manager(kernel, model, cfg)
     {
         kernel.addHooks(&manager);
@@ -207,6 +208,31 @@ TEST(ContainerManager, ObserverEffectCompensationKeepsAccountingClean)
     double raw = run(true, false);
     EXPECT_NEAR(compensated, clean, clean * 1e-6);
     EXPECT_GT(raw, clean + 1000.0); // injected instructions leak in
+}
+
+TEST(ContainerManager, UtilizationAuditAdmitsUncompensatedObserverCycles)
+{
+    // Ablation 3's setup: injection on, compensation off and its
+    // 80,000-cycle observer cost. A fully busy core's window then
+    // holds its elapsed cycles plus the previous sample's injected
+    // ones; 0.4 ms windows at 1 GHz read a utilization of 1.2.
+    ContainerManagerConfig cfg;
+    cfg.injectObserverEffect = true;
+    cfg.compensateObserverEffect = false;
+    cfg.observerCost = hw::CounterSnapshot{0, 80000, 60000, 500, 100, 0};
+    os::KernelConfig kcfg;
+    kcfg.samplingPeriodCycles = 4e5;
+    World w(cfg, linearConfig(), kcfg);
+    RequestId req = w.requests.create("job", w.sim.now());
+    ActivityVector act{1.0, 0.0, 0.0, 0.0};
+    w.kernel.spawn(computeOnce(50e6, act), "t", req, 0);
+    EXPECT_NO_THROW(w.sim.run(msec(100)));
+    w.requests.complete(req, w.sim.now());
+
+    // Every window but the first carries 80,000 injected cycles.
+    ASSERT_EQ(w.manager.records().size(), 1u);
+    EXPECT_GT(w.manager.records()[0].events.nonhaltCycles,
+              50e6 + 100 * 80000.0);
 }
 
 TEST(ContainerManager, RebindMidRunSplitsAttribution)

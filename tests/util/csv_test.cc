@@ -31,8 +31,8 @@ TEST_F(CsvTest, WritesPlainRows)
 {
     {
         CsvWriter w(path_);
-        w.row("a", 1, 2.5);
-        w.row("b", -3);
+        w.writeRow({"a", "1", "2.5"});
+        w.writeRow({"b", "-3"});
     }
     EXPECT_EQ(slurp(path_), "a,1,2.5\nb,-3\n");
 }
@@ -41,7 +41,7 @@ TEST_F(CsvTest, EscapesSeparatorsAndQuotes)
 {
     {
         CsvWriter w(path_);
-        w.row("x,y", "he said \"hi\"", "multi\nline");
+        w.writeRow({"x,y", "he said \"hi\"", "multi\nline"});
     }
     EXPECT_EQ(slurp(path_),
               "\"x,y\",\"he said \"\"hi\"\"\",\"multi\nline\"\n");
@@ -57,7 +57,7 @@ TEST_F(CsvTest, SingleRowSingleCell)
 {
     {
         CsvWriter w(path_);
-        w.row(3.25);
+        w.writeRow({"3.25"});
     }
     EXPECT_EQ(slurp(path_), "3.25\n");
 }
@@ -76,7 +76,7 @@ TEST_F(CsvTest, QuotedFieldEdgeCases)
 {
     {
         CsvWriter w(path_);
-        w.row("\"", "\"\"", ",", "\n", "plain");
+        w.writeRow({"\"", "\"\"", ",", "\n", "plain"});
     }
     EXPECT_EQ(slurp(path_),
               "\"\"\"\",\"\"\"\"\"\",\",\",\"\n\",plain\n");

@@ -97,37 +97,6 @@ TEST(Histogram, BinsAndClamping)
     EXPECT_DOUBLE_EQ(h.binFraction(0), 0.4);
 }
 
-TEST(Histogram, AsciiRowsScaleToModalBin)
-{
-    Histogram h(0.0, 3.0, 3);
-    h.add(0.5);
-    h.add(0.6);
-    h.add(1.5);
-    auto rows = h.asciiRows(10);
-    ASSERT_EQ(rows.size(), 3u);
-    EXPECT_EQ(rows[0].size(), 10u);
-    EXPECT_EQ(rows[1].size(), 5u);
-    EXPECT_TRUE(rows[2].empty());
-}
-
-TEST(TimeSeries, TimestampsFollowPeriod)
-{
-    TimeSeries ts(1000, 250);
-    ts.append(1.0);
-    ts.append(2.0);
-    ts.append(4.0);
-    EXPECT_EQ(ts.size(), 3u);
-    EXPECT_EQ(ts.timeAt(0), 1000);
-    EXPECT_EQ(ts.timeAt(2), 1500);
-    EXPECT_DOUBLE_EQ(ts.mean(), 7.0 / 3.0);
-}
-
-TEST(TimeSeries, RejectsNonPositivePeriod)
-{
-    EXPECT_THROW(TimeSeries(0, 0), FatalError);
-    EXPECT_THROW(TimeSeries(0, -5), FatalError);
-}
-
 TEST(RunningStat, SingleObservation)
 {
     RunningStat s;
@@ -154,16 +123,6 @@ TEST(Histogram, EmptyHistogramFractionsAndRows)
     Histogram h(0.0, 1.0, 3);
     EXPECT_EQ(h.total(), 0u);
     EXPECT_DOUBLE_EQ(h.binFraction(0), 0.0);
-    for (const std::string &row : h.asciiRows(10))
-        EXPECT_TRUE(row.empty());
-}
-
-TEST(TimeSeries, EmptySeries)
-{
-    TimeSeries ts(0, 100);
-    EXPECT_TRUE(ts.empty());
-    EXPECT_EQ(ts.size(), 0u);
-    EXPECT_DOUBLE_EQ(ts.mean(), 0.0);
 }
 
 TEST(Quantile, InterpolatesBetweenOrderStatistics)
