@@ -13,13 +13,11 @@ using util::panicIf;
 
 Machine::Machine(sim::Simulation &simulation, const MachineConfig &cfg)
     : sim_(simulation), cfg_(cfg),
-      cores_(static_cast<std::size_t>(cfg.totalCores())),
-      chipActiveCacheW_(static_cast<std::size_t>(cfg.chips), 0.0),
-      chipActiveCacheValid_(static_cast<std::size_t>(cfg.chips),
-                            false),
-      packageEnergyJ_(static_cast<std::size_t>(cfg.chips),
-                      util::Joules(0)),
-      lastSync_(simulation.now())
+      start_(simulation.now()),
+      cores_(static_cast<std::size_t>(cfg.totalCores()),
+             CoreState{.dutyLevel = cfg.dutyDenom, .since = start_}),
+      chips_(static_cast<std::size_t>(cfg.chips), Integrator{.since = start_}),
+      disk_{.since = start_}, net_{.since = start_}
 {
     fatalIf(cfg.chips <= 0 || cfg.coresPerChip <= 0,
             "machine needs at least one chip and core");
@@ -30,10 +28,6 @@ Machine::Machine(sim::Simulation &simulation, const MachineConfig &cfg)
     for (double ratio : cfg.pstates)
         fatalIf(ratio <= 0.0 || ratio > 1.0,
                 "P-state ratio out of (0, 1]: ", ratio);
-    for (auto &core : cores_) {
-        core.dutyLevel = cfg.dutyDenom;
-        core.dutyFrac = 1.0;
-    }
 }
 
 void
@@ -53,20 +47,18 @@ Machine::checkChip(int chip) const
 void
 Machine::setRunning(int core, const ActivityVector &activity)
 {
-    checkCore(core);
-    sync();
+    fold(core);
     cores_[core].busy = true;
     cores_[core].activity = activity;
-    invalidateChipPower(core);
+    refresh(core);
 }
 
 void
 Machine::setIdle(int core)
 {
-    checkCore(core);
-    sync();
+    fold(core);
     cores_[core].busy = false;
-    invalidateChipPower(core);
+    refresh(core);
 }
 
 bool
@@ -90,11 +82,9 @@ Machine::setDutyLevel(int core, int level)
     checkCore(core);
     fatalIf(level < 1 || level > cfg_.dutyDenom,
             "duty level ", level, " out of 1..", cfg_.dutyDenom);
-    sync();
+    fold(core);
     cores_[core].dutyLevel = level;
-    cores_[core].dutyFrac = static_cast<double>(level) /
-        static_cast<double>(cfg_.dutyDenom);
-    invalidateChipPower(core);
+    refresh(core);
 }
 
 int
@@ -108,7 +98,8 @@ double
 Machine::dutyFraction(int core) const
 {
     checkCore(core);
-    return cores_[core].dutyFrac;
+    return static_cast<double>(cores_[core].dutyLevel) /
+        static_cast<double>(cfg_.dutyDenom);
 }
 
 double
@@ -127,9 +118,9 @@ Machine::setPState(int core, int pstate)
                 pstate >= static_cast<int>(cfg_.pstates.size()),
             "P-state ", pstate, " out of 0..",
             cfg_.pstates.size() - 1);
-    sync();
+    fold(core);
     cores_[core].pstate = pstate;
-    invalidateChipPower(core);
+    refresh(core);
 }
 
 int
@@ -154,11 +145,10 @@ Machine::pstatePowerScale(double ratio)
 }
 
 CounterSnapshot
-Machine::readCounters(int core)
+Machine::readCounters(int core) const
 {
     checkCore(core);
-    sync();
-    CounterSnapshot snapshot = cores_[core].counters;
+    CounterSnapshot snapshot = countersAt(core, sim_.now());
     if (counterFaultHook_)
         counterFaultHook_(core, snapshot);
     return snapshot;
@@ -173,8 +163,7 @@ Machine::setCounterFaultHook(CounterFaultHook fn)
 void
 Machine::injectCounterEvents(int core, const CounterSnapshot &extra)
 {
-    checkCore(core);
-    sync();
+    fold(core);
     cores_[core].counters.accumulate(extra);
     cores_[core].injectedNonhaltCycles += extra.nonhaltCycles;
 }
@@ -189,10 +178,16 @@ Machine::injectedNonhaltCycles(int core) const
 void
 Machine::setDeviceBusy(DeviceKind kind, bool busy)
 {
-    sync();
-    int &count = (kind == DeviceKind::Disk) ? diskBusy_ : netBusy_;
+    bool disk = kind == DeviceKind::Disk;
+    Integrator &device = disk ? disk_ : net_;
+    int &count = disk ? diskBusy_ : netBusy_;
+    device.fold(sim_.now());
     count += busy ? 1 : -1;
     panicIf(count < 0, "device busy refcount underflow");
+    device.powerW = util::Watts(
+        count == 0 ? 0.0
+                   : (disk ? cfg_.truth.diskActiveW
+                           : cfg_.truth.netActiveW));
 }
 
 bool
@@ -201,62 +196,93 @@ Machine::deviceBusy(DeviceKind kind) const
     return (kind == DeviceKind::Disk ? diskBusy_ : netBusy_) > 0;
 }
 
-double
-Machine::coreActiveW(const CoreState &core) const
+util::Watts
+Machine::coreActiveW(int core) const
 {
-    if (!core.busy)
-        return 0.0;
+    if (!cores_[core].busy)
+        return util::Watts(0);
     const GroundTruthParams &t = cfg_.truth;
-    const ActivityVector &a = core.activity;
-    double duty = core.dutyFrac;
+    const ActivityVector &a = cores_[core].activity;
+    double duty = dutyFraction(core);
     double linear = t.coreBusyW + a.ipc * t.insW +
         a.flopsPerCycle * t.flopW + a.llcPerCycle * t.llcW +
         a.memPerCycle * t.memW;
     double interaction = t.nlCacheMemW *
         (a.llcPerCycle / t.nlLlcNorm) * (a.memPerCycle / t.nlMemNorm);
-    double dvfs = pstatePowerScale(cfg_.pstates[core.pstate]);
-    return (linear + interaction) * duty * dvfs;
+    double dvfs = pstatePowerScale(pstateRatio(core));
+    return util::Watts((linear + interaction) * duty * dvfs);
+}
+
+CounterSnapshot
+Machine::countersAt(int core, sim::SimTime now) const
+{
+    // The elapsed reference advances at the nominal rate (invariant
+    // TSC); non-halt cycles advance at the core's effective clock.
+    const CoreState &state = cores_[core];
+    CounterSnapshot counters = state.counters;
+    double elapsed_cycles =
+        cfg_.cyclesPerNs() * static_cast<double>(now - state.since);
+    counters.elapsedCycles += elapsed_cycles;
+    if (!state.busy)
+        return counters;
+    double cycles =
+        elapsed_cycles * dutyFraction(core) * pstateRatio(core);
+    counters.nonhaltCycles += cycles;
+    counters.instructions += cycles * state.activity.ipc;
+    counters.flops += cycles * state.activity.flopsPerCycle;
+    counters.llcRefs += cycles * state.activity.llcPerCycle;
+    counters.memTxns += cycles * state.activity.memPerCycle;
+    return counters;
 }
 
 void
-Machine::invalidateChipPower(int core)
+Machine::Integrator::fold(sim::SimTime now)
 {
-    chipActiveCacheValid_[static_cast<std::size_t>(
-        core / cfg_.coresPerChip)] = false;
+    panicIf(now < since, "machine clock went backwards");
+    energyJ = at(now);
+    since = now;
 }
 
-double
-Machine::chipActiveW(int chip) const
+void
+Machine::fold(int core)
 {
-    if (chipActiveCacheValid_[chip])
-        return chipActiveCacheW_[chip];
-    // Recompute with the exact full-sum loop (never incrementally),
-    // so the memoized value is bit-identical to an unmemoized one.
-    // pcon-lint: allow(units) ground-truth internal; callers wrap in Watts
-    double power = 0.0;
+    checkCore(core);
+    sim::SimTime now = sim_.now();
+    chips_[cfg_.chipOf(core)].fold(now);
+    CoreState &state = cores_[core];
+    state.counters = countersAt(core, now);
+    state.since = now;
+    // Duty modulation and DVFS can only slow a core, never push
+    // non-halt cycles past the elapsed reference. Injected observer
+    // events are the one sanctioned exception; they are left out,
+    // since maintenance sampled often enough on a busy core (every
+    // 10 us in the GoldenShapes ledger loop) injects ~9% of the
+    // elapsed cycles, past the bound's 5% slack.
+    PCON_AUDIT_MSG(state.counters.nonhaltCycles -
+                           state.injectedNonhaltCycles <=
+                       state.counters.elapsedCycles * 1.05 + 1e7,
+                   "core ", core,
+                   "'s non-halt cycles outran its elapsed reference");
+}
+
+void
+Machine::refresh(int core)
+{
+    cores_[core].activeW = coreActiveW(core);
+    int chip = cfg_.chipOf(core);
+    util::Watts power{0};
     bool any_busy = false;
     int first = chip * cfg_.coresPerChip;
     for (int c = first; c < first + cfg_.coresPerChip; ++c) {
-        if (cores_[c].busy)
-            any_busy = true;
-        power += coreActiveW(cores_[c]);
+        any_busy = any_busy || cores_[c].busy;
+        power += cores_[c].activeW;
     }
     if (any_busy)
-        power += cfg_.truth.chipMaintenanceW;
-    chipActiveCacheW_[chip] = power;
-    chipActiveCacheValid_[chip] = true;
-    return power;
-}
-
-util::Watts
-Machine::devicePowerW() const
-{
-    util::Watts power{0};
-    if (diskBusy_ > 0)
-        power += util::Watts(cfg_.truth.diskActiveW);
-    if (netBusy_ > 0)
-        power += util::Watts(cfg_.truth.netActiveW);
-    return power;
+        power += util::Watts(cfg_.truth.chipMaintenanceW);
+    PCON_AUDIT_MSG(std::isfinite(power.value()) && power.value() >= 0,
+                   "chip ", chip, " ground-truth active power ", power,
+                   " W is negative or not finite");
+    chips_[chip].powerW = power;
 }
 
 util::Watts
@@ -268,106 +294,43 @@ Machine::truePowerW() const
 util::Watts
 Machine::trueActivePowerW() const
 {
-    double active = devicePowerW().value();
-    for (int chip = 0; chip < cfg_.chips; ++chip)
-        active += chipActiveW(chip);
-    return util::Watts(active);
+    util::Watts active = disk_.powerW + net_.powerW;
+    for (const Integrator &chip : chips_)
+        active += chip.powerW;
+    return active;
 }
 
 util::Watts
 Machine::truePackagePowerW(int chip) const
 {
     checkChip(chip);
-    return util::Watts(cfg_.truth.packageIdleW + chipActiveW(chip));
+    return util::Watts(cfg_.truth.packageIdleW) + chips_[chip].powerW;
 }
 
 util::Joules
-Machine::machineEnergyJ()
-{
-    sync();
-    return machineEnergyJ_;
-}
-
-util::Joules
-Machine::packageEnergyJ(int chip)
-{
-    checkChip(chip);
-    sync();
-    return packageEnergyJ_[chip];
-}
-
-util::Joules
-Machine::deviceEnergyJ(DeviceKind kind)
-{
-    sync();
-    return kind == DeviceKind::Disk ? diskEnergyJ_ : netEnergyJ_;
-}
-
-void
-Machine::syncSlow()
+Machine::machineEnergyJ() const
 {
     sim::SimTime now = sim_.now();
-    panicIf(now < lastSync_, "machine clock went backwards");
-    if (now == lastSync_)
-        return;
-    double dt_ns = static_cast<double>(now - lastSync_);
-    double dt_s = dt_ns * 1e-9;
+    util::Joules energy = util::Watts(cfg_.truth.machineIdleW) *
+        sim::toSimSeconds(now - start_);
+    for (const Integrator &chip : chips_)
+        energy += chip.at(now);
+    return energy + disk_.at(now) + net_.at(now);
+}
 
-    // Counters: piecewise-constant activity over [lastSync_, now).
-    // The elapsed reference advances at the nominal rate (invariant
-    // TSC); non-halt cycles advance at the core's effective clock.
-    double elapsed_cycles = cfg_.cyclesPerNs() * dt_ns;
-    for (auto &core : cores_) {
-        core.counters.elapsedCycles += elapsed_cycles;
-        if (!core.busy)
-            continue;
-        double cycles = elapsed_cycles * core.dutyFrac *
-            cfg_.pstates[core.pstate];
-        core.counters.nonhaltCycles += cycles;
-        core.counters.instructions += cycles * core.activity.ipc;
-        core.counters.flops += cycles * core.activity.flopsPerCycle;
-        core.counters.llcRefs += cycles * core.activity.llcPerCycle;
-        core.counters.memTxns += cycles * core.activity.memPerCycle;
-    }
+util::Joules
+Machine::packageEnergyJ(int chip) const
+{
+    checkChip(chip);
+    sim::SimTime now = sim_.now();
+    return util::Watts(cfg_.truth.packageIdleW) *
+        sim::toSimSeconds(now - start_) + chips_[chip].at(now);
+}
 
-    // Energy: integrate the ground-truth power over the interval.
-    util::Watts power_w = truePowerW();
-    util::SimSeconds dt(dt_s);
-    PCON_AUDIT_MSG(std::isfinite(power_w.value()) &&
-                       power_w.value() >= cfg_.truth.machineIdleW,
-                   "ground-truth power ", power_w,
-                   " W fell below the idle floor ",
-                   cfg_.truth.machineIdleW, " W");
-    machineEnergyJ_ += power_w * dt;
-    for (int chip = 0; chip < cfg_.chips; ++chip)
-        packageEnergyJ_[chip] += truePackagePowerW(chip) * dt;
-    if (diskBusy_ > 0)
-        diskEnergyJ_ += util::Watts(cfg_.truth.diskActiveW) * dt;
-    if (netBusy_ > 0)
-        netEnergyJ_ += util::Watts(cfg_.truth.netActiveW) * dt;
-    PCON_AUDIT_MSG(std::isfinite(machineEnergyJ_.value()) &&
-                       machineEnergyJ_.value() >= 0,
-                   "cumulative machine energy corrupt: ",
-                   machineEnergyJ_, " J");
-
-    // Per-core rate bound: duty modulation and DVFS can only slow a
-    // core, never push non-halt cycles past the elapsed reference.
-    // Injected observer events are the one sanctioned exception; they
-    // are left out, since maintenance sampled often enough on a busy
-    // core (every 10 us in the hot-path benches) injects ~9% of the
-    // elapsed cycles, past the bound's 5% slack.
-    PCON_AUDIT_SLOW(
-        [this] {
-            for (const auto &core : cores_)
-                if (core.counters.nonhaltCycles -
-                        core.injectedNonhaltCycles >
-                    core.counters.elapsedCycles * 1.05 + 1e7)
-                    return false;
-            return true;
-        }(),
-        "a core's non-halt cycles outran its elapsed reference");
-
-    lastSync_ = now;
+util::Joules
+Machine::deviceEnergyJ(DeviceKind kind) const
+{
+    return (kind == DeviceKind::Disk ? disk_ : net_).at(sim_.now());
 }
 
 } // namespace hw

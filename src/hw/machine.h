@@ -1,9 +1,10 @@
 /**
  * @file
  * The simulated multicore machine. Cores run task activity signatures
- * under per-core duty-cycle modulation; the machine lazily integrates
- * the hidden ground-truth power into cumulative machine/package/device
- * energy and advances per-core event counters.
+ * under per-core duty-cycle modulation; the machine keeps per-core
+ * event counters and cumulative machine/package/device energy of the
+ * hidden ground-truth power in closed form, so reading them is a pure
+ * function of simulated time.
  *
  * The OS-facing surface mirrors what the paper's kernel facility uses
  * on real hardware: read counters, write duty-cycle levels, observe
@@ -33,10 +34,12 @@ enum class DeviceKind {
 };
 
 /**
- * One machine in the simulation. All mutators synchronize lazily
- * integrated state (counters and energy) to the current simulated
- * time first, so power is integrated exactly over piecewise-constant
- * activity intervals.
+ * One machine in the simulation. Counters and power are
+ * piecewise-constant-rate functions of time that change only when a
+ * mutator changes a core's or a device's state. Each core, chip and
+ * device keeps its counters or active energy as of its last change
+ * plus the rate since, so a read returns base + rate x elapsed and
+ * stores nothing: observers cannot perturb the run.
  */
 class Machine
 {
@@ -109,8 +112,8 @@ class Machine
      */
     double workRateHz(int core) const;
 
-    /** Read the core's cumulative counters (synchronizes first). */
-    CounterSnapshot readCounters(int core);
+    /** Read the core's cumulative counters. */
+    CounterSnapshot readCounters(int core) const;
 
     /**
      * Rewrites the snapshot readCounters() reports for a core (fault
@@ -154,13 +157,13 @@ class Machine
     util::Watts truePackagePowerW(int chip) const;
 
     /** Cumulative whole-machine energy since start. */
-    util::Joules machineEnergyJ();
+    util::Joules machineEnergyJ() const;
 
     /** Cumulative package energy of one chip since start. */
-    util::Joules packageEnergyJ(int chip);
+    util::Joules packageEnergyJ(int chip) const;
 
     /** Cumulative energy of one device class since start. */
-    util::Joules deviceEnergyJ(DeviceKind kind);
+    util::Joules deviceEnergyJ(DeviceKind kind) const;
 
     /** Simulation this machine belongs to. */
     sim::Simulation &simulation() { return sim_; }
@@ -174,71 +177,70 @@ class Machine
         ActivityVector activity{};
         int dutyLevel = 0;          // set to denom in ctor
         int pstate = 0;             // P0 = nominal frequency
-        /**
-         * dutyLevel / dutyDenom, cached when the level is written:
-         * the integration and power paths used to redo this division
-         * per core per sync (millions per second). The cached value
-         * is the very same quotient, so results are bit-identical.
-         */
-        double dutyFrac = 0.0;
+        /** Time of the core's last state change. */
+        sim::SimTime since = 0;
+        /** Counters as of `since`; they advance at constant rates. */
         CounterSnapshot counters{};
+        /** Ground-truth active power, constant since `since`. */
+        util::Watts activeW{0};
         /** See injectedNonhaltCycles(). */
         double injectedNonhaltCycles = 0.0;
     };
 
-    /**
-     * Integrate counters and energy up to now. Inline fast path:
-     * most calls happen repeatedly within one event timestamp, where
-     * there is nothing to integrate.
-     */
-    void
-    sync()
+    /** Energy of a piecewise-constant active power, in closed form. */
+    struct Integrator
     {
-        if (sim_.now() != lastSync_)
-            syncSlow();
-    }
+        /** Time of the last power change. */
+        sim::SimTime since = 0;
+        /** Active energy as of `since`. */
+        util::Joules energyJ{0};
+        /** Active power, constant since `since`. */
+        util::Watts powerW{0};
 
-    /** The actual integration step; called once per distinct time. */
-    void syncSlow();
+        /** Active energy at `now` (>= since). */
+        util::Joules
+        at(sim::SimTime now) const
+        {
+            return energyJ + powerW * sim::toSimSeconds(now - since);
+        }
 
-    /** Ground-truth active power of one core right now. */
-    double coreActiveW(const CoreState &core) const;
+        /** Move the base to `now`, before the power changes. */
+        void fold(sim::SimTime now);
+    };
+
+    /** A core's counters at `now` (>= its last state change). */
+    CounterSnapshot countersAt(int core, sim::SimTime now) const;
 
     /**
-     * Ground-truth active power of one chip (cores+maintenance),
-     * memoized: the per-core sum only changes when a core on the
-     * chip flips busy/idle, changes activity, duty level, or
-     * P-state, so mutators drop the cached value and this recomputes
-     * it from scratch — the identical full-sum loop, preserving
-     * floating-point accumulation order bit for bit — on the next
-     * read. sync() reads it twice per chip per interval (machine and
-     * package integration), which made the old recompute-every-time
-     * loop ~25% of the simulator's hot-path profile.
+     * Move a core's counters and its chip's energy to now, before a
+     * mutator changes the core's state.
      */
-    double chipActiveW(int chip) const;
+    void fold(int core);
 
-    /** Drop the memoized chip power for the chip owning `core`. */
-    void invalidateChipPower(int core);
+    /**
+     * Recompute a core's active power and its chip's power from the
+     * current state, after a mutator changed it: the full sum over
+     * the chip's cores in index order, plus maintenance when any is
+     * busy, so chip power depends only on the current state.
+     */
+    void refresh(int core);
 
-    /** Device power right now. */
-    util::Watts devicePowerW() const;
+    /** Ground-truth active power of one core in its current state. */
+    util::Watts coreActiveW(int core) const;
 
     void checkCore(int core) const;
     void checkChip(int chip) const;
 
     sim::Simulation &sim_;
     MachineConfig cfg_;
+    /** Construction time, from which idle power accrues. */
+    sim::SimTime start_;
     std::vector<CoreState> cores_;
-    /** Memoized chipActiveW values; NaN-free only when valid. */
-    mutable std::vector<double> chipActiveCacheW_;
-    mutable std::vector<bool> chipActiveCacheValid_;
-    std::vector<util::Joules> packageEnergyJ_;
-    util::Joules machineEnergyJ_{0};
-    util::Joules diskEnergyJ_{0};
-    util::Joules netEnergyJ_{0};
+    std::vector<Integrator> chips_;
+    Integrator disk_;
+    Integrator net_;
     int diskBusy_ = 0;
     int netBusy_ = 0;
-    sim::SimTime lastSync_ = 0;
 };
 
 } // namespace hw

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../temp_path.h"
 #include "core/model_store.h"
 #include "util/logging.h"
 
@@ -53,7 +54,7 @@ TEST(ModelStore, RoundTripsCoreOnlyKind)
 
 TEST(ModelStore, FileRoundTrip)
 {
-    std::string path = ::testing::TempDir() + "/pcon_model_test.txt";
+    std::string path = testTempPath(".txt");
     saveModel(sampleModel(), path);
     LinearPowerModel loaded = loadModelFile(path);
     EXPECT_DOUBLE_EQ(loaded.idleW(), 26.1);

@@ -5,9 +5,10 @@
  * one deterministic function of its seeds. Running the same
  * configuration twice must produce byte-identical ledgers (request
  * records, energies, fault tallies), with faults and without, and
- * the invariant auditor must stay clean throughout. CompressedRefit
- * replays every refit of the same worlds against the uncompressed
- * refit design.
+ * the invariant auditor must stay clean throughout. ZeroPerturbation
+ * requires the same ledgers with observers reading the machine
+ * throughout, and CompressedRefit replays every refit of the same
+ * worlds against the uncompressed refit design.
  */
 
 #include <algorithm>
@@ -29,6 +30,9 @@
 #include "audit/invariant_auditor.h"
 #include "fault/fault_injector.h"
 #include "linalg/least_squares.h"
+#include "obs/watchdog.h"
+#include "telemetry/instrumentation.h"
+#include "telemetry/sampler.h"
 #include "workloads/apps.h"
 #include "workloads/client.h"
 #include "workloads/experiment.h"
@@ -61,23 +65,29 @@ sweepPlan()
     return plan;
 }
 
+/** What an `observe` callback attached; released before the world. */
+using Observers = std::shared_ptr<void>;
+
 /**
  * Run one seeded pipeline and fold everything observable into a
  * fingerprint string. Byte-identical fingerprints == identical runs.
  * `observe`, when given, sees the world once its recalibrator is
- * attached, before anything runs.
+ * attached, before anything runs; what it returns lives as long as
+ * the run.
  */
 std::string
-runFingerprint(std::uint64_t seed, bool with_faults,
-               const std::function<void(wl::ServerWorld &)> &observe = {})
+runFingerprint(
+    std::uint64_t seed, bool with_faults,
+    const std::function<Observers(wl::ServerWorld &)> &observe = {})
 {
     auto model = std::make_shared<core::LinearPowerModel>(
         calibrator().fit(core::ModelKind::WithChipShare));
     wl::ServerWorld world(hw::sandyBridgeConfig(), model);
     world.attachRecalibration(
         wl::toActiveSamples(calibrator(), model->idleW()));
+    Observers observers;
     if (observe)
-        observe(world);
+        observers = observe(world);
 
     fault::FaultPlan plan = sweepPlan();
     fault::FaultInjector injector(world.sim(), plan);
@@ -191,6 +201,95 @@ TEST(SeedSweepGolden, FingerprintsMatchCommittedFixture)
            "an optimization changed attribution. If the change is "
            "intentional, regenerate with PCON_UPDATE_GOLDEN=1 and "
            "commit the diff";
+}
+
+/**
+ * Read the machine's energy and every core's counters every 0.7 ms
+ * from now on. That is not a multiple of the world's 1 ms meter period
+ * or timeslice, so most reads fall at instants nothing else touches.
+ */
+void
+readMachineEvery700us(hw::Machine &machine)
+{
+    machine.simulation().schedule(sim::usec(700), [&machine] {
+        (void)machine.machineEnergyJ();
+        for (int core = 0; core < machine.totalCores(); ++core)
+            (void)machine.readCounters(core);
+        readMachineEvery700us(machine);
+    });
+}
+
+/**
+ * The observability stack beside the run: SystemTelemetry on the
+ * manager and recalibrator, the ground-truth and recalibration
+ * watchdogs, and a Sampler driving both every 7.3 ms (not a multiple
+ * of the 1 ms meter period, so most ticks fall between meter
+ * samples).
+ */
+struct Watchers
+{
+    telemetry::Registry registry;
+    obs::Journal journal{4096};
+    std::unique_ptr<telemetry::SystemTelemetry> telemetry;
+    std::unique_ptr<obs::WatchdogSet> dogs;
+    std::unique_ptr<telemetry::Sampler> sampler;
+
+    Watchers(const Watchers &) = delete;
+    Watchers &operator=(const Watchers &) = delete;
+
+    explicit Watchers(wl::ServerWorld &world)
+    {
+        telemetry = std::make_unique<telemetry::SystemTelemetry>(
+            registry, world.kernel());
+        world.kernel().addHooks(telemetry.get());
+        telemetry->watch(world.manager());
+        telemetry->watch(*world.recalibrator());
+        dogs = std::make_unique<obs::WatchdogSet>(journal, registry,
+                                                  world.kernel());
+        dogs->watchGroundTruth(world.manager(), world.machine());
+        dogs->watchRecalibration(*world.recalibrator());
+        dogs->installCollector();
+        sampler = std::make_unique<telemetry::Sampler>(
+            world.sim(), registry,
+            telemetry::SamplerConfig{sim::usec(7300), 1u << 12});
+        sampler->start();
+    }
+};
+
+/**
+ * Reading the machine must not change the run. Every sweep world,
+ * clean and faulted, must give the plain run's fingerprint byte for
+ * byte with `observe` attached. The worlds hold every reader of the
+ * machine the pipeline has: meters, recalibrator, auditor and faults.
+ */
+void
+expectUnperturbed(
+    const std::function<Observers(wl::ServerWorld &)> &observe)
+{
+    for (std::uint64_t seed : {401u, 402u, 403u}) {
+        for (bool faults : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "seed " << seed
+                         << (faults ? " faulted" : " clean"));
+            EXPECT_EQ(runFingerprint(seed, faults),
+                      runFingerprint(seed, faults, observe));
+        }
+    }
+}
+
+TEST(ZeroPerturbation, MachineReadsLeaveTheLedgersUnchanged)
+{
+    expectUnperturbed([](wl::ServerWorld &world) {
+        readMachineEvery700us(world.machine());
+        return Observers();
+    });
+}
+
+TEST(ZeroPerturbation, TelemetryAndWatchdogsLeaveTheLedgersUnchanged)
+{
+    expectUnperturbed([](wl::ServerWorld &world) {
+        return Observers(std::make_shared<Watchers>(world));
+    });
 }
 
 /**
@@ -316,6 +415,7 @@ TEST(CompressedRefit, MatchesTheFullDesignOnEverySweepRefit)
                 // The world, and its refits(), end with the run.
                 world.recalibrator()->onRefit(
                     [&refits](const auto &event) { refits = event.index; });
+                return Observers();
             });
             EXPECT_GT(replay.replayed - before, 200u);
             EXPECT_EQ(replay.replayed - before, refits);

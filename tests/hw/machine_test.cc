@@ -244,7 +244,6 @@ TEST(Machine, ChipOfMapsCoresToPackages)
     EXPECT_EQ(cfg.chipOf(3), 1);
 }
 
-#if PCON_AUDIT_LEVEL >= 2
 TEST(Machine, RateBoundLeavesOutInjectedObserverCycles)
 {
     // The maintenance loop of the GoldenShapes ledger scenario
@@ -252,7 +251,8 @@ TEST(Machine, RateBoundLeavesOutInjectedObserverCycles)
     // a busy core every 10 simulated us. Each one injects the
     // observer cost (2,948 non-halt cycles, ~9.5% of the
     // elapsed cycles at 3.1 GHz), which outruns the rate bound's 5%
-    // slack. The audited sync must leave those cycles out.
+    // slack. The bound, audited at every fold of the core (each
+    // injection is one), must leave those cycles out.
     Simulation sim;
     Machine machine(sim, sandyBridgeConfig());
     os::RequestContextManager requests;
@@ -285,7 +285,6 @@ TEST(Machine, RateBoundLeavesOutInjectedObserverCycles)
     EXPECT_LE(c.nonhaltCycles - machine.injectedNonhaltCycles(0),
               c.elapsedCycles);
 }
-#endif
 
 } // namespace
 } // namespace pcon::hw

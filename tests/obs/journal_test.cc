@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../temp_path.h"
 #include "obs/journal.h"
 
 namespace pcon::obs {
@@ -150,7 +151,7 @@ TEST(Journal, WriteJsonlRoundTripsThroughAFile)
     Journal j(4);
     j.append(RecordKind::Refit, Severity::Info, msec(3), 0, 0,
              "refit", "window 2", 42);
-    std::string path = testing::TempDir() + "journal_test.jsonl";
+    std::string path = testTempPath(".jsonl");
     j.writeJsonl(path);
     std::ifstream in(path);
     ASSERT_TRUE(in);

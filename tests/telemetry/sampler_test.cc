@@ -1,8 +1,10 @@
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "../temp_path.h"
 #include "sim/simulation.h"
 #include "telemetry/registry.h"
 #include "telemetry/sampler.h"
@@ -13,12 +15,16 @@ namespace {
 
 using sim::msec;
 
+/** The contents of a file a test wrote, which is then deleted. */
 std::string
-readFile(const std::string &path)
+readAndRemove(const std::string &path)
 {
-    std::ifstream in(path);
     std::ostringstream out;
-    out << in.rdbuf();
+    {
+        std::ifstream in(path);
+        out << in.rdbuf();
+    }
+    std::remove(path.c_str());
     return out.str();
 }
 
@@ -123,9 +129,9 @@ TEST(Sampler, CsvExportUsesUnionOfColumnsWithEmptyCells)
     sampler.start();
     sim.schedule(msec(15), [&] { reg.counter("late").add(3); });
     sim.run(msec(30));
-    std::string path = testing::TempDir() + "/sampler_union.csv";
+    std::string path = testTempPath(".csv");
     sampler.writeCsv(path);
-    std::string csv = readFile(path);
+    std::string csv = readAndRemove(path);
     std::istringstream lines(csv);
     std::string header, row1, row2, row3;
     ASSERT_TRUE(std::getline(lines, header));
@@ -152,9 +158,9 @@ TEST(Sampler, JsonExportRoundsTripStructure)
     EXPECT_NE(json.find("\"snapshots\""), std::string::npos);
     EXPECT_NE(json.find("\"g\""), std::string::npos);
     EXPECT_NE(json.find("2.5"), std::string::npos);
-    std::string path = testing::TempDir() + "/sampler.json";
+    std::string path = testTempPath(".json");
     sampler.writeJson(path);
-    EXPECT_EQ(readFile(path), json + "\n");
+    EXPECT_EQ(readAndRemove(path), json + "\n");
 }
 
 TEST(Sampler, ZeroPeriodIsRejectedAtConstruction)
@@ -186,9 +192,9 @@ TEST(Sampler, EmptyRegistrySnapshotsHaveNoValues)
     ASSERT_EQ(sampler.snapshots().size(), 1u);
     EXPECT_TRUE(sampler.snapshots().front().values.empty());
     // The CSV degenerates to the time column: header plus one row.
-    std::string path = testing::TempDir() + "/sampler_empty_reg.csv";
+    std::string path = testTempPath(".csv");
     sampler.writeCsv(path);
-    EXPECT_EQ(readFile(path), "time_ms\n0\n");
+    EXPECT_EQ(readAndRemove(path), "time_ms\n0\n");
 }
 
 TEST(Sampler, ExportsAreWellFormedWithZeroSnapshots)
@@ -198,16 +204,15 @@ TEST(Sampler, ExportsAreWellFormedWithZeroSnapshots)
     registry.counter("some.counter").add(7);
     Sampler sampler(sim, registry, {msec(10), 16});
     // Never started, never ticked: exports must still be valid.
-    std::string csv_path = testing::TempDir() + "/sampler_no_ticks.csv";
+    std::string csv_path = testTempPath(".csv");
     sampler.writeCsv(csv_path);
-    EXPECT_EQ(readFile(csv_path), "time_ms\n");
+    EXPECT_EQ(readAndRemove(csv_path), "time_ms\n");
     std::string json = sampler.json();
     EXPECT_NE(json.find("\"snapshots\""), std::string::npos);
     EXPECT_EQ(json.find("some.counter"), std::string::npos);
-    std::string json_path =
-        testing::TempDir() + "/sampler_no_ticks.json";
+    std::string json_path = testTempPath(".json");
     sampler.writeJson(json_path);
-    EXPECT_EQ(readFile(json_path), json + "\n");
+    EXPECT_EQ(readAndRemove(json_path), json + "\n");
 }
 
 } // namespace

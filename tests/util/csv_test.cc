@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../temp_path.h"
 #include "util/csv.h"
 #include "util/logging.h"
 
@@ -22,7 +23,7 @@ slurp(const std::string &path)
 class CsvTest : public ::testing::Test
 {
   protected:
-    std::string path_ = ::testing::TempDir() + "/pcon_csv_test.csv";
+    std::string path_ = testTempPath(".csv");
 
     void TearDown() override { std::remove(path_.c_str()); }
 };

@@ -190,6 +190,12 @@ class SourceFile:
         self.blanked_lines = self.blanked.splitlines()
 
 
+#: Fixture trees (tests/lint/README.md) are miniature repository roots,
+#: each scanned as a --root of its own, never as part of a tree that
+#: holds them: their deliberate violations are not the tree's.
+FIXTURE_ROOTS = "tests/lint/"
+
+
 class Project:
     """The scanned tree. Files are loaded once and shared by rules."""
 
@@ -208,6 +214,8 @@ class Project:
             for p in sorted(base.rglob("*")):
                 if p.suffix in SOURCE_SUFFIXES and p.is_file():
                     key = p.relative_to(root).as_posix()
+                    if key.startswith(FIXTURE_ROOTS):
+                        continue
                     if key not in seen:
                         seen[key] = SourceFile(
                             key,
