@@ -27,7 +27,7 @@
 #include "linalg/least_squares.h"
 #include "os/kernel.h"
 #include "sim/rng.h"
-#include "telemetry/overhead.h"
+#include "telemetry/instrumentation.h"
 #include "telemetry/registry.h"
 #include "trace/span.h"
 #include "trace/span_tracer.h"
@@ -207,11 +207,11 @@ BM_CompressedRefit(benchmark::State &state)
 BENCHMARK(BM_CompressedRefit);
 
 /**
- * A world where the container manager is decorated by the telemetry
- * OverheadProfiler: the accounting work done at every scheduler
- * callback is self-timed and reported through the metrics registry.
- * Two busy tasks share core 0 so each simulated slice forces real
- * context switches through the profiled path.
+ * A world whose kernel times every hook set it dispatches to
+ * (telemetry::profileHooks): the accounting work done at every
+ * scheduler callback is self-timed and reported through the metrics
+ * registry. Two busy tasks share core 0 so each simulated slice
+ * forces real context switches through the profiled path.
  */
 struct ProfiledWorld
 {
@@ -222,17 +222,16 @@ struct ProfiledWorld
     std::shared_ptr<core::LinearPowerModel> model;
     core::ContainerManager manager;
     telemetry::Registry registry;
-    telemetry::OverheadProfiler profiler;
 
     ProfiledWorld()
         : machine(sim, hw::sandyBridgeConfig()),
           kernel(machine, requests),
           model(OverheadWorld::makeModel()),
-          manager(kernel, model, {}),
-          profiler(registry, hw::sandyBridgeConfig().freqGhz * 1e9)
+          manager(kernel, model, {})
     {
-        profiler.wrap(&manager);
-        kernel.addHooks(&profiler);
+        kernel.addHooks(&manager);
+        telemetry::profileHooks(registry, kernel,
+                                hw::sandyBridgeConfig().freqGhz * 1e9);
         for (int i = 0; i < 2; ++i) {
             os::RequestId req = requests.create(
                 "profiled", sim.now());
@@ -294,22 +293,34 @@ BENCHMARK(BM_ProfiledAccountingPath);
 
 /**
  * The profiled accounting path with request-span tracing enabled on
- * top: a SpanTracer registered after the (profiled) container manager
- * turns every scheduler callback into span bookkeeping as well.
- * Comparing against BM_ProfiledAccountingPath isolates the
- * incremental per-context-switch cost of span tracing over plain
+ * top: a SpanTracer registered after the container manager turns
+ * every scheduler callback into span bookkeeping as well. The kernel
+ * times each hook set on its own, so the manager's (set 0) and the
+ * tracer's (set 1) per-context-switch costs are reported apart: the
+ * tracer's is the incremental cost of span tracing over plain
  * container accounting.
  */
 struct SpanTracedProfiledWorld : ProfiledWorld
 {
     trace::SpanCollector spans;
     trace::SpanTracer tracer;
+    /** Context-switch host cycles: [0] manager, [1] tracer. */
+    double switchCycles[2] = {0, 0};
 
     SpanTracedProfiledWorld() : tracer(kernel, manager, spans, 0)
     {
         tracer.traceAll();
         kernel.addHooks(&tracer);
         tracer.bindMetrics(registry);
+        // In place of profileHooks' timer: split costs by hook set.
+        double cycles_per_ns = hw::sandyBridgeConfig().freqGhz;
+        kernel.timeHooks([this, cycles_per_ns](os::Hook kind,
+                                               std::size_t set,
+                                               std::int64_t ns) {
+            if (kind == os::Hook::ContextSwitch)
+                switchCycles[set] +=
+                    static_cast<double>(ns) * cycles_per_ns;
+        });
     }
 };
 
@@ -317,19 +328,22 @@ void
 BM_SpanTracedAccountingPath(benchmark::State &state)
 {
     SpanTracedProfiledWorld w;
+    std::uint64_t before = w.kernel.hookCalls(os::Hook::ContextSwitch);
+    w.switchCycles[0] = w.switchCycles[1] = 0;
     sim::SimTime t = w.sim.now();
     for (auto _ : state) {
         t += sim::usec(200);
         w.sim.run(t);
     }
-    const telemetry::Histogram *sw =
-        w.overheadHistogram("overhead.context_switch_cycles");
-    if (sw != nullptr && sw->count() > 0) {
-        state.counters["switches_profiled"] =
-            static_cast<double>(sw->count());
-        state.counters["cycles_per_switch_mean"] = sw->mean();
-        state.counters["cycles_per_switch_p95"] =
-            sw->quantile(0.95);
+    std::uint64_t switches =
+        w.kernel.hookCalls(os::Hook::ContextSwitch) - before;
+    if (switches > 0) {
+        auto n = static_cast<double>(switches);
+        state.counters["switches_profiled"] = n;
+        state.counters["manager_cycles_per_switch"] =
+            w.switchCycles[0] / n;
+        state.counters["tracer_cycles_per_switch"] =
+            w.switchCycles[1] / n;
     }
     state.counters["spans_total"] =
         static_cast<double>(w.spans.size());
@@ -390,25 +404,19 @@ main(int argc, char **argv)
                 model->estimateActiveW(m) * op_seconds * 1e6);
 
     // Self-measured accounting overhead, reported through the
-    // telemetry registry (the paper measures ~0.95 us per switch).
+    // telemetry registry (the paper measures ~0.95 us per switch;
+    // BM_RecalibrationFit and BM_CompressedRefit time the ~16 us
+    // refit).
     {
         ProfiledWorld pw;
         pw.sim.run(sim::msec(50));
-        pw.profiler.profileRefit(/*rows=*/704, /*features=*/8);
         const telemetry::Histogram *sw = pw.overheadHistogram(
             "overhead.context_switch_cycles");
-        const telemetry::Histogram *rf =
-            pw.overheadHistogram("overhead.refit_cycles");
         if (sw != nullptr && sw->count() > 0)
             std::printf("  registry overhead.context_switch_cycles: "
-                        "n=%llu mean=%.0f p95=%.0f cycles\n",
+                        "n=%llu mean=%.0f p95=%.0f cycles\n\n",
                         static_cast<unsigned long long>(sw->count()),
                         sw->mean(), sw->quantile(0.95));
-        if (rf != nullptr && rf->count() > 0)
-            std::printf("  registry overhead.refit_cycles: n=%llu "
-                        "mean=%.0f cycles (paper: ~16 us)\n\n",
-                        static_cast<unsigned long long>(rf->count()),
-                        rf->mean());
     }
 
     benchmark::Initialize(&argc, argv);

@@ -47,7 +47,6 @@ run(bool trap)
     // directly as kernel.context_rebinds.
     telemetry::Registry registry;
     telemetry::SystemTelemetry telemetry(registry, kernel);
-    kernel.addHooks(&telemetry);
     telemetry.watch(manager);
 
     wl::EventLoopApp app(/*seed=*/42);

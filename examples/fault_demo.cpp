@@ -70,7 +70,6 @@ main()
 
     telemetry::Registry registry;
     telemetry::SystemTelemetry telemetry(registry, world.kernel());
-    world.kernel().addHooks(&telemetry);
     injector.attachTelemetry(registry);
     telemetry.watch(*world.recalibrator());
 

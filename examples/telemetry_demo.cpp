@@ -13,8 +13,9 @@
  *  - a PerfettoExporter capturing scheduling slices, rebinds, device
  *    I/O, actuations, per-container power counters, and refit
  *    markers (open telemetry_demo_trace.json in ui.perfetto.dev);
- *  - an OverheadProfiler decorating the telemetry accounting path so
- *    the cost of observation itself lands in the registry.
+ *  - the kernel timing every hook set it calls (profileHooks), so
+ *    the cost of accounting and of observation itself lands in the
+ *    registry.
  *
  * Exits nonzero when any expected signal is missing, so the build
  * registers this binary as a ctest smoke test.
@@ -74,18 +75,16 @@ main()
     audit::InvariantAuditor auditor(world.kernel());
     auditor.watch(world.manager());
 
-    // The telemetry stack. The profiler decorates the observability
-    // hooks themselves: SystemTelemetry and the Perfetto exporter run
-    // inside its timer, so the registry reports what observation
-    // costs on this host.
+    // The telemetry stack. The kernel times every hook set it calls,
+    // the container manager and the Perfetto exporter alike, so the
+    // registry reports what accounting and observation cost on this
+    // host.
     telemetry::Registry registry;
     telemetry::SystemTelemetry telemetry(registry, world.kernel());
     telemetry::PerfettoExporter perfetto(world.kernel());
-    telemetry::OverheadProfiler profiler(registry,
-                                         machine_cfg.freqGhz * 1e9);
-    profiler.wrap(&telemetry);
-    profiler.wrap(&perfetto);
-    world.kernel().addHooks(&profiler);
+    world.kernel().addHooks(&perfetto);
+    telemetry::profileHooks(registry, world.kernel(),
+                            machine_cfg.freqGhz * 1e9);
 
     telemetry.attachPerfetto(perfetto);
     telemetry.watch(world.manager());
@@ -107,9 +106,7 @@ main()
     world.run(sim::sec(3));
     client.stop();
     world.run(sim::msec(200));
-
-    // The recalibrator's Section 3.5 refit cost, measured directly.
-    profiler.profileRefit(/*rows=*/704, /*features=*/8);
+    registry.collect();
 
     perfetto.finish();
     sampler.writeCsv("telemetry_demo_metrics.csv");

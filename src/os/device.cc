@@ -50,6 +50,7 @@ IoDevice::finishCurrent()
     serving_ = false;
     sim::SimTime service = currentServiceTime_;
     busyTimeNs_ += service;
+    completedBytes_ += static_cast<std::uint64_t>(op.bytes);
     if (!queue_.empty())
         startNext();
     onComplete_(op.task, op.bytes, service);

@@ -9,6 +9,7 @@
 #ifndef PCON_OS_DEVICE_H
 #define PCON_OS_DEVICE_H
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 
@@ -59,6 +60,9 @@ class IoDevice
      */
     sim::SimTime busyTime() const { return busyTimeNs_; }
 
+    /** Cumulative bytes of completed operations, each truncated. */
+    std::uint64_t completedBytes() const { return completedBytes_; }
+
     /** Device class. */
     hw::DeviceKind kind() const { return kind_; }
 
@@ -80,6 +84,7 @@ class IoDevice
     bool serving_ = false;
     sim::SimTime currentServiceTime_ = 0;
     sim::SimTime busyTimeNs_ = 0;
+    std::uint64_t completedBytes_ = 0;
 };
 
 } // namespace os

@@ -9,6 +9,8 @@
 #ifndef PCON_OS_HOOKS_H
 #define PCON_OS_HOOKS_H
 
+#include <cstddef>
+
 #include "hw/machine.h"
 #include "os/request_context.h"
 #include "sim/time.h"
@@ -18,6 +20,27 @@ namespace os {
 
 class Task;
 struct Segment;
+
+/**
+ * The KernelHooks callbacks, in declaration order: the kinds the
+ * kernel counts and times at dispatch (Kernel::hookCalls,
+ * Kernel::timeHooks).
+ */
+enum class Hook
+{
+    ContextSwitch,
+    ContextRebind,
+    SamplingInterrupt,
+    IoComplete,
+    TaskExit,
+    Fork,
+    SegmentReceived,
+    Actuation,
+};
+
+/** Number of Hook kinds. */
+inline constexpr std::size_t NumHooks =
+    static_cast<std::size_t>(Hook::Actuation) + 1;
 
 /**
  * Callbacks invoked by the kernel at accounting-relevant moments.

@@ -1,6 +1,8 @@
 #include "kernel.h"
 
 #include <algorithm>
+// Host clock for the hook timer (timeHooks) only.
+#include <chrono>
 #include <utility>
 
 #include "util/audit.h"
@@ -47,6 +49,42 @@ Kernel::addHooks(KernelHooks *hooks)
 {
     panicIf(hooks == nullptr, "null hooks");
     hooks_.push_back(hooks);
+}
+
+std::uint64_t
+Kernel::hookCalls(Hook kind) const
+{
+    return hookCalls_[static_cast<std::size_t>(kind)];
+}
+
+void
+Kernel::timeHooks(HookTimer timer)
+{
+    hookTimer_ = std::move(timer);
+}
+
+template <typename F>
+void
+Kernel::dispatch(Hook kind, F &&call)
+{
+    ++hookCalls_[static_cast<std::size_t>(kind)];
+    if (!hookTimer_) {
+        for (KernelHooks *h : hooks_)
+            call(*h);
+        return;
+    }
+    // Self-measurement for telemetry: the host time goes to the timer
+    // only, never into simulation state.
+    for (std::size_t set = 0; set < hooks_.size(); ++set) {
+        // pcon-lint: allow(wall-clock) host monotonic clock; timer only
+        auto start = std::chrono::steady_clock::now();
+        call(*hooks_[set]);
+        // pcon-lint: allow(wall-clock) host monotonic clock; see above
+        auto spent = std::chrono::steady_clock::now() - start;
+        // pcon-lint: allow(wall-clock) the two host reads' difference
+        auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(spent);
+        hookTimer_(kind, set, ns.count());
+    }
 }
 
 void
@@ -169,8 +207,8 @@ Kernel::kill(TaskId id)
         break;
     }
 
-    for (auto *h : hooks_)
-        h->onTaskExit(*task);
+    dispatch(Hook::TaskExit,
+             [&](KernelHooks &h) { h.onTaskExit(*task); });
     task->state = TaskState::Exited;
     task->logic.reset();
 
@@ -238,6 +276,13 @@ Kernel::deviceBusyTime(hw::DeviceKind kind) const
 {
     return kind == hw::DeviceKind::Disk ? disk_.busyTime()
                                         : net_.busyTime();
+}
+
+std::uint64_t
+Kernel::deviceBytes(hw::DeviceKind kind) const
+{
+    return kind == hw::DeviceKind::Disk ? disk_.completedBytes()
+                                        : net_.completedBytes();
 }
 
 std::size_t
@@ -355,8 +400,9 @@ Kernel::switchTo(int core, Task *next)
     CoreState &cs = cores_[core];
     panicIf(cs.current != nullptr, "switchTo with occupied core");
     panicIf(next == nullptr, "switchTo(nullptr)");
-    for (auto *h : hooks_)
-        h->onContextSwitch(core, nullptr, next);
+    dispatch(Hook::ContextSwitch, [&](KernelHooks &h) {
+        h.onContextSwitch(core, nullptr, next);
+    });
     cs.current = next;
     next->state = TaskState::Running;
     next->core = core;
@@ -384,9 +430,10 @@ Kernel::switchTo(int core, Task *next)
         actuated = true;
     }
     if (actuated)
-        for (auto *h : hooks_)
-            h->onActuation(core, machine_.dutyLevel(core),
-                           machine_.pstate(core));
+        dispatch(Hook::Actuation, [&](KernelHooks &h) {
+            h.onActuation(core, machine_.dutyLevel(core),
+                          machine_.pstate(core));
+        });
     if (next->computing) {
         machine_.setRunning(core, next->activity);
         armCompute(core);
@@ -406,8 +453,9 @@ Kernel::deschedule(int core)
         disarmCompute(core);
     disarmSlice(core);
     disarmSampler(core);
-    for (auto *h : hooks_)
-        h->onContextSwitch(core, prev, nullptr);
+    dispatch(Hook::ContextSwitch, [&](KernelHooks &h) {
+        h.onContextSwitch(core, prev, nullptr);
+    });
     machine_.setIdle(core);
     cs.current = nullptr;
     prev->core = -1;
@@ -549,8 +597,8 @@ Kernel::tryRecv(Task *task, const RecvOp &op)
     }
     Segment merged = consumeReadable(socket);
     rebind(task, merged.context);
-    for (auto *h : hooks_)
-        h->onSegmentReceived(*task, merged);
+    dispatch(Hook::SegmentReceived,
+             [&](KernelHooks &h) { h.onSegmentReceived(*task, merged); });
     task->resumeResult = {OpResult::Kind::Received, merged.bytes,
                           merged.context, NoTask};
     return true;
@@ -569,8 +617,8 @@ Kernel::doFork(Task *task, const ForkOp &op)
     // spawn() may already have switched the child onto an idle core
     // (firing onContextSwitch for it), so hooks that track fork
     // ancestry must tolerate seeing the child first.
-    for (auto *h : hooks_)
-        h->onFork(*task, *child_task);
+    dispatch(Hook::Fork,
+             [&](KernelHooks &h) { h.onFork(*task, *child_task); });
     task->resumeResult = {OpResult::Kind::Forked, 0, NoRequest, child};
 }
 
@@ -617,8 +665,8 @@ Kernel::doIo(Task *task, const IoOp &op)
 void
 Kernel::exitTask(Task *task)
 {
-    for (auto *h : hooks_)
-        h->onTaskExit(*task);
+    dispatch(Hook::TaskExit,
+             [&](KernelHooks &h) { h.onTaskExit(*task); });
     int core = task->core;
     if (core >= 0) {
         // Free the core (the common case: a task exits while running).
@@ -746,8 +794,8 @@ Kernel::samplerFired(int core)
     CoreState &cs = cores_[core];
     cs.samplerEvent = sim::InvalidEventId;
     cs.samplerRemainingCycles = cfg_.samplingPeriodCycles;
-    for (auto *h : hooks_)
-        h->onSamplingInterrupt(core);
+    dispatch(Hook::SamplingInterrupt,
+             [&](KernelHooks &h) { h.onSamplingInterrupt(core); });
     // A hook may have rearmed via setDutyLevel; armSampler no-ops then.
     armSampler(core);
 }
@@ -766,9 +814,10 @@ Kernel::setDutyLevel(int core, int level)
     if (computing)
         armCompute(core);
     armSampler(core);
-    for (auto *h : hooks_)
-        h->onActuation(core, machine_.dutyLevel(core),
-                       machine_.pstate(core));
+    dispatch(Hook::Actuation, [&](KernelHooks &h) {
+        h.onActuation(core, machine_.dutyLevel(core),
+                      machine_.pstate(core));
+    });
 }
 
 void
@@ -785,9 +834,10 @@ Kernel::setPState(int core, int pstate)
     if (computing)
         armCompute(core);
     armSampler(core);
-    for (auto *h : hooks_)
-        h->onActuation(core, machine_.dutyLevel(core),
-                       machine_.pstate(core));
+    dispatch(Hook::Actuation, [&](KernelHooks &h) {
+        h.onActuation(core, machine_.dutyLevel(core),
+                      machine_.pstate(core));
+    });
 }
 
 // ----------------------------- sockets ----------------------------
@@ -852,8 +902,9 @@ Kernel::completePendingRecv(Socket *socket)
     socket->waitingReader_ = nullptr;
     Segment merged = consumeReadable(socket);
     rebind(reader, merged.context);
-    for (auto *h : hooks_)
-        h->onSegmentReceived(*reader, merged);
+    dispatch(Hook::SegmentReceived, [&](KernelHooks &h) {
+        h.onSegmentReceived(*reader, merged);
+    });
     reader->resumeResult = {OpResult::Kind::Received, merged.bytes,
                             merged.context, NoTask};
     makeReady(reader);
@@ -899,8 +950,9 @@ Kernel::rebind(Task *task, RequestId new_ctx)
     if (new_ctx == NoRequest || new_ctx == task->context)
         return;
     RequestId old_ctx = task->context;
-    for (auto *h : hooks_)
-        h->onContextRebind(*task, old_ctx, new_ctx);
+    dispatch(Hook::ContextRebind, [&](KernelHooks &h) {
+        h.onContextRebind(*task, old_ctx, new_ctx);
+    });
     task->context = new_ctx;
 }
 
@@ -912,8 +964,9 @@ Kernel::ioCompleted(hw::DeviceKind kind, Task *task, double bytes,
     // The transfer happened physically, so the hooks (energy
     // attribution) run even for a task killed mid-I/O — but a killed
     // task is not woken.
-    for (auto *h : hooks_)
-        h->onIoComplete(kind, task->context, busy, bytes);
+    dispatch(Hook::IoComplete, [&](KernelHooks &h) {
+        h.onIoComplete(kind, task->context, busy, bytes);
+    });
     if (task->state == TaskState::Exited)
         return;
     task->resumeResult = {OpResult::Kind::IoDone, bytes, NoRequest,

@@ -10,6 +10,8 @@
 #ifndef PCON_OS_KERNEL_H
 #define PCON_OS_KERNEL_H
 
+#include <array>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -81,6 +83,29 @@ class Kernel
 
     /** Register instrumentation callbacks (called in order). */
     void addHooks(KernelHooks *hooks);
+
+    /**
+     * Dispatches of one hook kind so far: one per event, however many
+     * hook sets are registered (none included). A pure function of
+     * the simulated workload.
+     */
+    std::uint64_t hookCalls(Hook kind) const;
+
+    /**
+     * Receives the host time of one hook set's call: the hook kind,
+     * the set's index in registration order, host nanoseconds.
+     */
+    using HookTimer = std::function<void(
+        Hook kind, std::size_t hook_set, std::int64_t host_ns)>;
+
+    /**
+     * Time every hook set's call with the host's monotonic clock and
+     * report it to `timer`, once per (dispatch, hook set) in
+     * registration order; an empty function stops timing. Host time
+     * never reaches simulation state, and the clock is read only
+     * while a timer is installed.
+     */
+    void timeHooks(HookTimer timer);
 
     /**
      * Install the per-request duty-cycle policy consulted when a core
@@ -196,6 +221,9 @@ class Kernel
     /** Cumulative busy time of a device class (OS bookkeeping). */
     sim::SimTime deviceBusyTime(hw::DeviceKind kind) const;
 
+    /** Cumulative bytes a device class completed (OS bookkeeping). */
+    std::uint64_t deviceBytes(hw::DeviceKind kind) const;
+
     /** Ready + running tasks on a core (load metric). */
     std::size_t coreLoad(int core) const;
 
@@ -271,10 +299,15 @@ class Kernel
     void ioCompleted(hw::DeviceKind kind, Task *task, double bytes,
                      sim::SimTime busy);
 
+    /** Count one `kind` event and call `call(hooks)` on every set. */
+    template <typename F> void dispatch(Hook kind, F &&call);
+
     hw::Machine &machine_;
     RequestContextManager &requests_;
     KernelConfig cfg_;
     std::vector<KernelHooks *> hooks_;
+    std::array<std::uint64_t, NumHooks> hookCalls_{};
+    HookTimer hookTimer_;
     std::function<int(const Task &)> dutyPolicy_;
     std::function<int(const Task &)> pstatePolicy_;
     std::function<RequestStatsTag(RequestId)> statsProvider_;

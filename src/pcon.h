@@ -54,9 +54,8 @@
 #include "fault/fault_plan.h"
 
 // Telemetry: metrics registry, periodic sampling, Perfetto export,
-// and self-measured accounting overhead.
+// and self-measured hook overhead.
 #include "telemetry/instrumentation.h"
-#include "telemetry/overhead.h"
 #include "telemetry/perfetto.h"
 #include "telemetry/registry.h"
 #include "telemetry/sampler.h"

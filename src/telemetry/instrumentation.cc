@@ -1,7 +1,11 @@
 #include "instrumentation.h"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "os/task.h"
@@ -34,18 +38,53 @@ powerBounds()
     return {1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 80.0, 160.0};
 }
 
+/** Cycle-scale bucket bounds shared by the overhead histograms. */
+std::vector<double>
+cycleBounds()
+{
+    return {50,    100,   200,    500,    1000,   2000,  5000,
+            10000, 20000, 50000,  100000, 500000, 1e6};
+}
+
+/** The kernel.* counter published for each hook kind it names. */
+constexpr std::pair<os::Hook, const char *> kernelHookCounters[] = {
+    {os::Hook::ContextSwitch, "kernel.context_switches"},
+    {os::Hook::ContextRebind, "kernel.context_rebinds"},
+    {os::Hook::SamplingInterrupt, "kernel.sampling_interrupts"},
+    {os::Hook::IoComplete, "kernel.io_completions"},
+    {os::Hook::TaskExit, "kernel.task_exits"},
+    {os::Hook::Actuation, "kernel.actuations"},
+};
+
+/**
+ * Per os::Hook kind: its perf.* class name and, for the classes the
+ * Section 3.5 breakdown reports, its overhead.* histogram.
+ */
+constexpr std::pair<const char *, const char *> hookClasses[] = {
+    {"context_switch", "overhead.context_switch_cycles"},
+    {"context_rebind", "overhead.rebind_cycles"},
+    {"sampling_window", "overhead.sampling_window_cycles"},
+    {"io_complete", "overhead.io_complete_cycles"},
+    {"task_exit", nullptr},
+    {"fork", nullptr},
+    {"segment_received", nullptr},
+    {"actuation", "overhead.actuation_cycles"},
+};
+static_assert(std::size(hookClasses) == os::NumHooks);
+
+/** Bytes both device classes completed. */
+std::uint64_t
+deviceBytes(const os::Kernel &kernel)
+{
+    return kernel.deviceBytes(hw::DeviceKind::Disk) +
+        kernel.deviceBytes(hw::DeviceKind::Net);
+}
+
 } // namespace
 
 SystemTelemetry::SystemTelemetry(Registry &registry,
                                  os::Kernel &kernel)
     : registry_(registry), kernel_(kernel),
-      switches_(registry.counter("kernel.context_switches")),
-      rebinds_(registry.counter("kernel.context_rebinds")),
-      interrupts_(registry.counter("kernel.sampling_interrupts")),
-      ioCompletions_(registry.counter("kernel.io_completions")),
-      taskExits_(registry.counter("kernel.task_exits")),
-      actuations_(registry.counter("kernel.actuations")),
-      ioBytes_(registry.counter("kernel.io_bytes")),
       requestsCreated_(registry.counter("requests.created")),
       requestsCompleted_(registry.counter("requests.completed")),
       requestsActive_(registry.gauge("requests.active")),
@@ -80,8 +119,18 @@ SystemTelemetry::SystemTelemetry(Registry &registry,
             }
         }
     });
-    // Load gauges are pull-style: refreshed per snapshot.
+    // The kernel.* counters publish what the kernel counted since
+    // construction; they and the load gauges refresh per snapshot.
+    for (const auto &[hook, name] : kernelHookCounters)
+        kernelCounts_.push_back(
+            {&registry_.counter(name), kernel_.hookCalls(hook)});
+    kernelCounts_.push_back(
+        {&registry_.counter("kernel.io_bytes"), deviceBytes(kernel_)});
     registry_.addCollector([this] {
+        for (std::size_t i = 0; i < std::size(kernelHookCounters); ++i)
+            kernelCounts_[i].advance(
+                kernel_.hookCalls(kernelHookCounters[i].first));
+        kernelCounts_.back().advance(deviceBytes(kernel_));
         registry_.gauge("kernel.live_tasks")
             .set(static_cast<double>(kernel_.liveTaskCount()));
         registry_.gauge("kernel.total_load")
@@ -89,53 +138,6 @@ SystemTelemetry::SystemTelemetry(Registry &registry,
         registry_.gauge("machine.energy_j")
             .set(kernel_.machine().machineEnergyJ().value());
     });
-}
-
-void
-SystemTelemetry::onContextSwitch(int core, os::Task *prev,
-                                 os::Task *next)
-{
-    (void)core; (void)prev; (void)next;
-    switches_.add();
-}
-
-void
-SystemTelemetry::onContextRebind(os::Task &task, os::RequestId old_ctx,
-                                 os::RequestId new_ctx)
-{
-    (void)task; (void)old_ctx; (void)new_ctx;
-    rebinds_.add();
-}
-
-void
-SystemTelemetry::onSamplingInterrupt(int core)
-{
-    (void)core;
-    interrupts_.add();
-}
-
-void
-SystemTelemetry::onIoComplete(hw::DeviceKind device,
-                              os::RequestId context,
-                              sim::SimTime busy_time, double bytes)
-{
-    (void)device; (void)context; (void)busy_time;
-    ioCompletions_.add();
-    ioBytes_.add(static_cast<std::uint64_t>(bytes));
-}
-
-void
-SystemTelemetry::onTaskExit(os::Task &task)
-{
-    (void)task;
-    taskExits_.add();
-}
-
-void
-SystemTelemetry::onActuation(int core, int duty_level, int pstate)
-{
-    (void)core; (void)duty_level; (void)pstate;
-    actuations_.add();
 }
 
 void
@@ -302,6 +304,41 @@ void
 SystemTelemetry::attachPerfetto(PerfettoExporter &exporter)
 {
     perfetto_ = &exporter;
+}
+
+void
+profileHooks(Registry &registry, os::Kernel &kernel, double cpu_freq_hz)
+{
+    util::fatalIf(cpu_freq_hz <= 0, "cpu frequency must be positive");
+    struct Cost
+    {
+        Counter *calls;
+        Counter *cycles;
+        Histogram *hist;
+    };
+    std::array<Cost, os::NumHooks> costs;
+    for (std::size_t k = 0; k < os::NumHooks; ++k) {
+        const auto &[cls, hist] = hookClasses[k];
+        std::string base = std::string("perf.") + cls;
+        costs[k] = {&registry.counter(base + ".calls"),
+                    &registry.counter(base + ".cycles"),
+                    hist == nullptr
+                        ? nullptr
+                        : &registry.histogram(hist, cycleBounds())};
+    }
+    Counter *calls = &registry.counter("overhead.hook_calls");
+    double cycles_per_ns = cpu_freq_hz * 1e-9;
+    kernel.timeHooks([calls, costs, cycles_per_ns](
+                         os::Hook kind, std::size_t, std::int64_t ns) {
+        const Cost &cost = costs[static_cast<std::size_t>(kind)];
+        double cycles = static_cast<double>(ns) * cycles_per_ns;
+        calls->add();
+        cost.calls->add();
+        cost.cycles->add(
+            static_cast<std::uint64_t>(cycles < 0 ? 0 : cycles));
+        if (cost.hist != nullptr)
+            cost.hist->observe(cycles);
+    });
 }
 
 void

@@ -1,26 +1,29 @@
 /**
  * @file
  * Glue between the facility and the metrics registry. One
- * SystemTelemetry instance instruments a kernel (context switches,
- * rebinds, sampling interrupts, I/O, actuations, request lifecycle)
- * and can additionally watch the accounting engine, the online
- * recalibrator, the power conditioner, and the invariant auditor —
- * each watch() registers the relevant counters/gauges/histograms and,
- * for pull-style values, a registry collector that refreshes them on
- * every snapshot. attachPerfetto() forwards per-container power
- * samples and refit markers to a PerfettoExporter on the same
- * cadence.
+ * SystemTelemetry instance publishes a kernel's counts (context
+ * switches, rebinds, sampling interrupts, I/O, actuations, request
+ * lifecycle) and can additionally watch the accounting engine, the
+ * online recalibrator, the power conditioner, and the invariant
+ * auditor — each watch() registers the relevant
+ * counters/gauges/histograms and, for pull-style values, a registry
+ * collector that refreshes them on every snapshot. attachPerfetto()
+ * forwards per-container power samples and refit markers to a
+ * PerfettoExporter on the same cadence. profileHooks() publishes what
+ * the kernel's hook sets cost on the host (Section 3.5).
  */
 
 #ifndef PCON_TELEMETRY_INSTRUMENTATION_H
 #define PCON_TELEMETRY_INSTRUMENTATION_H
+
+#include <cstdint>
+#include <vector>
 
 #include "audit/invariant_auditor.h"
 #include "core/anomaly.h"
 #include "core/conditioning.h"
 #include "core/container_manager.h"
 #include "core/recalibration.h"
-#include "os/hooks.h"
 #include "os/kernel.h"
 #include "telemetry/perfetto.h"
 #include "telemetry/registry.h"
@@ -29,25 +32,14 @@ namespace pcon {
 namespace telemetry {
 
 /**
- * Registers facility-wide metrics and keeps them fresh. Register
- * with kernel.addHooks() after the ContainerManager so request
- * completion metrics see final records.
+ * Registers facility-wide metrics and keeps them fresh. The kernel.*
+ * counters read the kernel's own hook and device counts on every
+ * collect, so nothing is registered with kernel.addHooks().
  */
-class SystemTelemetry : public os::KernelHooks
+class SystemTelemetry
 {
   public:
     SystemTelemetry(Registry &registry, os::Kernel &kernel);
-
-    // --- KernelHooks (push-style kernel metrics) ---
-    void onContextSwitch(int core, os::Task *prev,
-                         os::Task *next) override;
-    void onContextRebind(os::Task &task, os::RequestId old_ctx,
-                         os::RequestId new_ctx) override;
-    void onSamplingInterrupt(int core) override;
-    void onIoComplete(hw::DeviceKind device, os::RequestId context,
-                      sim::SimTime busy_time, double bytes) override;
-    void onTaskExit(os::Task &task) override;
-    void onActuation(int core, int duty_level, int pstate) override;
 
     /** Accounting engine: container counts, energy, maintenance. */
     void watch(core::ContainerManager &manager);
@@ -87,13 +79,23 @@ class SystemTelemetry : public os::KernelHooks
     PerfettoExporter *perfetto_ = nullptr;
     core::ContainerManager *manager_ = nullptr;
 
-    Counter &switches_;
-    Counter &rebinds_;
-    Counter &interrupts_;
-    Counter &ioCompletions_;
-    Counter &taskExits_;
-    Counter &actuations_;
-    Counter &ioBytes_;
+    /** A kernel.* counter and the kernel count it last published. */
+    struct KernelCount
+    {
+        Counter *counter;
+        std::uint64_t published;
+
+        /** Add the kernel count's growth since the last call. */
+        void
+        advance(std::uint64_t now)
+        {
+            counter->add(now - published);
+            published = now;
+        }
+    };
+
+    /** One per counted hook kind, then kernel.io_bytes. */
+    std::vector<KernelCount> kernelCounts_;
     Counter &requestsCreated_;
     Counter &requestsCompleted_;
     Gauge &requestsActive_;
@@ -101,6 +103,28 @@ class SystemTelemetry : public os::KernelHooks
     Histogram &requestResponseMs_;
     Histogram &requestMeanPowerW_;
 };
+
+/**
+ * Self-measured hook overhead (Section 3.5): time every hook set the
+ * kernel dispatches to (Kernel::timeHooks), in CPU cycles at
+ * `cpu_freq_hz`, and publish per hook-set call
+ *
+ *   overhead.hook_calls                 calls timed, all kinds
+ *   perf.<class>.calls / .cycles        per hook class: calls timed
+ *                                       and their cumulative cycles
+ *   overhead.<class>_cycles             histogram, for context_switch,
+ *                                       sampling_window, rebind,
+ *                                       io_complete and actuation
+ *
+ * for <class> in context_switch, context_rebind, sampling_window,
+ * io_complete, task_exit, fork, segment_received, actuation. Call
+ * counts are a pure function of the workload; cycles are host time.
+ * Replaces any timer already installed on the kernel. The timer
+ * writes into `registry`: stop it (kernel.timeHooks({})) before the
+ * registry goes while the kernel still runs.
+ */
+void profileHooks(Registry &registry, os::Kernel &kernel,
+                  double cpu_freq_hz);
 
 /**
  * Publish util::logMessage per-severity call counts as registry

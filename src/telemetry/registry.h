@@ -9,7 +9,7 @@
  * O(1) in the number of instruments) and live as long as the
  * registry. Metric names are stable keys for downstream dashboards
  * and must match `[a-z0-9_.]+`; dots form the conventional hierarchy
- * (`kernel.context_switches`, `overhead.refit_cycles`).
+ * (`kernel.context_switches`, `overhead.rebind_cycles`).
  */
 
 #ifndef PCON_TELEMETRY_REGISTRY_H

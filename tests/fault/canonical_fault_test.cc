@@ -60,7 +60,6 @@ TEST(CanonicalFaultPlan, PipelineDegradesGracefully)
 
     telemetry::Registry registry;
     telemetry::SystemTelemetry telemetry(registry, world.kernel());
-    world.kernel().addHooks(&telemetry);
     injector.attachTelemetry(registry);
     ASSERT_NE(world.recalibrator(), nullptr);
     telemetry.watch(*world.recalibrator());

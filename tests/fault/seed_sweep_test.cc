@@ -221,13 +221,14 @@ readMachineEvery700us(hw::Machine &machine)
 
 /**
  * The observability stack beside the run: SystemTelemetry on the
- * manager and recalibrator, the ground-truth and recalibration
- * watchdogs, and a Sampler driving both every 7.3 ms (not a multiple
- * of the 1 ms meter period, so most ticks fall between meter
- * samples).
+ * manager and recalibrator, host timing of every hook set, the
+ * ground-truth and recalibration watchdogs, and a Sampler driving
+ * them every 7.3 ms (not a multiple of the 1 ms meter period, so most
+ * ticks fall between meter samples).
  */
 struct Watchers
 {
+    os::Kernel &kernel;
     telemetry::Registry registry;
     obs::Journal journal{4096};
     std::unique_ptr<telemetry::SystemTelemetry> telemetry;
@@ -237,11 +238,19 @@ struct Watchers
     Watchers(const Watchers &) = delete;
     Watchers &operator=(const Watchers &) = delete;
 
-    explicit Watchers(wl::ServerWorld &world)
+    /** The hook timer writes into `registry`: stop it first. */
+    ~Watchers()
+    {
+        EXPECT_GT(registry.counter("overhead.hook_calls").value(), 0u);
+        kernel.timeHooks({});
+    }
+
+    explicit Watchers(wl::ServerWorld &world) : kernel(world.kernel())
     {
         telemetry = std::make_unique<telemetry::SystemTelemetry>(
             registry, world.kernel());
-        world.kernel().addHooks(telemetry.get());
+        telemetry::profileHooks(registry, world.kernel(),
+                                world.machine().config().freqGhz * 1e9);
         telemetry->watch(world.manager());
         telemetry->watch(*world.recalibrator());
         dogs = std::make_unique<obs::WatchdogSet>(journal, registry,

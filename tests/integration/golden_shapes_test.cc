@@ -26,12 +26,13 @@
 
 #include <gtest/gtest.h>
 
+#include "../hook_workload.h"
 #include "core/container_manager.h"
 #include "core/power_model.h"
 #include "core/recalibration.h"
 #include "os/kernel.h"
 #include "sim/simulation.h"
-#include "telemetry/overhead.h"
+#include "telemetry/instrumentation.h"
 #include "telemetry/registry.h"
 #include "trace/span.h"
 #include "trace/span_tracer.h"
@@ -89,18 +90,6 @@ spawnPingPong(os::Kernel &kernel, os::RequestContextManager &requests,
     }
 }
 
-/** Counts context switches so events/switch has a denominator. */
-struct SwitchCounter : os::KernelHooks
-{
-    std::uint64_t switches = 0;
-
-    void
-    onContextSwitch(int, os::Task *, os::Task *) override
-    {
-        ++switches;
-    }
-};
-
 /**
  * ledger.sim_events_per_op: simulated events per container-ledger
  * maintenance update — one busy task, a ledger sample on core 0
@@ -135,9 +124,9 @@ ledgerShapes(Shapes &out)
 
 /**
  * kernel.sim_events_per_switch: simulated events per context switch
- * in 200 us steps. The container manager follows requests but is
- * not registered as a kernel hook, so only the kernel's own events
- * count.
+ * in 200 us steps, switches as the kernel counts them. The container
+ * manager follows requests but is not registered as a kernel hook,
+ * so only the kernel's own events count.
  */
 void
 kernelShapes(Shapes &out)
@@ -147,8 +136,6 @@ kernelShapes(Shapes &out)
     os::RequestContextManager requests;
     os::Kernel kernel(machine, requests);
     core::ContainerManager manager(kernel, makeModel(), {});
-    SwitchCounter counter;
-    kernel.addHooks(&counter);
     spawnPingPong(kernel, requests, sim.now(), "hotpath");
 
     sim::SimTime t = sim.now();
@@ -159,12 +146,14 @@ kernelShapes(Shapes &out)
 
     const std::uint64_t window = 100;
     std::uint64_t events_before = sim.eventsExecuted();
-    std::uint64_t switches_before = counter.switches;
+    std::uint64_t switches_before =
+        kernel.hookCalls(os::Hook::ContextSwitch);
     for (std::uint64_t i = 0; i < window; ++i) {
         t += usec(200);
         sim.run(t);
     }
-    std::uint64_t switches = counter.switches - switches_before;
+    std::uint64_t switches =
+        kernel.hookCalls(os::Hook::ContextSwitch) - switches_before;
     ASSERT_GT(switches, 0u);
     out["kernel.sim_events_per_switch"] =
         static_cast<double>(sim.eventsExecuted() - events_before) /
@@ -172,9 +161,10 @@ kernelShapes(Shapes &out)
 }
 
 /**
- * profiled.hook_calls_per_slice: kernel hook invocations forwarded
- * through the OverheadProfiler per 200 us slice, with the container
- * manager wrapped by the profiler.
+ * profiled.hook_calls_per_slice: kernel hook dispatches per 200 us
+ * slice with the container manager registered and every hook set
+ * timed (telemetry::profileHooks). With the manager the one hook set,
+ * the timer sees exactly one call per dispatch.
  */
 void
 profiledShapes(Shapes &out)
@@ -184,14 +174,11 @@ profiledShapes(Shapes &out)
     os::RequestContextManager requests;
     os::Kernel kernel(machine, requests);
     core::ContainerManager manager(kernel, makeModel(), {});
+    kernel.addHooks(&manager);
     telemetry::Registry registry;
-    telemetry::OverheadProfiler profiler(
-        registry, hw::sandyBridgeConfig().freqGhz * 1e9);
-    profiler.wrap(&manager);
-    kernel.addHooks(&profiler);
+    telemetry::profileHooks(registry, kernel,
+                            hw::sandyBridgeConfig().freqGhz * 1e9);
     spawnPingPong(kernel, requests, sim.now(), "profiled");
-    const telemetry::Counter &hook_calls =
-        registry.counter("overhead.hook_calls");
 
     sim::SimTime t = sim.now();
     for (int i = 0; i < 1500; ++i) {
@@ -200,13 +187,15 @@ profiledShapes(Shapes &out)
     }
 
     const std::uint64_t window = 200;
-    std::uint64_t calls_before = hook_calls.value();
+    std::uint64_t calls_before = hookDispatches(kernel);
     for (std::uint64_t i = 0; i < window; ++i) {
         t += usec(200);
         sim.run(t);
     }
+    std::uint64_t calls = hookDispatches(kernel);
+    ASSERT_EQ(registry.counter("overhead.hook_calls").value(), calls);
     out["profiled.hook_calls_per_slice"] =
-        static_cast<double>(hook_calls.value() - calls_before) /
+        static_cast<double>(calls - calls_before) /
         static_cast<double>(window);
 }
 

@@ -1,4 +1,4 @@
-// A host clock in src/ outside the OverheadProfiler: a latent
+// A host clock in src/ outside the kernel's hook timer: a latent
 // determinism bug. Must be reported.
 #include <chrono>
 

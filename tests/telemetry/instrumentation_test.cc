@@ -42,7 +42,6 @@ struct TelemetryWorld
           telemetry(registry, kernel)
     {
         kernel.addHooks(&manager);
-        kernel.addHooks(&telemetry);
     }
 
     static hw::MachineConfig
@@ -123,11 +122,21 @@ TEST(SystemTelemetry, KernelCountersTrackASmallRun)
     EXPECT_EQ(w.metric("kernel.io_completions"), 2.0);
     EXPECT_EQ(w.metric("kernel.task_exits"), 2.0);
     EXPECT_GE(w.metric("kernel.actuations"), 1.0);
+    EXPECT_EQ(w.metric("kernel.io_bytes"), 1e6);
     EXPECT_EQ(w.metric("requests.created"), 2.0);
     EXPECT_EQ(w.metric("requests.completed"), 2.0);
     EXPECT_EQ(w.metric("requests.active"), 0.0);
     EXPECT_EQ(w.metric("requests.response_ms"), 2.0);
     EXPECT_GT(w.metric("machine.energy_j"), 0.0);
+
+    // The kernel.* counters equal the kernel's own counts at every
+    // collect: a second collect adds nothing.
+    double switches = w.metric("kernel.context_switches");
+    EXPECT_EQ(switches, static_cast<double>(w.kernel.hookCalls(
+                            os::Hook::ContextSwitch)));
+    w.registry.collect();
+    EXPECT_EQ(w.metric("kernel.context_switches"), switches);
+    EXPECT_EQ(w.metric("kernel.io_bytes"), 1e6);
 }
 
 TEST(SystemTelemetry, WatchedManagerPublishesEnergyAndOverhead)

@@ -1,18 +1,11 @@
-"""Hook-contract rule: wiring order and decorator completeness.
+"""Hook-contract rule: wiring order.
 
-Two statically checkable contracts around os::KernelHooks:
-
-1. Wiring order — a trace::SpanTracer consumes per-container charge
-   deltas produced by the core::ContainerManager's hooks, so at every
-   wiring site that registers both with the same kernel, the manager
-   must be registered (``addHooks(&manager)``) before the tracer.
-   Checked per file: the first ContainerManager registration must
-   precede the first SpanTracer registration.
-
-2. Decorator forwarding — a KernelHooks subclass that *holds* other
-   KernelHooks (a decorator, e.g. telemetry::OverheadProfiler) must
-   override every callback declared in src/os/hooks.h; a missing
-   override silently swallows that event for every wrapped hook set.
+A trace::SpanTracer consumes per-container charge deltas produced by
+the core::ContainerManager's hooks, so at every wiring site that
+registers both with the same kernel, the manager must be registered
+(``addHooks(&manager)``) before the tracer. Checked per file: the
+first ContainerManager registration must precede the first SpanTracer
+registration.
 """
 
 import re
@@ -25,24 +18,6 @@ ADDHOOKS_RE = re.compile(r"\baddHooks\s*\(\s*&\s*(\w+)\s*\)")
 # declarator per line matches the codebase style.
 DECL_TEMPLATE = r"\b{type}\s*&?\s+(\w+)\s*[;={{(,)]"
 
-CLASS_RE = re.compile(
-    r"\b(?:class|struct)\s+(\w+)\s*(?:final\s*)?:"
-    r"[^;{]*\bKernelHooks\b"
-)
-HOOK_DECL_RE = re.compile(r"\bvoid\s*\n?\s*(on[A-Z]\w*)\s*\(")
-INNER_MEMBER_RE = re.compile(r"\bKernelHooks\s*\*")
-
-FALLBACK_HOOKS = [
-    "onContextSwitch",
-    "onContextRebind",
-    "onSamplingInterrupt",
-    "onIoComplete",
-    "onTaskExit",
-    "onFork",
-    "onSegmentReceived",
-    "onActuation",
-]
-
 
 def declared_names(source, type_name):
     """Identifiers declared with the given type anywhere in a file."""
@@ -54,57 +29,15 @@ def declared_names(source, type_name):
     return names
 
 
-def hook_callbacks(project):
-    """Callback names declared in src/os/hooks.h (kept in sync with
-    the header so new hooks are covered automatically)."""
-    for source in project.files:
-        if source.rel == "src/os/hooks.h":
-            found = HOOK_DECL_RE.findall(source.blanked)
-            if found:
-                return sorted(set(found))
-    return FALLBACK_HOOKS
-
-
-def class_bodies(source):
-    """(name, decl_line, body_text) for every KernelHooks subclass."""
-    text = source.blanked
-    out = []
-    for m in CLASS_RE.finditer(text):
-        brace = text.find("{", m.end())
-        if brace < 0:
-            continue
-        depth, i = 1, brace + 1
-        while i < len(text) and depth:
-            if text[i] == "{":
-                depth += 1
-            elif text[i] == "}":
-                depth -= 1
-            i += 1
-        decl_line = text.count("\n", 0, m.start()) + 1
-        out.append((m.group(1), decl_line, text[brace:i]))
-    return out
-
-
 class HookOrderRule(Rule):
     name = "hook-order"
-    description = (
-        "SpanTracer registered after ContainerManager; KernelHooks "
-        "decorators forward every callback"
-    )
+    description = "SpanTracer registered after ContainerManager"
     scope = ("src", "tests", "examples", "bench")
 
     def run(self, project):
         findings = []
-        callbacks = hook_callbacks(project)
-
         for source in project.files_under(self.scope):
-            findings.extend(
-                self.check_wiring_order(source)
-            )
-            if source.rel.startswith("src/"):
-                findings.extend(
-                    self.check_decorators(source, callbacks)
-                )
+            findings.extend(self.check_wiring_order(source))
         return findings
 
     def check_wiring_order(self, source):
@@ -139,48 +72,13 @@ class HookOrderRule(Rule):
             ]
         return []
 
-    def check_decorators(self, source, callbacks):
-        findings = []
-        for cls, decl_line, body in class_bodies(source):
-            if not INNER_MEMBER_RE.search(body):
-                continue  # holds no inner hooks: not a decorator
-            missing = [
-                cb
-                for cb in callbacks
-                if not re.search(
-                    r"\b" + cb + r"\s*\(", body
-                )
-            ]
-            if missing:
-                findings.append(
-                    Finding(
-                        self.name,
-                        source.rel,
-                        decl_line,
-                        f"KernelHooks decorator '{cls}' does not "
-                        f"forward {', '.join(missing)}; a decorator "
-                        f"must override every callback or wrapped "
-                        f"hook sets silently miss those events",
-                    )
-                )
-        return findings
-
     def selftest(self):
         errors = []
         rule = HookOrderRule()
 
-        hooks_h = (
-            "class KernelHooks {\n"
-            "  public:\n"
-            "    virtual void onContextSwitch(int);\n"
-            "    virtual void onTaskExit(int);\n"
-            "};\n"
-        )
-
         # Tracer registered first: one finding at the tracer line.
         bad = rule.project_from_texts(
             {
-                "src/os/hooks.h": hooks_h,
                 "tests/wiring.cc": (
                     "core::ContainerManager manager;\n"
                     "trace::SpanTracer tracer;\n"
@@ -202,7 +100,6 @@ class HookOrderRule(Rule):
         # Correct order: clean.
         good = rule.project_from_texts(
             {
-                "src/os/hooks.h": hooks_h,
                 "tests/wiring.cc": (
                     "core::ContainerManager manager;\n"
                     "trace::SpanTracer tracer;\n"
@@ -216,46 +113,5 @@ class HookOrderRule(Rule):
         ):
             errors.append(
                 "hook-order selftest: correct wiring was flagged"
-            )
-
-        # A decorator missing a callback must be flagged.
-        decorator = rule.project_from_texts(
-            {
-                "src/os/hooks.h": hooks_h,
-                "src/telemetry/wrap.h": (
-                    "class Wrap : public os::KernelHooks {\n"
-                    "    void onContextSwitch(int) override;\n"
-                    "    std::vector<os::KernelHooks *> inner_;\n"
-                    "};\n"
-                ),
-            }
-        )
-        found = [
-            f
-            for f in rule.run(decorator)
-            if f.path == "src/telemetry/wrap.h"
-        ]
-        if len(found) != 1 or "onTaskExit" not in found[0].message:
-            errors.append(
-                f"hook-order selftest: expected missing-onTaskExit "
-                f"finding, got {[f.render() for f in found]}"
-            )
-
-        # A non-decorator subclass (no inner hooks) is exempt.
-        plain = rule.project_from_texts(
-            {
-                "src/os/hooks.h": hooks_h,
-                "src/core/mgr.h": (
-                    "class Mgr : public os::KernelHooks {\n"
-                    "    void onContextSwitch(int) override;\n"
-                    "};\n"
-                ),
-            }
-        )
-        if any(
-            f.path == "src/core/mgr.h" for f in rule.run(plain)
-        ):
-            errors.append(
-                "hook-order selftest: non-decorator subclass flagged"
             )
         return errors

@@ -3,7 +3,8 @@
 All of ``src/`` takes time from the simulation clock
 (``sim::Simulation::now()``), never from the host. A host timestamp
 there is either a latent determinism bug (it differs from run to run)
-or a self-measurement that belongs in ``telemetry::OverheadProfiler``.
+or a self-measurement that belongs in the kernel's hook timer
+(``os::Kernel::timeHooks``).
 The figure and table drivers under ``bench/`` print simulated results
 and take no host time themselves: micro-benchmarks time through
 Google Benchmark's ``benchmark::State`` loop
@@ -14,8 +15,8 @@ Flags any ``std::chrono`` use, the C clock family (``time``/``clock``
 /``gettimeofday``/``clock_gettime``/``timespec_get``), and cycle
 counters (``__rdtsc``/``__rdtscp``/``_mm_rdtsc``/``rdtsc``/
 ``__builtin_readcyclecounter``). The sanctioned exception, the
-OverheadProfiler's self-measurement, carries justified
-``allow(wall-clock)`` markers; a bare allow does not suppress.
+kernel's hook timer, carries justified ``allow(wall-clock)`` markers;
+a bare allow does not suppress.
 """
 
 import re
@@ -85,9 +86,9 @@ class WallClockRule(Rule):
                     "#include <chrono>\n"
                     "auto t = std::chrono::steady_clock::now();\n"
                 ),
-                "src/telemetry/overhead.cc": (
-                    "// pcon-lint: allow(wall-clock) profiler "
-                    "self-measures its own host-time overhead\n"
+                "src/os/kernel.cc": (
+                    "// pcon-lint: allow(wall-clock) hook timer "
+                    "self-measures the host time of hook sets\n"
                     "auto t = std::chrono::steady_clock::now();\n"
                 ),
                 "src/util/fmt.cc": (
@@ -138,7 +139,7 @@ class WallClockRule(Rule):
         got_sups = sorted((s.path, s.line) for s in sups)
         if got_sups != [
             ("bench/bench_bad.cc", 8),
-            ("src/telemetry/overhead.cc", 2),
+            ("src/os/kernel.cc", 2),
         ]:
             errors.append(
                 f"wall-clock selftest: justified allow() markers "
