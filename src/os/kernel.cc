@@ -49,6 +49,11 @@ Kernel::addHooks(KernelHooks *hooks)
 {
     panicIf(hooks == nullptr, "null hooks");
     hooks_.push_back(hooks);
+    // The sampling interrupt has a consumer from now on: program it on
+    // every busy core, a full period away.
+    if (hooks_.size() == 1)
+        for (int core = 0; core < machine_.totalCores(); ++core)
+            armSampler(core);
 }
 
 std::uint64_t
@@ -759,8 +764,8 @@ Kernel::armSampler(int core)
     CoreState &cs = cores_[core];
     if (cs.samplerEvent != sim::InvalidEventId)
         return;
-    if (!machine_.isBusy(core))
-        return; // interrupts suppressed while the core idles
+    if (hooks_.empty() || !machine_.isBusy(core))
+        return; // no hook set to deliver to, or the core idles
     cs.samplerRateHz = machine_.workRateHz(core);
     cs.samplerArmedAt = simulation().now();
     PCON_AUDIT_MSG(cs.samplerRateHz > 0 &&

@@ -81,13 +81,20 @@ class Kernel
     Kernel(const Kernel &) = delete;
     Kernel &operator=(const Kernel &) = delete;
 
-    /** Register instrumentation callbacks (called in order). */
+    /**
+     * Register instrumentation callbacks (called in order). Sampling
+     * interrupts are armed only while a hook set is registered: the
+     * first one arms them on every busy core, each a full period of
+     * non-halt cycles away, like a counter overflow programmed then.
+     */
     void addHooks(KernelHooks *hooks);
 
     /**
      * Dispatches of one hook kind so far: one per event, however many
-     * hook sets are registered (none included). A pure function of
-     * the simulated workload.
+     * hook sets are registered (none included), except that
+     * SamplingInterrupt counts only interrupts delivered while some
+     * hook set was registered. A pure function of the simulated
+     * workload and of when the first hook set was registered.
      */
     std::uint64_t hookCalls(Hook kind) const;
 

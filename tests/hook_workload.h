@@ -95,9 +95,10 @@ struct HookRecorder : os::KernelHooks
 };
 
 /**
- * A two-core, 1 GHz machine (one sampling interrupt per busy ms) and
- * its kernel. start() schedules a workload that dispatches every hook
- * kind within its first 20 simulated ms: an "httpd" task computes
+ * A two-core, 1 GHz machine (one sampling interrupt per busy ms while
+ * a hook set is registered) and its kernel. start() schedules a
+ * workload that dispatches every hook kind within its first 20
+ * simulated ms: an "httpd" task computes
  * 2.5 M cycles, sends to a "db" task (which receives, so rebinds to
  * the request, computes and exits), forks a child, waits for it, does
  * one disk I/O and exits; core 0's duty level changes at 1.5 ms.

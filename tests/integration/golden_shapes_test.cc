@@ -126,7 +126,8 @@ ledgerShapes(Shapes &out)
  * kernel.sim_events_per_switch: simulated events per context switch
  * in 200 us steps, switches as the kernel counts them. The container
  * manager follows requests but is not registered as a kernel hook,
- * so only the kernel's own events count.
+ * so only the kernel's own events count, and with no hook set
+ * registered the kernel delivers no sampling interrupts.
  */
 void
 kernelShapes(Shapes &out)

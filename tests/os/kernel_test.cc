@@ -340,23 +340,25 @@ TEST(Kernel, IoBlocksTaskAndRaisesHookWithContext)
     EXPECT_GT(w.machine.deviceEnergyJ(hw::DeviceKind::Disk).value(), 0.0);
 }
 
+/** Records the simulated times of core 0's sampling interrupts. */
+struct Core0Samples : KernelHooks
+{
+    std::vector<SimTime> times;
+    Simulation *sim = nullptr;
+    void
+    onSamplingInterrupt(int core) override
+    {
+        if (core == 0)
+            times.push_back(sim->now());
+    }
+};
+
 TEST(Kernel, SamplingInterruptsFireAtCyclePeriodAndPauseWhenIdle)
 {
-    struct SampleHooks : KernelHooks
-    {
-        std::vector<SimTime> times;
-        Simulation *sim = nullptr;
-        void
-        onSamplingInterrupt(int core) override
-        {
-            if (core == 0)
-                times.push_back(sim->now());
-        }
-    } hooks;
-
     KernelConfig kcfg;
     kcfg.samplingPeriodCycles = 1e6; // 1 ms at 1 GHz
     World w(testConfig(), kcfg);
+    Core0Samples hooks;
     hooks.sim = &w.sim;
     w.kernel.addHooks(&hooks);
     // 2.5 ms of work, then the core idles.
@@ -366,6 +368,28 @@ TEST(Kernel, SamplingInterruptsFireAtCyclePeriodAndPauseWhenIdle)
     ASSERT_EQ(hooks.times.size(), 2u);
     EXPECT_EQ(hooks.times[0], msec(1));
     EXPECT_EQ(hooks.times[1], msec(2));
+}
+
+TEST(Kernel, SamplingInterruptsWaitForTheFirstHookSet)
+{
+    KernelConfig kcfg;
+    kcfg.samplingPeriodCycles = 1e6; // 1 ms at 1 GHz
+    World w(testConfig(), kcfg);
+    Core0Samples hooks;
+    hooks.sim = &w.sim;
+    // 3 ms of work with no hook set registered: only the compute
+    // completion is pending, no sampler timer.
+    w.kernel.spawn(computeOnce(3e6), "t", NoRequest, 0);
+    EXPECT_EQ(w.sim.pendingEvents(), 1u);
+    // Registering mid-compute programs a full period from then on.
+    w.sim.schedule(usec(500), [&] { w.kernel.addHooks(&hooks); });
+    w.sim.run(msec(20));
+    // Interrupts at 1.5 ms and 2.5 ms only; none once the core idles
+    // at 3 ms.
+    ASSERT_EQ(hooks.times.size(), 2u);
+    EXPECT_EQ(hooks.times[0], usec(1500));
+    EXPECT_EQ(hooks.times[1], usec(2500));
+    EXPECT_EQ(w.kernel.hookCalls(Hook::SamplingInterrupt), 2u);
 }
 
 TEST(Kernel, DutyCycleSlowsComputeProportionally)
