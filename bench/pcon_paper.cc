@@ -4,8 +4,10 @@
  * figure, table or ablation; `pcon_paper` runs every id in order,
  * `pcon_paper fig05 fig09` only those. Every table prints to stdout
  * and, when PCON_CSV_DIR is set, also lands in <dir>/<name>.csv at
- * full precision. Exits 1 on an empty or malformed table or a
- * non-finite number, 2 on an unknown id.
+ * full precision; the directory is created, parents included, before
+ * the first experiment runs. Exits 1 on an empty or malformed table
+ * or a non-finite number, 2 on an unknown id or a fatal error (a CSV
+ * directory that cannot be created or written, say).
  */
 
 #include <algorithm>
@@ -13,12 +15,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "paper.h"
 #include "util/csv.h"
 #include "util/json.h"
+#include "util/logging.h"
 
 namespace {
 
@@ -148,17 +153,30 @@ main(int argc, char **argv)
             chosen.push_back(&experiment);
 
     const char *csv_dir = std::getenv("PCON_CSV_DIR");
-    for (const Experiment *experiment : chosen)
-        for (const Table &table : experiment->run()) {
-            std::string why = defect(table);
-            if (!why.empty()) {
-                std::fprintf(stderr, "pcon_paper: %s: table %s has %s\n",
-                             experiment->id, table.name.c_str(),
-                             why.c_str());
-                return 1;
-            }
-            render(table, csv_dir);
-            std::fflush(stdout);
+    try {
+        if (csv_dir != nullptr && *csv_dir != '\0') {
+            std::error_code error;
+            std::filesystem::create_directories(csv_dir, error);
+            util::fatalIf(static_cast<bool>(error),
+                          "cannot create PCON_CSV_DIR '", csv_dir,
+                          "': ", error.message());
         }
+        for (const Experiment *experiment : chosen)
+            for (const Table &table : experiment->run()) {
+                std::string why = defect(table);
+                if (!why.empty()) {
+                    std::fprintf(stderr,
+                                 "pcon_paper: %s: table %s has %s\n",
+                                 experiment->id, table.name.c_str(),
+                                 why.c_str());
+                    return 1;
+                }
+                render(table, csv_dir);
+                std::fflush(stdout);
+            }
+    } catch (const util::FatalError &error) {
+        std::fprintf(stderr, "pcon_paper: %s\n", error.what());
+        return 2;
+    }
     return 0;
 }

@@ -182,7 +182,7 @@ main()
 
     check(ids.size() == kRequests, "all requests were created");
     for (os::RequestId r : ids)
-        check(requests.info(r).done, "request ran to completion");
+        check(requests.completed(r), "request ran to completion");
     check(index.requests().size() == kRequests,
           "index saw every request");
     check(index.openSpanCount() == 0, "every indexed span closed");

@@ -242,7 +242,7 @@ main()
 
     check(ids.size() == kRequests, "all requests were created");
     for (os::RequestId r : ids)
-        check(requests.info(r).done, "request ran to completion");
+        check(requests.completed(r), "request ran to completion");
     check(spans.openCount() == 0, "every span closed");
     check(spans.machines().size() == 2, "spans on both machines");
 

@@ -150,7 +150,7 @@ PowerConditioner::recordStats(os::RequestId context,
     ThrottleStats &stats = stats_[context];
     if (stats.observations == 0) {
         stats.id = context;
-        if (kernel_.requests().exists(context))
+        if (kernel_.requests().live(context))
             stats.type = kernel_.requests().info(context).type;
     }
     double n = static_cast<double>(stats.observations);

@@ -23,39 +23,42 @@ RequestContextManager::create(const std::string &type, sim::SimTime now)
 void
 RequestContextManager::complete(RequestId id, sim::SimTime now)
 {
+    util::panicIf(completed(id), "request ", id, " completed twice");
     auto it = contexts_.find(id);
     util::panicIf(it == contexts_.end(),
                   "complete() on unknown request ", id);
-    util::panicIf(it->second.done, "request ", id, " completed twice");
     it->second.done = true;
     it->second.completed = now;
     for (auto &fn : completeListeners_)
         fn(it->second);
+    // By key: a listener may create requests, and a rehash would
+    // invalidate `it` (the element itself stays put).
+    contexts_.erase(id);
 }
 
 const RequestInfo &
 RequestContextManager::info(RequestId id) const
 {
     auto it = contexts_.find(id);
-    util::panicIf(it == contexts_.end(), "unknown request ", id);
+    util::panicIf(it == contexts_.end(), "info() on request ", id,
+                  completed(id) ? ", which has completed"
+                                : ", which was never created");
     return it->second;
 }
 
 bool
-RequestContextManager::exists(RequestId id) const
+RequestContextManager::live(RequestId id) const
 {
     return contexts_.find(id) != contexts_.end();
 }
 
-void
-RequestContextManager::reapCompleted()
+bool
+RequestContextManager::completed(RequestId id) const
 {
-    for (auto it = contexts_.begin(); it != contexts_.end();) {
-        if (it->second.done)
-            it = contexts_.erase(it);
-        else
-            ++it;
-    }
+    if (id == NoRequest || id >= nextId_)
+        return false;
+    auto it = contexts_.find(id);
+    return it == contexts_.end() || it->second.done;
 }
 
 } // namespace os

@@ -27,7 +27,11 @@ using RequestId = std::uint64_t;
 /** The null context. */
 constexpr RequestId NoRequest = 0;
 
-/** Static and lifecycle information about one request context. */
+/**
+ * Static and lifecycle information about one live request context.
+ * It lives only while the request does: the manager erases it once
+ * the completion listeners have run.
+ */
 struct RequestInfo
 {
     /** Unique id. */
@@ -46,6 +50,12 @@ struct RequestInfo
  * Issues request ids and broadcasts lifecycle events. The container
  * manager subscribes to create/complete to allocate and release
  * per-request accounting state.
+ *
+ * Only live requests are kept: complete() runs the completion
+ * listeners and then erases the request's RequestInfo, so the table
+ * holds the requests in flight, not every request ever issued. The
+ * RequestInfo a listener receives dies when the call returns; a
+ * listener that needs the type or the times after that copies them.
  */
 class RequestContextManager
 {
@@ -55,14 +65,24 @@ class RequestContextManager
     /** Create a new context of the given type at time `now`. */
     RequestId create(const std::string &type, sim::SimTime now);
 
-    /** Mark a context complete at time `now`; notifies listeners. */
+    /**
+     * Mark a context complete at time `now`, notify the listeners,
+     * then erase it. Panics on an id that is not live.
+     */
     void complete(RequestId id, sim::SimTime now);
 
-    /** Look up a context; panics on unknown id. */
+    /** Look up a live context; panics on any other id. */
     const RequestInfo &info(RequestId id) const;
 
-    /** True when the id exists (and is not NoRequest). */
-    bool exists(RequestId id) const;
+    /** True while the id names a created, not yet erased context. */
+    bool live(RequestId id) const;
+
+    /**
+     * True when the id was issued and complete() was called on it:
+     * already inside the completion listeners, and ever after. False
+     * for NoRequest and for ids not issued yet.
+     */
+    bool completed(RequestId id) const;
 
     /** Subscribe to context creation. */
     void onCreate(Listener fn) { createListeners_.push_back(fn); }
@@ -70,11 +90,11 @@ class RequestContextManager
     /** Subscribe to context completion. */
     void onComplete(Listener fn) { completeListeners_.push_back(fn); }
 
-    /** Number of contexts created so far. */
-    std::size_t createdCount() const { return contexts_.size(); }
+    /** Number of ids issued so far, completed ones included. */
+    std::size_t createdCount() const { return nextId_ - 1; }
 
-    /** Remove completed contexts from the table (space reclamation). */
-    void reapCompleted();
+    /** Number of live contexts (the size of the table). */
+    std::size_t liveCount() const { return contexts_.size(); }
 
   private:
     RequestId nextId_ = 1;

@@ -33,8 +33,9 @@ using SpanId = std::uint64_t;
 /** The null span. */
 constexpr SpanId NoSpan = 0;
 
-/** How a span came to exist (its causal edge to the parent). */
-enum class SpanKind
+/** How a span came to exist (its causal edge to the parent). One
+ * byte, so it packs beside Span::machine. */
+enum class SpanKind : std::uint8_t
 {
     /** The request itself; parentless. */
     Root,
@@ -92,7 +93,11 @@ class SpanObserver
     }
 };
 
-/** One node of a request's causal span tree. */
+/**
+ * One node of a request's causal span tree. `kind` and `open` share
+ * the word of `machine`, which keeps a span at 128 bytes: four to a
+ * 512-byte libstdc++ deque block.
+ */
 struct Span
 {
     SpanId id = NoSpan;
@@ -108,13 +113,13 @@ struct Span
     os::RequestId request = os::NoRequest;
     /** Machine index the span executed on. */
     int machine = 0;
+    SpanKind kind = SpanKind::Stage;
+    bool open = true;
     /** Stage name (task name, device name, or request type). */
     std::string name;
-    SpanKind kind = SpanKind::Stage;
     sim::SimTime openedAt = 0;
     /** Close time; meaningful when !open. */
     sim::SimTime closedAt = 0;
-    bool open = true;
 
     /** Attributed energy while this span was active. */
     util::Joules energyJ{0};

@@ -17,6 +17,7 @@ SpanTracer::SpanTracer(os::Kernel &kernel,
     kernel_.requests().onComplete(
         [this](const os::RequestInfo &info) { completeRequest(info); });
     kernel_.setSpanProvider([this](os::RequestId id) -> std::uint64_t {
+        // Untraced and completed requests have no state here.
         auto it = states_.find(id);
         if (it == states_.end())
             return NoSpan;
@@ -46,13 +47,25 @@ SpanTracer::now() const
 void
 SpanTracer::trace(os::RequestId id)
 {
-    if (id == os::NoRequest || states_.count(id) != 0)
+    if (id == os::NoRequest || kernel_.requests().completed(id))
+        return;
+    requested_.insert(id);
+    if (states_.count(id) != 0)
         return;
     // stateFor only creates state in traceAll mode; force it once.
     bool saved = all_;
     all_ = true;
     stateFor(id);
     all_ = saved;
+}
+
+bool
+SpanTracer::tracing(os::RequestId id) const
+{
+    if (states_.count(id) != 0)
+        return true;
+    return kernel_.requests().completed(id) &&
+           (all_ || requested_.count(id) != 0);
 }
 
 SpanTracer::RequestState *
@@ -63,7 +76,9 @@ SpanTracer::stateFor(os::RequestId id)
     auto it = states_.find(id);
     if (it != states_.end())
         return &it->second;
-    if (!all_)
+    // A completed request's state is gone; a hook that still carries
+    // its id (a task outliving it, a stale tag) charges nothing.
+    if (!all_ || kernel_.requests().completed(id))
         return nullptr;
     RequestState st;
     st.root = collector_.rootOf(id);
@@ -72,7 +87,7 @@ SpanTracer::stateFor(os::RequestId id)
         // root at the request's arrival time.
         std::string name = "request";
         sim::SimTime at = now();
-        if (kernel_.requests().exists(id)) {
+        if (kernel_.requests().live(id)) {
             const os::RequestInfo &info = kernel_.requests().info(id);
             name = info.type.empty() ? name : info.type;
             at = info.created;
@@ -147,8 +162,6 @@ void
 SpanTracer::chargeDelta(RequestState &st, os::RequestId id,
                         SpanId span)
 {
-    if (st.completed)
-        return;
     core::PowerContainer *c = manager_.container(id);
     if (c == nullptr)
         return;
@@ -171,7 +184,7 @@ SpanTracer::onContextSwitch(int core, os::Task *prev, os::Task *next)
     (void)core;
     if (prev != nullptr) {
         RequestState *st = stateFor(prev->context);
-        if (st != nullptr && !st->completed) {
+        if (st != nullptr) {
             SpanId sp = ensureTaskSpan(*prev, *st);
             chargeDelta(*st, prev->context, sp);
             st->current = sp;
@@ -183,7 +196,7 @@ SpanTracer::onContextSwitch(int core, os::Task *prev, os::Task *next)
     }
     if (next != nullptr) {
         RequestState *st = stateFor(next->context);
-        if (st != nullptr && !st->completed)
+        if (st != nullptr)
             st->current = ensureTaskSpan(*next, *st);
     }
 }
@@ -193,7 +206,7 @@ SpanTracer::onContextRebind(os::Task &task, os::RequestId old_ctx,
                             os::RequestId new_ctx)
 {
     RequestState *st_old = stateFor(old_ctx);
-    if (st_old != nullptr && !st_old->completed) {
+    if (st_old != nullptr) {
         auto it = spanOfTask_.find(task.id);
         if (it != spanOfTask_.end() &&
             collector_.span(it->second).request == old_ctx) {
@@ -207,7 +220,7 @@ SpanTracer::onContextRebind(os::Task &task, os::RequestId old_ctx,
     // The hook fires before task.context is reassigned, so the new
     // stage span must be opened against new_ctx explicitly.
     RequestState *st_new = stateFor(new_ctx);
-    if (st_new != nullptr && !st_new->completed) {
+    if (st_new != nullptr) {
         auto it = spanOfTask_.find(task.id);
         if (it != spanOfTask_.end()) {
             const Span &s = collector_.span(it->second);
@@ -230,7 +243,7 @@ SpanTracer::onSamplingInterrupt(int core)
     if (task == nullptr)
         return;
     RequestState *st = stateFor(task->context);
-    if (st == nullptr || st->completed)
+    if (st == nullptr)
         return;
     chargeDelta(*st, task->context, ensureTaskSpan(*task, *st));
 }
@@ -240,7 +253,7 @@ SpanTracer::onIoComplete(hw::DeviceKind device, os::RequestId context,
                          sim::SimTime busy_time, double bytes)
 {
     RequestState *st = stateFor(context);
-    if (st == nullptr || st->completed)
+    if (st == nullptr)
         return;
     SpanId parent = st->current != NoSpan ? st->current : st->root;
     sim::SimTime end = now();
@@ -273,7 +286,7 @@ SpanTracer::onTaskExit(os::Task &task)
         exitPending_.insert(task.id);
         return;
     }
-    if (st != nullptr && !st->completed)
+    if (st != nullptr)
         chargeDelta(*st, task.context, it->second);
     closeSpan(it->second, now());
     unlinkTask(task.id);
@@ -283,7 +296,7 @@ void
 SpanTracer::onFork(os::Task &parent, os::Task &child)
 {
     RequestState *st = stateFor(parent.context);
-    if (st == nullptr || st->completed)
+    if (st == nullptr)
         return;
     SpanId parent_span = ensureTaskSpan(parent, *st);
     auto it = spanOfTask_.find(child.id);
@@ -307,7 +320,7 @@ SpanTracer::onSegmentReceived(os::Task &task,
                               const os::Segment &segment)
 {
     RequestState *st = stateFor(segment.context);
-    if (st == nullptr || st->completed)
+    if (st == nullptr)
         return;
     SpanId sender = segment.stats.spanId;
     if (!collector_.valid(sender))
@@ -356,9 +369,7 @@ SpanTracer::completeRequest(const os::RequestInfo &info)
     auto it = states_.find(info.id);
     if (it == states_.end())
         return;
-    RequestState &st = it->second;
-    if (st.completed)
-        return;
+    const RequestState &st = it->second;
     // The ContainerManager (registered before this tracer on the
     // shared request manager) already moved the container to its
     // records; settle the residual against the record so the
@@ -376,13 +387,11 @@ SpanTracer::completeRequest(const os::RequestInfo &info)
                               st.seenCycles,
                           rit->events.instructions -
                               st.seenInstructions);
-        st.seenEnergyJ = rit->totalEnergyJ();
-        st.seenCpuNs = rit->cpuTimeNs;
-        st.seenCycles = util::Cycles{rit->events.nonhaltCycles};
-        st.seenInstructions = rit->events.instructions;
         break;
     }
-    st.completed = true;
+    // From here on the request manager reports the id completed, so
+    // stateFor() ignores it without this entry.
+    states_.erase(it);
     // Close every span this machine still has open for the request
     // and drop the task-span links (tasks may outlive the request).
     // Only this request's spans are visited; task links are found

@@ -16,6 +16,7 @@
 #ifndef PCON_TRACE_SPAN_TRACER_H
 #define PCON_TRACE_SPAN_TRACER_H
 
+#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -38,6 +39,11 @@ namespace trace {
  * span also files it under its request in the collector's ordered
  * entry, O(log R), a few times per request. Completion walks only
  * the request's own spans.
+ *
+ * Memory: charging state lives only while its request does. The
+ * completion listener settles the request and erases its state;
+ * afterwards any hook, trace() call or span-provider lookup for the
+ * id is ignored, because the request manager reports it completed.
  */
 class SpanTracer : public os::KernelHooks
 {
@@ -57,17 +63,24 @@ class SpanTracer : public os::KernelHooks
     SpanTracer(const SpanTracer &) = delete;
     SpanTracer &operator=(const SpanTracer &) = delete;
 
-    /** Trace one request (call before or while it runs). */
+    /**
+     * Trace one request (call before or while it runs). Ignored for
+     * a request that has completed.
+     */
     void trace(os::RequestId id);
 
     /** Trace every request this tracer's kernel sees. */
     void traceAll() { all_ = true; }
 
-    /** True when the request is (or was) being traced. */
-    bool tracing(os::RequestId id) const
-    {
-        return states_.count(id) != 0;
-    }
+    /**
+     * True when the request is being traced, or was: a live request
+     * with charging state here, or a completed one that traceAll()
+     * or an earlier trace() call covers.
+     */
+    bool tracing(os::RequestId id) const;
+
+    /** Requests with charging state here: live traced requests. */
+    std::size_t liveRequests() const { return states_.size(); }
 
     /**
      * Publish trace.* metrics: spans_opened/spans_closed/fork_links/
@@ -116,11 +129,10 @@ class SpanTracer : public os::KernelHooks
         double seenCpuNs = 0;
         util::Cycles seenCycles{0};
         double seenInstructions = 0;
-        bool completed = false;
     };
 
     sim::SimTime now() const;
-    /** State for a traced request; nullptr when untraced. */
+    /** State for a live traced request; nullptr otherwise. */
     RequestState *stateFor(os::RequestId id);
     /** The task's open stage span, created lazily under the root. */
     SpanId ensureTaskSpan(os::Task &task, RequestState &st);
@@ -134,9 +146,10 @@ class SpanTracer : public os::KernelHooks
     /** Drop the task's stage link, if it has one. */
     void unlinkTask(os::TaskId task);
     /**
-     * Settle, then close the request's open spans on this machine and
-     * drop their task links: O(that request's spans), found through
-     * the collector's per-request entry and taskOfSpan_.
+     * Settle, then close the request's open spans on this machine,
+     * drop their task links and erase the request's state: O(that
+     * request's spans), found through the collector's per-request
+     * entry and taskOfSpan_.
      */
     void completeRequest(const os::RequestInfo &info);
 
@@ -145,15 +158,14 @@ class SpanTracer : public os::KernelHooks
     SpanCollector &collector_;
     int machine_;
     bool all_ = false;
+    /** Ids passed to trace(), so tracing() answers once they retire. */
+    std::set<os::RequestId> requested_;
     // The four tables below are hashed: every hook looks up its
     // request or task, and nothing iterates them, so no output
     // depends on their order. Their names must differ from those of
     // iterated members elsewhere in src/: the determinism lint
     // tracks unordered containers by member name across files.
-    /**
-     * Charging state of every request traced here, completed ones
-     * included, so tracing() and late hooks still recognise them.
-     */
+    /** Charging state of the live requests traced here. */
     std::unordered_map<os::RequestId, RequestState> states_;
     /** Open stage span of each task (this machine). */
     std::unordered_map<os::TaskId, SpanId> spanOfTask_;

@@ -494,23 +494,28 @@ TEST(Kernel, RequestManagerLifecycleNotifications)
     Simulation sim;
     RequestContextManager mgr;
     std::vector<RequestId> created, completed;
+    std::vector<SimTime> completed_at;
+    std::vector<bool> done_in_listener;
     mgr.onCreate([&](const RequestInfo &i) { created.push_back(i.id); });
     mgr.onComplete([&](const RequestInfo &i) {
         completed.push_back(i.id);
+        completed_at.push_back(i.completed);
+        done_in_listener.push_back(i.done && mgr.completed(i.id));
     });
     RequestId id = mgr.create("t", 5);
-    EXPECT_TRUE(mgr.exists(id));
+    EXPECT_TRUE(mgr.live(id));
     EXPECT_EQ(mgr.info(id).type, "t");
     EXPECT_EQ(mgr.info(id).created, 5);
     mgr.complete(id, 9);
-    EXPECT_EQ(mgr.info(id).completed, 9);
-    EXPECT_TRUE(mgr.info(id).done);
     ASSERT_EQ(created.size(), 1u);
     ASSERT_EQ(completed.size(), 1u);
+    EXPECT_EQ(completed_at[0], 9);
+    EXPECT_TRUE(done_in_listener[0]);
+    EXPECT_TRUE(mgr.completed(id));
     EXPECT_THROW(mgr.complete(id, 10), util::PanicError);
     EXPECT_THROW(mgr.info(999), util::PanicError);
-    mgr.reapCompleted();
-    EXPECT_FALSE(mgr.exists(id));
+    // Completion erased the context; nothing is left to reap.
+    EXPECT_FALSE(mgr.live(id));
 }
 
 TEST(Kernel, ReapExitedDropsZombies)

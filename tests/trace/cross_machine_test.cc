@@ -142,7 +142,7 @@ TEST(CrossMachine, RequestStatsTagStitchesSpansAcrossMachines)
 
     c.sim.run(sec(1));
 
-    ASSERT_TRUE(c.requests.info(req).done);
+    ASSERT_TRUE(c.requests.completed(req));
     EXPECT_EQ(c.spans.openCount(), 0u);
 
     // The worker's stage must be stitched to the client's sending

@@ -88,6 +88,14 @@ TEST(SpanCollector, SpanReferencesSurviveGrowth)
     EXPECT_DOUBLE_EQ(held.instructions, 4e6);
 }
 
+TEST(Span, PacksFourToADequeBlock)
+{
+    // kind and open share machine's word; with libstdc++'s 32-byte
+    // string a span is 128 bytes, four to a 512-byte deque block.
+    static_assert(sizeof(SpanKind) == 1);
+    EXPECT_LE(sizeof(Span), 128u);
+}
+
 TEST(SpanCollector, ReparentRewiresTheCausalEdge)
 {
     SpanCollector c;

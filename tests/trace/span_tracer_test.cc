@@ -229,6 +229,84 @@ TEST(SpanTracer, CompletionClosesEverySpanAndFreezesCharges)
     EXPECT_EQ(w.spans.requestSpans(req).size(), count);
 }
 
+TEST(SpanTracer, CompletedRequestsLeaveTheTracer)
+{
+    TracedWorld w;
+    RequestId traced = w.requests.create("a", w.sim.now());
+    RequestId untraced = w.requests.create("b", w.sim.now());
+    w.tracer.trace(traced);
+    w.kernel.spawn(forkAndIo(), "t1", traced, 0);
+    w.kernel.spawn(forkAndIo(), "t2", untraced, 1);
+    w.sim.run(sec(1));
+    EXPECT_EQ(w.tracer.liveRequests(), 1u);
+    EXPECT_NE(w.kernel.spanFor(traced), NoSpan);
+    w.requests.complete(traced, w.sim.now());
+    w.requests.complete(untraced, w.sim.now());
+
+    // No state is left, yet tracing() still answers from the trace()
+    // list, and the span provider has nothing to stamp.
+    EXPECT_EQ(w.tracer.liveRequests(), 0u);
+    EXPECT_TRUE(w.tracer.tracing(traced));
+    EXPECT_FALSE(w.tracer.tracing(untraced));
+    EXPECT_EQ(w.kernel.spanFor(traced), NoSpan);
+
+    // Tracing a completed request is ignored: no root appears.
+    std::size_t spans = w.spans.size();
+    w.tracer.trace(untraced);
+    EXPECT_FALSE(w.tracer.tracing(untraced));
+    EXPECT_EQ(w.spans.rootOf(untraced), NoSpan);
+    EXPECT_EQ(w.spans.size(), spans);
+    EXPECT_EQ(w.tracer.liveRequests(), 0u);
+}
+
+TEST(SpanTracer, TraceAllAnswersForCompletedRequests)
+{
+    TracedWorld w;
+    w.tracer.traceAll();
+    RequestId req = w.requests.create("a", w.sim.now());
+    w.kernel.spawn(forkAndIo(), "t1", req, 0);
+    w.sim.run(sec(1));
+    w.requests.complete(req, w.sim.now());
+    EXPECT_EQ(w.tracer.liveRequests(), 0u);
+    EXPECT_TRUE(w.tracer.tracing(req));
+    // An id not issued yet is neither live nor completed.
+    EXPECT_FALSE(w.tracer.tracing(req + 1));
+}
+
+TEST(SpanTracer, HooksForACompletedRequestOpenNothing)
+{
+    TracedWorld w;
+    w.tracer.traceAll();
+    auto spin = std::make_shared<ScriptedLogic>(
+        std::vector<ScriptedLogic::Step>{
+            [](os::Kernel &, Task &, const OpResult &) -> Op {
+                return ComputeOp{ActivityVector{1, 0, 0, 0}, 1e6};
+            }},
+        /*loop=*/true);
+    RequestId retired = w.requests.create("retired", w.sim.now());
+    w.kernel.spawn(forkAndIo(), "short", retired, 0);
+    RequestId live = w.requests.create("live", w.sim.now());
+    os::TaskId spinner = w.kernel.spawn(spin, "spinner", live, 1);
+    w.sim.run(sim::msec(50));
+    w.requests.complete(retired, w.sim.now());
+    SpanId root = w.spans.rootOf(retired);
+    std::vector<SpanId> retired_spans = w.spans.requestSpans(retired);
+    ASSERT_EQ(w.tracer.liveRequests(), 1u);
+
+    // A stale tag rebinds the running spinner to the retired request:
+    // the live request's stage closes, and nothing opens for the
+    // retired one, however long the task runs under it.
+    std::size_t spans = w.spans.size();
+    w.kernel.bindContext(spinner, retired);
+    w.sim.run(w.sim.now() + sim::msec(20));
+    EXPECT_EQ(w.spans.size(), spans);
+    EXPECT_EQ(w.spans.rootOf(retired), root);
+    EXPECT_EQ(w.spans.requestSpans(retired), retired_spans);
+    EXPECT_EQ(w.spans.openCount(), 1u); // the live request's root
+    EXPECT_EQ(w.tracer.liveRequests(), 1u);
+    EXPECT_EQ(w.kernel.spanFor(retired), NoSpan);
+}
+
 TEST(SpanTracer, BindMetricsPublishesTraceCounters)
 {
     TracedWorld w;
