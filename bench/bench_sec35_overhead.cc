@@ -293,12 +293,12 @@ BENCHMARK(BM_ProfiledAccountingPath);
 
 /**
  * The profiled accounting path with request-span tracing enabled on
- * top: a SpanTracer registered after the container manager turns
- * every scheduler callback into span bookkeeping as well. The kernel
- * times each hook set on its own, so the manager's (set 0) and the
- * tracer's (set 1) per-context-switch costs are reported apart: the
- * tracer's is the incremental cost of span tracing over plain
- * container accounting.
+ * top. The kernel times each hook set on its own, so the manager's
+ * (set 0) and the tracer's (set 1) per-context-switch costs are
+ * reported apart. The tracer charges spans from the manager's window
+ * stream, inside the manager's sampleCore, so that work is timed in
+ * set 0; set 1 is only the tracer's structural span work (opening,
+ * linking and closing spans).
  */
 struct SpanTracedProfiledWorld : ProfiledWorld
 {

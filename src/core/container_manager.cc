@@ -98,7 +98,6 @@ ContainerManager::onIoComplete(hw::DeviceKind device,
                                os::RequestId context,
                                sim::SimTime busy_time, double bytes)
 {
-    (void)bytes;
     Metric metric =
         device == hw::DeviceKind::Disk ? Metric::Disk : Metric::Net;
     util::Joules energy{model_->coefficient(metric) *
@@ -110,6 +109,11 @@ ContainerManager::onIoComplete(hw::DeviceKind device,
     PowerContainer &target = containerOrBackground(context);
     target.chargeIo(energy);
     accountedEnergyJ_ += energy;
+    if (ioListeners_.empty())
+        return;
+    IoCharge charge{device, target.id(), energy, busy_time, bytes};
+    for (const IoListener &fn : ioListeners_)
+        fn(charge);
 }
 
 PowerContainer *
@@ -180,10 +184,16 @@ ContainerManager::sampleCore(int core)
                            " charged ", energy, " J over ", window_s,
                            " s");
             accountedEnergyJ_ += energy;
-            ca.active->chargeCpuWindow(energy,
-                                       delta.nonhaltCycles /
-                                           machine.config().freqGhz,
-                                       delta, power_w);
+            double cpu_ns =
+                delta.nonhaltCycles / machine.config().freqGhz;
+            ca.active->chargeCpuWindow(energy, cpu_ns, delta, power_w);
+            if (!windowListeners_.empty()) {
+                WindowCharge w{core, kernel_.runningTask(core),
+                               ca.active->id(), energy, cpu_ns,
+                               delta, power_w};
+                for (const WindowListener &fn : windowListeners_)
+                    fn(w);
+            }
         }
 
         // Publish this window's utilization for siblings' Equation 3.
@@ -260,6 +270,8 @@ ContainerManager::requestCompleted(const os::RequestInfo &info)
     // Release the container state; any core still mid-window holds a
     // shared_ptr and finishes its attribution safely.
     containers_.erase(it);
+    for (const RecordListener &fn : recordListeners_)
+        fn(record);
 }
 
 } // namespace core

@@ -12,6 +12,7 @@
 #ifndef PCON_CORE_CONTAINER_MANAGER_H
 #define PCON_CORE_CONTAINER_MANAGER_H
 
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -57,10 +58,49 @@ struct ContainerManagerConfig
     hw::CounterSnapshot observerCost{0, 2948, 1656, 16, 3, 0};
 };
 
+/** One CPU attribution window, as sampleCore committed it. */
+struct WindowCharge
+{
+    /** Core the window ran on. */
+    int core = 0;
+    /** Task that ran the window. */
+    const os::Task *task = nullptr;
+    /** Request charged; NoRequest for the background container. */
+    os::RequestId request = os::NoRequest;
+    /** Modeled energy of the window. */
+    util::Joules energy{0};
+    /** On-CPU (non-halt) time, nanoseconds. */
+    double cpuNs = 0;
+    /** Counter delta, less the injected observer events when
+     *  compensation is on. */
+    hw::CounterSnapshot delta{};
+    /** Modeled power over the window. */
+    util::Watts power{0};
+};
+
+/** Device energy attributed at one I/O completion. */
+struct IoCharge
+{
+    hw::DeviceKind device = hw::DeviceKind::Disk;
+    /** Request charged; NoRequest for the background container. */
+    os::RequestId request = os::NoRequest;
+    util::Joules energy{0};
+    /** Device service time the energy covers. */
+    sim::SimTime busyTime = 0;
+    double bytes = 0;
+};
+
 /**
  * Implements the kernel hooks that maintain per-request power and
  * energy accounting online. Create one per kernel, register with
  * kernel.addHooks(), and it begins accounting immediately.
+ *
+ * Everything it charges is also published, once, to subscribers:
+ * each committed CPU window, each I/O charge and each completed
+ * request's record. A consumer that needs per-request energy reads
+ * this stream instead of polling container totals, so it sees every
+ * charge whatever its hook set's place in the kernel's list. With no
+ * subscriber nothing is built.
  */
 class ContainerManager : public os::KernelHooks
 {
@@ -84,6 +124,34 @@ class ContainerManager : public os::KernelHooks
     void onSamplingInterrupt(int core) override;
     void onIoComplete(hw::DeviceKind device, os::RequestId context,
                       sim::SimTime busy_time, double bytes) override;
+
+    using WindowListener = std::function<void(const WindowCharge &)>;
+    using IoListener = std::function<void(const IoCharge &)>;
+    using RecordListener = std::function<void(const RequestRecord &)>;
+
+    /**
+     * Subscribe to CPU windows. Each is published from inside
+     * sampleCore as soon as it is folded into its container and
+     * accountedEnergyJ(): a listener may read the manager, but must
+     * not make it sample (sampleNow(), a stats tag).
+     */
+    void onWindowCharge(WindowListener fn)
+    {
+        windowListeners_.push_back(std::move(fn));
+    }
+
+    /** Subscribe to device-energy charges at I/O completions. */
+    void onIoCharge(IoListener fn) { ioListeners_.push_back(std::move(fn)); }
+
+    /**
+     * Subscribe to completed requests' records, published after the
+     * request's final windows, from the manager's own completion
+     * listener.
+     */
+    void onRecord(RecordListener fn)
+    {
+        recordListeners_.push_back(std::move(fn));
+    }
 
     /** Container of a live request; nullptr when unknown. */
     PowerContainer *container(os::RequestId id);
@@ -179,6 +247,9 @@ class ContainerManager : public os::KernelHooks
     util::Joules completedEnergyJ_{0};
     util::Joules accountedEnergyJ_{0};
     std::uint64_t maintenanceOps_ = 0;
+    std::vector<WindowListener> windowListeners_;
+    std::vector<IoListener> ioListeners_;
+    std::vector<RecordListener> recordListeners_;
 };
 
 } // namespace core

@@ -104,20 +104,6 @@ SystemTelemetry::SystemTelemetry(Registry &registry,
         requestsActive_.add(-1.0);
         requestResponseMs_.observe(
             sim::toMillis(info.completed - info.created));
-        // With a watched manager, its completion listener ran first
-        // (it subscribed at construction) and recorded the final
-        // energy totals; newest record first.
-        if (manager_ != nullptr) {
-            const auto &records = manager_->records();
-            for (auto it = records.rbegin(); it != records.rend();
-                 ++it) {
-                if (it->id != info.id)
-                    continue;
-                requestEnergyJ_.observe(it->totalEnergyJ().value());
-                requestMeanPowerW_.observe(it->meanPowerW.value());
-                break;
-            }
-        }
     });
     // The kernel.* counters publish what the kernel counted since
     // construction; they and the load gauges refresh per snapshot.
@@ -143,7 +129,10 @@ SystemTelemetry::SystemTelemetry(Registry &registry,
 void
 SystemTelemetry::watch(core::ContainerManager &manager)
 {
-    manager_ = &manager;
+    manager.onRecord([this](const core::RequestRecord &record) {
+        requestEnergyJ_.observe(record.totalEnergyJ().value());
+        requestMeanPowerW_.observe(record.meanPowerW.value());
+    });
     double observer_cycles =
         manager.config().observerCost.nonhaltCycles;
     // Maintenance-op counter advances by delta so external resets

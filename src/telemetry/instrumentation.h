@@ -41,7 +41,11 @@ class SystemTelemetry
   public:
     SystemTelemetry(Registry &registry, os::Kernel &kernel);
 
-    /** Accounting engine: container counts, energy, maintenance. */
+    /**
+     * Accounting engine: container counts, energy, maintenance, and
+     * the requests.energy_j / requests.mean_power_w histograms, fed
+     * from the manager's completed-record stream.
+     */
     void watch(core::ContainerManager &manager);
 
     /** Recalibrator: refits, online samples, delay, alignment. */
@@ -77,7 +81,6 @@ class SystemTelemetry
     Registry &registry_;
     os::Kernel &kernel_;
     PerfettoExporter *perfetto_ = nullptr;
-    core::ContainerManager *manager_ = nullptr;
 
     /** A kernel.* counter and the kernel count it last published. */
     struct KernelCount

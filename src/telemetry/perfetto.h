@@ -54,10 +54,10 @@ struct PerfettoConfig
 
 /**
  * Records kernel and facility activity as trace events. Register with
- * kernel.addHooks() (after the ContainerManager if you want power
- * annotations to be fresh); call samplePower() periodically — e.g.
- * from a registry collector — for container counter tracks, and
- * finish() before rendering so open scheduling slices are closed.
+ * kernel.addHooks(), in any place: its hooks read no container
+ * state. Call samplePower() periodically — e.g. from a registry
+ * collector — for container counter tracks, and finish() before
+ * rendering so open scheduling slices are closed.
  */
 class PerfettoExporter : public os::KernelHooks
 {

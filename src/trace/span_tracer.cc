@@ -1,7 +1,5 @@
 #include "span_tracer.h"
 
-#include <algorithm>
-
 #include "os/task.h"
 #include "util/logging.h"
 
@@ -14,6 +12,13 @@ SpanTracer::SpanTracer(os::Kernel &kernel,
     : kernel_(kernel), manager_(manager), collector_(collector),
       machine_(machine)
 {
+    manager_.onWindowCharge(
+        [this](const core::WindowCharge &w) { chargeWindow(w); });
+    manager_.onIoCharge(
+        [this](const core::IoCharge &io) { chargeIo(io); });
+    // The manager subscribed at its construction, before this tracer
+    // could: its listener publishes the request's final windows
+    // before completeRequest closes the spans.
     kernel_.requests().onComplete(
         [this](const os::RequestInfo &info) { completeRequest(info); });
     kernel_.setSpanProvider([this](os::RequestId id) -> std::uint64_t {
@@ -24,16 +29,15 @@ SpanTracer::SpanTracer(os::Kernel &kernel,
         // Prefer the span of a task of this request currently
         // on-core (the sender, when called from Socket::send).
         int cores = kernel_.machine().totalCores();
+        const RequestState &st = it->second;
         for (int core = 0; core < cores; ++core) {
             os::Task *t = kernel_.runningTask(core);
             if (t == nullptr || t->context != id)
                 continue;
-            auto ts = spanOfTask_.find(t->id);
-            if (ts != spanOfTask_.end() &&
-                collector_.span(ts->second).request == id)
-                return ts->second;
+            SpanId sp = linkedSpan(st, t->id);
+            if (sp != NoSpan)
+                return sp;
         }
-        const RequestState &st = it->second;
         return st.current != NoSpan ? st.current : st.root;
     });
 }
@@ -50,13 +54,8 @@ SpanTracer::trace(os::RequestId id)
     if (id == os::NoRequest || kernel_.requests().completed(id))
         return;
     requested_.insert(id);
-    if (states_.count(id) != 0)
-        return;
-    // stateFor only creates state in traceAll mode; force it once.
-    bool saved = all_;
-    all_ = true;
-    stateFor(id);
-    all_ = saved;
+    if (states_.count(id) == 0)
+        createState(id);
 }
 
 bool
@@ -77,9 +76,15 @@ SpanTracer::stateFor(os::RequestId id)
     if (it != states_.end())
         return &it->second;
     // A completed request's state is gone; a hook that still carries
-    // its id (a task outliving it, a stale tag) charges nothing.
+    // its id (a task outliving it, a stale tag) opens nothing.
     if (!all_ || kernel_.requests().completed(id))
         return nullptr;
+    return &createState(id);
+}
+
+SpanTracer::RequestState &
+SpanTracer::createState(os::RequestId id)
+{
     RequestState st;
     st.root = collector_.rootOf(id);
     if (st.root == NoSpan) {
@@ -94,9 +99,16 @@ SpanTracer::stateFor(os::RequestId id)
         }
         st.root = openSpan(id, name, SpanKind::Root, NoSpan, at);
     }
+    // Charges published before now went nowhere: a request traced
+    // mid-flight gets its container's totals so far as one charge
+    // (zeros for one traced from the start).
+    if (const core::PowerContainer *c = manager_.container(id))
+        collector_.charge(st.root, c->totalEnergyJ(), c->cpuTimeNs(),
+                          util::Cycles{c->events().nonhaltCycles},
+                          c->events().instructions);
     if (requestsTraced_ != nullptr)
         requestsTraced_->add();
-    return &states_.emplace(id, st).first->second;
+    return states_.emplace(id, std::move(st)).first->second;
 }
 
 SpanId
@@ -120,62 +132,73 @@ SpanTracer::closeSpan(SpanId id, sim::SimTime at)
         closed_->add();
 }
 
-void
-SpanTracer::linkTask(os::TaskId task, SpanId span)
+SpanId
+SpanTracer::linkedSpan(const RequestState &st, os::TaskId task)
 {
-    auto [it, fresh] = spanOfTask_.try_emplace(task, span);
-    if (!fresh) {
-        taskOfSpan_.erase(it->second);
-        it->second = span;
-    }
-    taskOfSpan_[span] = task;
+    for (const auto &[linked, span] : st.stages)
+        if (linked == task)
+            return span;
+    return NoSpan;
 }
 
 void
-SpanTracer::unlinkTask(os::TaskId task)
+SpanTracer::linkTask(RequestState &st, os::TaskId task, SpanId span)
 {
-    auto it = spanOfTask_.find(task);
-    if (it == spanOfTask_.end())
-        return;
-    taskOfSpan_.erase(it->second);
-    spanOfTask_.erase(it);
+    for (auto &[linked, stage] : st.stages) {
+        if (linked == task) {
+            stage = span;
+            return;
+        }
+    }
+    st.stages.emplace_back(task, span);
 }
 
 SpanId
-SpanTracer::ensureTaskSpan(os::Task &task, RequestState &st)
+SpanTracer::stageSpan(const os::Task &task, os::RequestId request,
+                      RequestState &st)
 {
-    auto it = spanOfTask_.find(task.id);
-    if (it != spanOfTask_.end()) {
-        const Span &s = collector_.span(it->second);
-        if (s.open && s.request == task.context)
-            return it->second;
-    }
+    SpanId sp = linkedSpan(st, task.id);
+    if (sp != NoSpan)
+        return sp;
     // Lazy stage spans hang off the root; precise causal parents
     // (fork, segment receipt) are set by the dedicated hooks.
-    SpanId sp = openSpan(task.context, task.name, SpanKind::Stage,
-                         st.root, now());
-    linkTask(task.id, sp);
+    sp = openSpan(request, task.name, SpanKind::Stage, st.root, now());
+    linkTask(st, task.id, sp);
     return sp;
 }
 
 void
-SpanTracer::chargeDelta(RequestState &st, os::RequestId id,
-                        SpanId span)
+SpanTracer::chargeWindow(const core::WindowCharge &window)
 {
-    core::PowerContainer *c = manager_.container(id);
-    if (c == nullptr)
+    auto it = states_.find(window.request);
+    if (it == states_.end())
         return;
-    util::Joules energy = c->totalEnergyJ();
-    double cpu_ns = c->cpuTimeNs();
-    util::Cycles cycles{c->events().nonhaltCycles};
-    double instructions = c->events().instructions;
-    collector_.charge(span, energy - st.seenEnergyJ,
-                      cpu_ns - st.seenCpuNs, cycles - st.seenCycles,
-                      instructions - st.seenInstructions);
-    st.seenEnergyJ = energy;
-    st.seenCpuNs = cpu_ns;
-    st.seenCycles = cycles;
-    st.seenInstructions = instructions;
+    SpanId sp = stageSpan(*window.task, window.request, it->second);
+    collector_.charge(sp, window.energy, window.cpuNs,
+                      util::Cycles{window.delta.nonhaltCycles},
+                      window.delta.instructions);
+}
+
+void
+SpanTracer::chargeIo(const core::IoCharge &io)
+{
+    auto it = states_.find(io.request);
+    if (it == states_.end())
+        return;
+    const RequestState &st = it->second;
+    SpanId parent = st.current != NoSpan ? st.current : st.root;
+    sim::SimTime end = now();
+    sim::SimTime start =
+        io.busyTime > 0 && io.busyTime <= end ? end - io.busyTime : end;
+    SpanId sp = openSpan(io.request,
+                         io.device == hw::DeviceKind::Disk ? "disk"
+                                                           : "net",
+                         SpanKind::Io, parent, start);
+    collector_.charge(sp, io.energy, 0, util::Cycles{0}, 0);
+    collector_.addIoBytes(sp, io.bytes);
+    closeSpan(sp, end);
+    if (ioSpans_ != nullptr)
+        ioSpans_->add();
 }
 
 void
@@ -184,20 +207,13 @@ SpanTracer::onContextSwitch(int core, os::Task *prev, os::Task *next)
     (void)core;
     if (prev != nullptr) {
         RequestState *st = stateFor(prev->context);
-        if (st != nullptr) {
-            SpanId sp = ensureTaskSpan(*prev, *st);
-            chargeDelta(*st, prev->context, sp);
-            st->current = sp;
-            if (exitPending_.erase(prev->id) != 0) {
-                closeSpan(sp, now());
-                unlinkTask(prev->id);
-            }
-        }
+        if (st != nullptr)
+            st->current = stageSpan(*prev, prev->context, *st);
     }
     if (next != nullptr) {
         RequestState *st = stateFor(next->context);
         if (st != nullptr)
-            st->current = ensureTaskSpan(*next, *st);
+            st->current = stageSpan(*next, next->context, *st);
     }
 }
 
@@ -205,91 +221,39 @@ void
 SpanTracer::onContextRebind(os::Task &task, os::RequestId old_ctx,
                             os::RequestId new_ctx)
 {
-    RequestState *st_old = stateFor(old_ctx);
-    if (st_old != nullptr) {
-        auto it = spanOfTask_.find(task.id);
-        if (it != spanOfTask_.end() &&
-            collector_.span(it->second).request == old_ctx) {
-            // The manager just closed the old binding's window; its
-            // delta belongs to the stage that ends here.
-            chargeDelta(*st_old, old_ctx, it->second);
-            closeSpan(it->second, now());
-            unlinkTask(task.id);
-        }
+    // The old binding's stage ends here; the window the manager
+    // closes at this rebind reaches it through its link.
+    if (RequestState *st_old = stateFor(old_ctx)) {
+        SpanId old_span = linkedSpan(*st_old, task.id);
+        if (old_span != NoSpan)
+            closeSpan(old_span, now());
     }
     // The hook fires before task.context is reassigned, so the new
     // stage span must be opened against new_ctx explicitly.
     RequestState *st_new = stateFor(new_ctx);
-    if (st_new != nullptr) {
-        auto it = spanOfTask_.find(task.id);
-        if (it != spanOfTask_.end()) {
-            const Span &s = collector_.span(it->second);
-            if (s.open && s.request == new_ctx) {
-                st_new->current = it->second;
-                return;
-            }
-        }
-        SpanId sp = openSpan(new_ctx, task.name, SpanKind::Stage,
-                             st_new->root, now());
-        linkTask(task.id, sp);
-        st_new->current = sp;
+    if (st_new == nullptr)
+        return;
+    SpanId sp = linkedSpan(*st_new, task.id);
+    if (sp == NoSpan || !collector_.span(sp).open) {
+        sp = openSpan(new_ctx, task.name, SpanKind::Stage, st_new->root,
+                      now());
+        linkTask(*st_new, task.id, sp);
     }
-}
-
-void
-SpanTracer::onSamplingInterrupt(int core)
-{
-    os::Task *task = kernel_.runningTask(core);
-    if (task == nullptr)
-        return;
-    RequestState *st = stateFor(task->context);
-    if (st == nullptr)
-        return;
-    chargeDelta(*st, task->context, ensureTaskSpan(*task, *st));
-}
-
-void
-SpanTracer::onIoComplete(hw::DeviceKind device, os::RequestId context,
-                         sim::SimTime busy_time, double bytes)
-{
-    RequestState *st = stateFor(context);
-    if (st == nullptr)
-        return;
-    SpanId parent = st->current != NoSpan ? st->current : st->root;
-    sim::SimTime end = now();
-    sim::SimTime start = busy_time > 0 && busy_time <= end
-                             ? end - busy_time
-                             : end;
-    SpanId sp = openSpan(context,
-                         device == hw::DeviceKind::Disk ? "disk"
-                                                        : "net",
-                         SpanKind::Io, parent, start);
-    // The manager attributed the device energy in its own hook just
-    // before this one; the delta lands on the I/O span.
-    chargeDelta(*st, context, sp);
-    collector_.addIoBytes(sp, bytes);
-    closeSpan(sp, end);
-    if (ioSpans_ != nullptr)
-        ioSpans_->add();
+    st_new->current = sp;
 }
 
 void
 SpanTracer::onTaskExit(os::Task &task)
 {
-    RequestState *st = stateFor(task.context);
-    auto it = spanOfTask_.find(task.id);
-    if (it == spanOfTask_.end())
+    // A task exiting on a core runs one last window, which the
+    // manager closes at the switch-out after this hook: the link
+    // still routes it to the closed span.
+    auto it = states_.find(task.context);
+    if (it == states_.end())
         return;
-    if (task.core >= 0) {
-        // exitTask deschedules after this hook; the final window is
-        // charged (and the span closed) at that context switch.
-        exitPending_.insert(task.id);
-        return;
-    }
-    if (st != nullptr)
-        chargeDelta(*st, task.context, it->second);
-    closeSpan(it->second, now());
-    unlinkTask(task.id);
+    SpanId sp = linkedSpan(it->second, task.id);
+    if (sp != NoSpan)
+        closeSpan(sp, now());
 }
 
 void
@@ -298,18 +262,17 @@ SpanTracer::onFork(os::Task &parent, os::Task &child)
     RequestState *st = stateFor(parent.context);
     if (st == nullptr)
         return;
-    SpanId parent_span = ensureTaskSpan(parent, *st);
-    auto it = spanOfTask_.find(child.id);
-    if (it != spanOfTask_.end() &&
-        collector_.span(it->second).open &&
-        collector_.span(it->second).request == child.context) {
+    SpanId parent_span = stageSpan(parent, parent.context, *st);
+    // The child inherited the parent's context, so its link is here.
+    SpanId child_span = linkedSpan(*st, child.id);
+    if (child_span != NoSpan && collector_.span(child_span).open) {
         // The child was already switched in during spawn; repoint
         // its lazily-rooted span at the forking stage.
-        collector_.reparent(it->second, parent_span, SpanKind::Fork);
+        collector_.reparent(child_span, parent_span, SpanKind::Fork);
     } else {
         SpanId sp = openSpan(child.context, child.name,
                              SpanKind::Fork, parent_span, now());
-        linkTask(child.id, sp);
+        linkTask(*st, child.id, sp);
     }
     if (forkLinks_ != nullptr)
         forkLinks_->add();
@@ -330,29 +293,26 @@ SpanTracer::onSegmentReceived(os::Task &task,
     SpanId remote = cross ? sender : NoSpan;
     sim::SimTime t = now();
 
-    auto it = spanOfTask_.find(task.id);
+    SpanId linked = linkedSpan(*st, task.id);
     SpanId sp = NoSpan;
-    if (it != spanOfTask_.end() &&
-        collector_.span(it->second).open &&
-        collector_.span(it->second).request == segment.context) {
-        const Span &s = collector_.span(it->second);
+    if (linked != NoSpan && collector_.span(linked).open) {
+        const Span &s = collector_.span(linked);
         if (s.openedAt == t && s.energyJ == util::Joules(0)) {
             // Span freshly opened by the rebind a moment ago: refine
             // its causal parent in place.
-            sp = it->second;
+            sp = linked;
             collector_.reparent(sp, sender, kind, remote);
         } else {
             // Same-context receive (e.g. the dispatcher getting its
             // response back): the receipt starts a new stage.
-            chargeDelta(*st, segment.context, it->second);
-            closeSpan(it->second, t);
+            closeSpan(linked, t);
         }
     }
     if (sp == NoSpan) {
         sp = openSpan(segment.context, task.name, kind, sender, t);
         if (cross)
             collector_.reparent(sp, sender, kind, remote);
-        linkTask(task.id, sp);
+        linkTask(*st, task.id, sp);
     }
     st->current = sp;
     if (cross) {
@@ -369,42 +329,17 @@ SpanTracer::completeRequest(const os::RequestInfo &info)
     auto it = states_.find(info.id);
     if (it == states_.end())
         return;
-    const RequestState &st = it->second;
-    // The ContainerManager (registered before this tracer on the
-    // shared request manager) already moved the container to its
-    // records; settle the residual against the record so the
-    // request's spans on this machine sum to its ledger exactly.
-    const std::vector<core::RequestRecord> &records =
-        manager_.records();
-    for (auto rit = records.rbegin(); rit != records.rend(); ++rit) {
-        if (rit->id != info.id)
-            continue;
-        SpanId target = st.current != NoSpan ? st.current : st.root;
-        collector_.charge(target,
-                          rit->totalEnergyJ() - st.seenEnergyJ,
-                          rit->cpuTimeNs - st.seenCpuNs,
-                          util::Cycles{rit->events.nonhaltCycles} -
-                              st.seenCycles,
-                          rit->events.instructions -
-                              st.seenInstructions);
-        break;
-    }
-    // From here on the request manager reports the id completed, so
-    // stateFor() ignores it without this entry.
+    // Every charge has already landed on its span. From here on the
+    // request manager reports the id completed, so stateFor()
+    // ignores it without this entry, and the task links go with it
+    // (tasks may outlive the request).
     states_.erase(it);
-    // Close every span this machine still has open for the request
-    // and drop the task-span links (tasks may outlive the request).
-    // Only this request's spans are visited; task links are found
-    // through their span, so the cost does not grow with run length.
+    // Close every span this machine still has open for the request.
+    // Only this request's spans are visited, so the cost does not
+    // grow with run length.
     std::uint64_t visited = 0;
     for (SpanId id : collector_.requestSpans(info.id)) {
         ++visited;
-        auto link = taskOfSpan_.find(id);
-        if (link != taskOfSpan_.end()) {
-            exitPending_.erase(link->second);
-            spanOfTask_.erase(link->second);
-            taskOfSpan_.erase(link);
-        }
         const Span &s = collector_.span(id);
         if (s.open && s.machine == machine_)
             closeSpan(id, info.completed);

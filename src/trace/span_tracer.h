@@ -1,16 +1,16 @@
 /**
  * @file
- * The span-building kernel instrumentation. A SpanTracer registers as
- * KernelHooks *after* the ContainerManager (so accounting totals are
- * fresh at every callback) and converts the hook stream into the
- * causal span tree of span.h: stage spans per (task, binding)
- * episode, fork children, closed I/O spans, and — via the span id
- * stamped into every outgoing RequestStatsTag — stages stitched to
- * their sender across machines. Energy attribution is exact by
- * construction: at every hook the tracer charges the request's
- * container *delta* since the last hook to the span that caused it,
- * and the completion listener settles the residual, so a request's
- * spans always sum to its container ledger.
+ * The span-building kernel instrumentation. A SpanTracer converts the
+ * kernel's structural hooks into the causal span tree of span.h:
+ * stage spans per (task, binding) episode, fork children, closed I/O
+ * spans, and — via the span id stamped into every outgoing
+ * RequestStatsTag — stages stitched to their sender across machines.
+ * Energy comes from the ContainerManager's charge stream, not from
+ * its totals: each committed CPU window lands on the stage span of
+ * the task that ran it, and each I/O charge opens, charges and closes
+ * an I/O span. A request's spans therefore sum to its container
+ * ledger charge by charge, and the tracer may be registered before
+ * or after the manager.
  */
 
 #ifndef PCON_TRACE_SPAN_TRACER_H
@@ -18,7 +18,8 @@
 
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "core/container_manager.h"
 #include "core/remote_accounting.h"
@@ -34,26 +35,28 @@ namespace trace {
  * share a SpanCollector; cross-machine parent edges are then ordinary
  * span ids and flamegraphs/reports cover the whole cluster.
  *
- * Cost, with R requests seen: a hook finds its request's state and
- * its task's stage link in hash tables, O(1). A hook that opens a
- * span also files it under its request in the collector's ordered
- * entry, O(log R), a few times per request. Completion walks only
- * the request's own spans.
+ * Cost, with R requests seen: a hook or a charge finds its request's
+ * state in a hash table, O(1), and its task's stage link among that
+ * request's few tasks. Opening a span also files it under its request
+ * in the collector's ordered entry, O(log R), a few times per
+ * request. Completion walks only the request's own spans.
  *
- * Memory: charging state lives only while its request does. The
- * completion listener settles the request and erases its state;
- * afterwards any hook, trace() call or span-provider lookup for the
- * id is ignored, because the request manager reports it completed.
+ * Memory: a request's state and its task links live only while the
+ * request does. The completion listener closes the request's spans
+ * and erases both; afterwards any hook, charge, trace() call or
+ * span-provider lookup for the id is ignored, because the request
+ * manager reports it completed.
  */
 class SpanTracer : public os::KernelHooks
 {
   public:
     /**
-     * @param kernel Kernel to instrument. The caller must register
-     *        the tracer *after* the ContainerManager:
-     *        kernel.addHooks(&tracer). The tracer installs the
-     *        kernel's span provider (Kernel::setSpanProvider).
-     * @param manager Accounting engine charges are read from.
+     * @param kernel Kernel to instrument: register the tracer with
+     *        kernel.addHooks(&tracer), before or after the
+     *        ContainerManager. The tracer installs the kernel's span
+     *        provider (Kernel::setSpanProvider).
+     * @param manager Accounting engine whose window and I/O charges
+     *        the spans are charged from.
      * @param collector Span store (shareable across machines).
      * @param machine Machine index recorded on every span.
      */
@@ -64,8 +67,9 @@ class SpanTracer : public os::KernelHooks
     SpanTracer &operator=(const SpanTracer &) = delete;
 
     /**
-     * Trace one request (call before or while it runs). Ignored for
-     * a request that has completed.
+     * Trace one request (call before or while it runs). A request
+     * traced mid-flight gets what its container holds so far as one
+     * charge on its root. Ignored for a request that has completed.
      */
     void trace(os::RequestId id);
 
@@ -109,47 +113,56 @@ class SpanTracer : public os::KernelHooks
                          os::Task *next) override;
     void onContextRebind(os::Task &task, os::RequestId old_ctx,
                          os::RequestId new_ctx) override;
-    void onSamplingInterrupt(int core) override;
-    void onIoComplete(hw::DeviceKind device, os::RequestId context,
-                      sim::SimTime busy_time, double bytes) override;
     void onTaskExit(os::Task &task) override;
     void onFork(os::Task &parent, os::Task &child) override;
     void onSegmentReceived(os::Task &task,
                            const os::Segment &segment) override;
 
   private:
-    /** Per-request charging state on this machine. */
+    /** Per-request state on this machine. */
     struct RequestState
     {
         SpanId root = NoSpan;
         /** Most recent active span (causal anchor for sends/IO). */
         SpanId current = NoSpan;
-        /** Container totals already charged into spans. */
-        util::Joules seenEnergyJ{0};
-        double seenCpuNs = 0;
-        util::Cycles seenCycles{0};
-        double seenInstructions = 0;
+        /**
+         * The stage span of each task bound to the request here. A
+         * link outlives its span's close until the request completes,
+         * so a window the manager publishes after the hook that
+         * closed the span still lands on it.
+         */
+        std::vector<std::pair<os::TaskId, SpanId>> stages;
     };
 
     sim::SimTime now() const;
-    /** State for a live traced request; nullptr otherwise. */
+    /**
+     * State for a live traced request, created on first sight in
+     * traceAll() mode; nullptr otherwise. Charges never create it.
+     */
     RequestState *stateFor(os::RequestId id);
-    /** The task's open stage span, created lazily under the root. */
-    SpanId ensureTaskSpan(os::Task &task, RequestState &st);
-    /** Charge the container delta since the last hook to `span`. */
-    void chargeDelta(RequestState &st, os::RequestId id, SpanId span);
+    /** Open the root (unless another tracer has) and charge what the
+     *  request's container already holds to it. */
+    RequestState &createState(os::RequestId id);
+    /** The task's stage span in `st`, open or closed; NoSpan when
+     *  it has none. */
+    static SpanId linkedSpan(const RequestState &st, os::TaskId task);
+    /** Point the task's link in `st` at `span`. */
+    static void linkTask(RequestState &st, os::TaskId task, SpanId span);
+    /** The task's linked stage span under `request`, or a new one
+     *  opened under the root. */
+    SpanId stageSpan(const os::Task &task, os::RequestId request,
+                     RequestState &st);
+    /** Charge a committed CPU window to its task's stage span. */
+    void chargeWindow(const core::WindowCharge &window);
+    /** Open, charge and close the I/O span of one device charge. */
+    void chargeIo(const core::IoCharge &io);
     SpanId openSpan(os::RequestId request, const std::string &name,
                     SpanKind kind, SpanId parent, sim::SimTime at);
     void closeSpan(SpanId id, sim::SimTime at);
-    /** Point the task's stage link at `span`, replacing any other. */
-    void linkTask(os::TaskId task, SpanId span);
-    /** Drop the task's stage link, if it has one. */
-    void unlinkTask(os::TaskId task);
     /**
-     * Settle, then close the request's open spans on this machine,
-     * drop their task links and erase the request's state: O(that
-     * request's spans), found through the collector's per-request
-     * entry and taskOfSpan_.
+     * Close the request's open spans on this machine and erase its
+     * state, task links included: O(that request's spans), found
+     * through the collector's per-request entry.
      */
     void completeRequest(const os::RequestInfo &info);
 
@@ -160,19 +173,14 @@ class SpanTracer : public os::KernelHooks
     bool all_ = false;
     /** Ids passed to trace(), so tracing() answers once they retire. */
     std::set<os::RequestId> requested_;
-    // The four tables below are hashed: every hook looks up its
-    // request or task, and nothing iterates them, so no output
-    // depends on their order. Their names must differ from those of
-    // iterated members elsewhere in src/: the determinism lint
-    // tracks unordered containers by member name across files.
-    /** Charging state of the live requests traced here. */
+    /**
+     * State of the live requests traced here. Hashed: every hook or
+     * charge looks up its request, and nothing iterates it, so no
+     * output depends on its order. Its name must differ from those
+     * of iterated members elsewhere in src/: the determinism lint
+     * tracks unordered containers by member name across files.
+     */
     std::unordered_map<os::RequestId, RequestState> states_;
-    /** Open stage span of each task (this machine). */
-    std::unordered_map<os::TaskId, SpanId> spanOfTask_;
-    /** The inverse of spanOfTask_ (each span has at most one task). */
-    std::unordered_map<SpanId, os::TaskId> taskOfSpan_;
-    /** Tasks whose span closes at the exit switch-out. */
-    std::unordered_set<os::TaskId> exitPending_;
     core::RemoteRequestLedger remoteLedger_;
 
     telemetry::Counter *opened_ = nullptr;

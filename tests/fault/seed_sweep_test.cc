@@ -30,9 +30,12 @@
 #include "audit/invariant_auditor.h"
 #include "fault/fault_injector.h"
 #include "linalg/least_squares.h"
+#include "obs/energy_index.h"
 #include "obs/watchdog.h"
 #include "telemetry/instrumentation.h"
+#include "telemetry/perfetto.h"
 #include "telemetry/sampler.h"
+#include "trace/span_tracer.h"
 #include "workloads/apps.h"
 #include "workloads/client.h"
 #include "workloads/experiment.h"
@@ -266,6 +269,38 @@ struct Watchers
 };
 
 /**
+ * Request tracing beside the run: a traceAll() SpanTracer charging
+ * spans from the manager's stream, inside its sampleCore, into a live
+ * EnergyIndex, and a PerfettoExporter on the same kernel.
+ */
+struct Tracing
+{
+    trace::SpanCollector spans;
+    obs::EnergyIndex index;
+    trace::SpanTracer tracer;
+    telemetry::PerfettoExporter perfetto;
+
+    Tracing(const Tracing &) = delete;
+    Tracing &operator=(const Tracing &) = delete;
+
+    ~Tracing()
+    {
+        EXPECT_GT(index.totalEnergyJ().value(), 0.0);
+        EXPECT_GT(perfetto.sliceCount(), 0u);
+    }
+
+    explicit Tracing(wl::ServerWorld &world)
+        : tracer(world.kernel(), world.manager(), spans, 0),
+          perfetto(world.kernel())
+    {
+        index.attach(spans);
+        tracer.traceAll();
+        world.kernel().addHooks(&tracer);
+        world.kernel().addHooks(&perfetto);
+    }
+};
+
+/**
  * Reading the machine must not change the run. Every sweep world,
  * clean and faulted, must give the plain run's fingerprint byte for
  * byte with `observe` attached. The worlds hold every reader of the
@@ -298,6 +333,13 @@ TEST(ZeroPerturbation, TelemetryAndWatchdogsLeaveTheLedgersUnchanged)
 {
     expectUnperturbed([](wl::ServerWorld &world) {
         return Observers(std::make_shared<Watchers>(world));
+    });
+}
+
+TEST(ZeroPerturbation, SpanTracingLeavesTheLedgersUnchanged)
+{
+    expectUnperturbed([](wl::ServerWorld &world) {
+        return Observers(std::make_shared<Tracing>(world));
     });
 }
 

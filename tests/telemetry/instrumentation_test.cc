@@ -163,6 +163,49 @@ TEST(SystemTelemetry, WatchedManagerPublishesEnergyAndOverhead)
     EXPECT_EQ(w.metric("requests.mean_power_w"), 1.0);
 }
 
+TEST(SystemTelemetry, EnergyHistogramsDoNotDependOnListenerOrder)
+{
+    // Telemetry built before the manager: its completion listener
+    // runs before the manager's has recorded the request.
+    sim::Simulation sim;
+    hw::Machine machine(sim, TelemetryWorld::config());
+    os::RequestContextManager requests;
+    os::Kernel kernel(machine, requests);
+    Registry registry;
+    SystemTelemetry telemetry(registry, kernel);
+    core::ContainerManager manager(kernel, TelemetryWorld::makeModel(),
+                                   {});
+    kernel.addHooks(&manager);
+    telemetry.watch(manager);
+
+    const int n = 4;
+    for (int i = 0; i < n; ++i) {
+        RequestId id = requests.create("r", sim.now());
+        kernel.spawn(TelemetryWorld::computeThenIo(), "t", id, i % 2);
+        sim.run(sim.now() + msec(50));
+        requests.complete(id, sim.now());
+    }
+    ASSERT_EQ(manager.records().size(), static_cast<std::size_t>(n));
+    double record_j = 0;
+    for (const core::RequestRecord &r : manager.records())
+        record_j += r.totalEnergyJ().value();
+
+    auto histogram = [&registry](const std::string &name) {
+        for (const auto &e : registry.entries())
+            if (e.name == name)
+                return e.histogram;
+        return static_cast<const Histogram *>(nullptr);
+    };
+    const Histogram *energy = histogram("requests.energy_j");
+    const Histogram *power = histogram("requests.mean_power_w");
+    ASSERT_NE(energy, nullptr);
+    ASSERT_NE(power, nullptr);
+    EXPECT_EQ(energy->count(), static_cast<std::uint64_t>(n));
+    EXPECT_GT(record_j, 0.0);
+    EXPECT_DOUBLE_EQ(energy->sum(), record_j);
+    EXPECT_EQ(power->count(), static_cast<std::uint64_t>(n));
+}
+
 TEST(SystemTelemetry, WatchedManagerFeedsPerfettoPowerSamples)
 {
     TelemetryWorld w;

@@ -74,8 +74,12 @@ struct GoldenArtifacts
     std::string perfettoJson;
 };
 
+/**
+ * Render the scenario with each machine's tracer registered after its
+ * manager, or before it when `tracer_first`.
+ */
 GoldenArtifacts
-renderGoldenSpans()
+renderGoldenSpans(bool tracer_first = false)
 {
     sim::Simulation sim;
     hw::Machine front_machine(sim, goldenConfig("front", 6.0));
@@ -85,16 +89,22 @@ renderGoldenSpans()
     os::Kernel worker(worker_machine, requests);
     core::ContainerManager front_manager(front, goldenModel(6.0));
     core::ContainerManager worker_manager(worker, goldenModel(9.0));
-    front.addHooks(&front_manager);
-    worker.addHooks(&worker_manager);
 
     SpanCollector spans;
     SpanTracer front_tracer(front, front_manager, spans, 0);
     SpanTracer worker_tracer(worker, worker_manager, spans, 1);
     front_tracer.traceAll();
     worker_tracer.traceAll();
-    front.addHooks(&front_tracer);
-    worker.addHooks(&worker_tracer);
+    if (tracer_first) {
+        front.addHooks(&front_tracer);
+        worker.addHooks(&worker_tracer);
+    }
+    front.addHooks(&front_manager);
+    worker.addHooks(&worker_manager);
+    if (!tracer_first) {
+        front.addHooks(&front_tracer);
+        worker.addHooks(&worker_tracer);
+    }
 
     telemetry::PerfettoExporter exporter(front);
     front.addHooks(&exporter);
@@ -174,15 +184,9 @@ fixturePath(const char *file)
 }
 
 void
-compareOrUpdate(const std::string &rendered, const char *file)
+expectFixture(const std::string &rendered, const char *file)
 {
     std::string path = fixturePath(file);
-    if (std::getenv("PCON_UPDATE_GOLDEN") != nullptr) {
-        std::ofstream out(path, std::ios::trunc);
-        ASSERT_TRUE(out) << "cannot write " << path;
-        out << rendered;
-        GTEST_SKIP() << "fixture regenerated at " << path;
-    }
     std::ifstream in(path);
     ASSERT_TRUE(in) << "missing fixture " << path
                     << " — regenerate with PCON_UPDATE_GOLDEN=1";
@@ -196,6 +200,19 @@ compareOrUpdate(const std::string &rendered, const char *file)
         << file
         << " drifted from the committed fixture; if intentional, "
            "regenerate with PCON_UPDATE_GOLDEN=1 and commit the diff";
+}
+
+void
+compareOrUpdate(const std::string &rendered, const char *file)
+{
+    if (std::getenv("PCON_UPDATE_GOLDEN") != nullptr) {
+        std::string path = fixturePath(file);
+        std::ofstream out(path, std::ios::trunc);
+        ASSERT_TRUE(out) << "cannot write " << path;
+        out << rendered;
+        GTEST_SKIP() << "fixture regenerated at " << path;
+    }
+    expectFixture(rendered, file);
 }
 
 TEST(GoldenSpans, FlamegraphMatchesFixtureByteForByte)
@@ -214,6 +231,16 @@ TEST(GoldenSpans, PerfettoFlowsMatchFixtureByteForByte)
 {
     compareOrUpdate(renderGoldenSpans().perfettoJson,
                     "golden_span_perfetto.json");
+}
+
+/** Registration order is not part of the output: tracers ahead of
+ *  their managers render the committed fixtures too. */
+TEST(GoldenSpans, TracerRegisteredFirstMatchesTheFixtures)
+{
+    GoldenArtifacts a = renderGoldenSpans(/*tracer_first=*/true);
+    expectFixture(a.flamegraph, "golden_flamegraph.txt");
+    expectFixture(a.spanJson, "golden_span_dump.json");
+    expectFixture(a.perfettoJson, "golden_span_perfetto.json");
 }
 
 TEST(GoldenSpans, RenderIsDeterministicWithinProcess)

@@ -1,12 +1,17 @@
 #include <cmath>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/energy_index.h"
+#include "obs/report.h"
 #include "os/kernel.h"
 #include "sim/simulation.h"
 #include "telemetry/registry.h"
+#include "trace/span_json.h"
 #include "trace/span_tracer.h"
 
 namespace pcon::trace {
@@ -21,7 +26,7 @@ using os::ScriptedLogic;
 using os::Task;
 using sim::sec;
 
-/** One traced machine: manager hooks first, tracer second. */
+/** One traced machine: manager hooks first unless `tracer_first`. */
 struct TracedWorld
 {
     sim::Simulation sim;
@@ -33,13 +38,17 @@ struct TracedWorld
     SpanCollector spans;
     SpanTracer tracer;
 
-    TracedWorld()
+    explicit TracedWorld(bool tracer_first = false)
         : machine(sim, config()), kernel(machine, requests),
           model(makeModel()), manager(kernel, model, {}),
           tracer(kernel, manager, spans, 0)
     {
-        kernel.addHooks(&manager);
-        kernel.addHooks(&tracer);
+        os::KernelHooks *first = &manager;
+        os::KernelHooks *second = &tracer;
+        if (tracer_first)
+            std::swap(first, second);
+        kernel.addHooks(first);
+        kernel.addHooks(second);
     }
 
     static hw::MachineConfig
@@ -101,6 +110,97 @@ forkAndIo()
             [](os::Kernel &, Task &, const OpResult &) -> Op {
                 return os::IoOp{hw::DeviceKind::Disk, 5e5};
             }});
+}
+
+/**
+ * Computes under its request, rebinds itself to `to` while on its
+ * core, computes again and exits there.
+ */
+std::shared_ptr<os::TaskLogic>
+rebindWhileRunning(RequestId to)
+{
+    return std::make_shared<ScriptedLogic>(
+        std::vector<ScriptedLogic::Step>{
+            [](os::Kernel &, Task &, const OpResult &) -> Op {
+                return ComputeOp{ActivityVector{1, 0, 0, 0}, 2e6};
+            },
+            [to](os::Kernel &k, Task &self, const OpResult &) -> Op {
+                k.bindContext(self.id, to);
+                return ComputeOp{ActivityVector{1, 0, 0, 0}, 2e6};
+            }});
+}
+
+/**
+ * The span dump and the text report of one world, with the tracer
+ * registered after the manager or before it: two requests with a
+ * fork and a disk read each, a third whose task is rebound to the
+ * first while running, tasks exiting on their cores, and every
+ * request completed.
+ */
+std::pair<std::string, std::string>
+renderInRegistrationOrder(bool tracer_first)
+{
+    TracedWorld w(tracer_first);
+    obs::EnergyIndex index;
+    index.attach(w.spans);
+    w.tracer.traceAll();
+    RequestId a = w.requests.create("a", w.sim.now());
+    RequestId b = w.requests.create("b", w.sim.now());
+    RequestId c = w.requests.create("c", w.sim.now());
+    w.kernel.spawn(forkAndIo(), "parent-a", a, 0);
+    w.kernel.spawn(forkAndIo(), "parent-b", b, 1);
+    w.kernel.spawn(rebindWhileRunning(a), "rebinder", c);
+    w.sim.run(sec(1));
+    for (RequestId id : {a, b, c}) {
+        w.requests.complete(id, w.sim.now());
+        const core::RequestRecord *rec = w.record(id);
+        EXPECT_NE(rec, nullptr);
+        if (rec != nullptr) {
+            EXPECT_NEAR(w.spans.requestEnergyJ(id).value(),
+                        rec->totalEnergyJ().value(), 1e-6);
+        }
+    }
+    EXPECT_EQ(w.kernel.hookCalls(os::Hook::ContextRebind), 1u);
+    return {renderSpanJson(w.spans), obs::fullReport(index)};
+}
+
+TEST(SpanTracer, RegistrationOrderDoesNotChangeSpans)
+{
+    auto manager_first = renderInRegistrationOrder(false);
+    auto tracer_first = renderInRegistrationOrder(true);
+    EXPECT_EQ(manager_first.first, tracer_first.first);
+    EXPECT_EQ(manager_first.second, tracer_first.second);
+}
+
+TEST(SpanTracer, RequestsTracedLateSumToTheirRecords)
+{
+    TracedWorld w;
+    RequestId ran = w.requests.create("ran", w.sim.now());
+    RequestId running = w.requests.create("running", w.sim.now());
+    w.kernel.spawn(forkAndIo(), "early", ran, 0);
+    w.kernel.spawn(forkAndIo(), "midway", running, 1);
+    // `running` is mid-way through its first compute; `ran` too, but
+    // it is traced only once it has finished.
+    w.sim.run(sim::msec(2));
+    w.tracer.trace(running);
+    w.sim.run(sec(1));
+    w.tracer.trace(ran);
+    w.requests.complete(ran, w.sim.now());
+    w.requests.complete(running, w.sim.now());
+
+    // What the containers held when tracing began is one charge on
+    // the root; later windows land on their tasks' spans.
+    for (RequestId id : {ran, running}) {
+        const core::RequestRecord *rec = w.record(id);
+        ASSERT_NE(rec, nullptr);
+        EXPECT_GT(w.spans.span(w.spans.rootOf(id)).energyJ.value(), 0.0);
+        EXPECT_NEAR(w.spans.requestEnergyJ(id).value(),
+                    rec->totalEnergyJ().value(), 1e-6);
+    }
+    EXPECT_EQ(w.spans.requestSpans(ran),
+              std::vector<SpanId>{w.spans.rootOf(ran)});
+    EXPECT_GT(w.spans.requestSpans(running).size(), 1u);
+    EXPECT_EQ(w.spans.openCount(), 0u);
 }
 
 TEST(SpanTracer, SpansPartitionTheContainerLedger)

@@ -6,8 +6,8 @@ Usage:
                           [--check-inventory FILE]
 
 Runs the project's static-analysis rules (layering, units,
-hook-order, determinism, concurrency-primitives,
-unordered-iteration, pointer-order, wall-clock) over the repository
+determinism, concurrency-primitives, unordered-iteration,
+pointer-order, wall-clock) over the repository
 and reports findings as ``path:line: [rule] message`` lines, and
 also as SARIF 2.1.0 with ``--sarif FILE`` (uploaded to GitHub code
 scanning; the one machine-readable report). ``--selftest`` first
@@ -43,7 +43,6 @@ from engine import (
 )
 from rules_concurrency import ConcurrencyPrimitivesRule
 from rules_determinism import DeterminismRule
-from rules_hook_order import HookOrderRule
 from rules_layering import LayeringRule
 from rules_pointer_order import PointerOrderRule
 from rules_units import UnitsRule
@@ -56,7 +55,6 @@ def default_rules():
     return [
         LayeringRule(),
         UnitsRule(),
-        HookOrderRule(),
         DeterminismRule(),
         ConcurrencyPrimitivesRule(),
         UnorderedIterationRule(),
