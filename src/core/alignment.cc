@@ -31,32 +31,31 @@ correlationAtDelay(const std::vector<double> &measurement,
         return valid == nullptr ||
             (*valid)[static_cast<std::size_t>(i)];
     };
+    // One pass counts the pairs and sums the products (raw form) or
+    // each series (centered form, for the means).
     long count = 0;
-    for (long i = lo; i < hi; ++i)
-        if (ok(i))
-            ++count;
-    *pairs = static_cast<std::size_t>(count > 0 ? count : 0);
-    if (count < 2)
-        return 0.0;
-
-    if (!centered) {
-        double sum = 0.0;
-        for (long i = lo; i < hi; ++i)
-            if (ok(i))
-                sum += measurement[i] * model[i - d];
-        // Normalize by overlap length so short overlaps at the scan
-        // edges are not unfairly favored or penalized.
-        return sum / static_cast<double>(count);
-    }
-
-    double mean_a = 0.0, mean_b = 0.0;
+    double sum = 0.0, mean_a = 0.0, mean_b = 0.0;
     for (long i = lo; i < hi; ++i) {
         if (!ok(i))
             continue;
-        mean_a += measurement[i];
-        mean_b += model[i - d];
+        ++count;
+        if (centered) {
+            mean_a += measurement[i];
+            mean_b += model[i - d];
+        } else {
+            sum += measurement[i] * model[i - d];
+        }
     }
+    *pairs = static_cast<std::size_t>(count);
+    if (count < 2)
+        return 0.0;
+
     double n = static_cast<double>(count);
+    // Normalize by overlap length so short overlaps at the scan edges
+    // are not unfairly favored or penalized.
+    if (!centered)
+        return sum / n;
+
     mean_a /= n;
     mean_b /= n;
     double cov = 0.0, var_a = 0.0, var_b = 0.0;
