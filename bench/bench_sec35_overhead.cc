@@ -147,55 +147,61 @@ BM_RecalibrationFit(benchmark::State &state)
 }
 BENCHMARK(BM_RecalibrationFit)->Arg(704)->Arg(4672);
 
+/** linalg::triangularFactor of `count` rows of `rows` from `first`. */
+linalg::Matrix
+factorRows(const linalg::Matrix &rows, const linalg::Vector &targets,
+           std::size_t first, std::size_t count)
+{
+    linalg::Matrix a(count, rows.cols());
+    linalg::Vector b(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        for (std::size_t f = 0; f < rows.cols(); ++f)
+            a(i, f) = rows(first + i, f);
+        b[i] = targets[first + i];
+    }
+    return linalg::triangularFactor(a, b);
+}
+
 /**
  * One online model recalibration at steady state, as the recalibrator
  * solves it: the 4,672 rows of BM_RecalibrationFit/4672 compressed to
- * the triangular factor of the 576 offline rows (9 rows), the factors
- * of 31 closed blocks of 128 online rows (279 rows) and the 128 raw
- * rows of the two partial blocks: 416 rows with the same Gram matrix
+ * the triangular factor of the 576 offline rows, one factor for each
+ * stack of closed blocks (half the ring, and half less one block, of
+ * kRefitBlockRows online rows each, which the recalibrator keeps
+ * merged) and the kRefitBlockRows raw rows of the two partial blocks:
+ * 3 x 9 + 32 = 59 rows with the same Gram matrix
  * (core/recalibration.h). The factors are computed once, outside the
- * loop, as the recalibrator computes each once.
+ * loop, as the recalibrator keeps them.
  */
 void
 BM_CompressedRefit(benchmark::State &state)
 {
-    constexpr std::size_t Offline = 576, Blocks = 31, Raw = 128;
+    constexpr std::size_t Offline = 576, Online = 4096;
     constexpr std::size_t Block =
         core::OnlineRecalibrator::kRefitBlockRows;
+    constexpr std::size_t Front = Online / 2, Back = Online / 2 - Block;
     linalg::Matrix rows;
     linalg::Vector targets;
-    refitRows(Offline + Blocks * Block + Raw, rows, targets);
+    refitRows(Offline + Online, rows, targets);
 
     linalg::Matrix design;
     linalg::Vector target;
-    auto append = [&](std::size_t first, std::size_t count,
-                      bool factor) {
-        linalg::Matrix a(count, 8);
-        linalg::Vector b(count);
-        for (std::size_t i = 0; i < count; ++i) {
-            for (std::size_t f = 0; f < 8; ++f)
-                a(i, f) = rows(first + i, f);
-            b[i] = targets[first + i];
-        }
-        if (factor) {
-            linalg::Matrix r = linalg::triangularFactor(a, b);
-            for (std::size_t i = 0; i < r.rows(); ++i) {
-                design.appendRow({r(i, 0), r(i, 1), r(i, 2), r(i, 3),
-                                  r(i, 4), r(i, 5), r(i, 6), r(i, 7)});
-                target.push_back(r(i, 8));
-            }
-            return;
-        }
-        for (std::size_t i = 0; i < count; ++i) {
-            design.appendRow({a(i, 0), a(i, 1), a(i, 2), a(i, 3),
-                              a(i, 4), a(i, 5), a(i, 6), a(i, 7)});
-            target.push_back(b[i]);
+    auto append_factor = [&](std::size_t first, std::size_t count) {
+        linalg::Matrix r = factorRows(rows, targets, first, count);
+        for (std::size_t i = 0; i < r.rows(); ++i) {
+            design.appendRow({r(i, 0), r(i, 1), r(i, 2), r(i, 3),
+                              r(i, 4), r(i, 5), r(i, 6), r(i, 7)});
+            target.push_back(r(i, 8));
         }
     };
-    append(0, Offline, true);
-    for (std::size_t k = 0; k < Blocks; ++k)
-        append(Offline + k * Block, Block, true);
-    append(Offline + Blocks * Block, Raw, false);
+    append_factor(0, Offline);
+    append_factor(Offline, Front);
+    append_factor(Offline + Front, Back);
+    for (std::size_t i = Offline + Front + Back; i < rows.rows(); ++i) {
+        design.appendRow({rows(i, 0), rows(i, 1), rows(i, 2), rows(i, 3),
+                          rows(i, 4), rows(i, 5), rows(i, 6), rows(i, 7)});
+        target.push_back(targets[i]);
+    }
 
     for (auto _ : state) {
         linalg::LsqResult fit = linalg::solveNonNegativeLeastSquares(
@@ -205,6 +211,30 @@ BM_CompressedRefit(benchmark::State &state)
     state.counters["rows"] = static_cast<double>(design.rows());
 }
 BENCHMARK(BM_CompressedRefit);
+
+/**
+ * What closing one block adds to the refits it serves: the
+ * triangular factor of its kRefitBlockRows rows and its merge into the
+ * back stack's merged factor, 2 x 9 rows (once per ~3 refits at a
+ * 1 ms meter). Refilling the front stack costs about one more merge
+ * per block.
+ */
+void
+BM_CompressedRefitBlockClose(benchmark::State &state)
+{
+    constexpr std::size_t Block =
+        core::OnlineRecalibrator::kRefitBlockRows;
+    linalg::Matrix rows;
+    linalg::Vector targets;
+    refitRows(64 * Block, rows, targets);
+    const linalg::Matrix back = factorRows(rows, targets, 0, 63 * Block);
+    for (auto _ : state) {
+        linalg::Matrix merged = linalg::mergeFactors(
+            back, factorRows(rows, targets, 63 * Block, Block));
+        benchmark::DoNotOptimize(merged(8, 8));
+    }
+}
+BENCHMARK(BM_CompressedRefitBlockClose);
 
 /**
  * A world whose kernel times every hook set it dispatches to
@@ -405,8 +435,8 @@ main(int argc, char **argv)
 
     // Self-measured accounting overhead, reported through the
     // telemetry registry (the paper measures ~0.95 us per switch;
-    // BM_RecalibrationFit and BM_CompressedRefit time the ~16 us
-    // refit).
+    // the BM_CompressedRefit cases and BM_RecalibrationFit time the
+    // refit, ~16 us in the paper).
     {
         ProfiledWorld pw;
         pw.sim.run(sim::msec(50));

@@ -16,11 +16,14 @@
  * defaults), but not as 4,672 rows: the offline set is reduced once to
  * its triangular factor (linalg::triangularFactor), and so is each
  * closed block of kRefitBlockRows consecutive online samples, when it
- * fills. A refit stacks those factors with the raw rows of the block
- * still filling and of the oldest one, which the ring has partly
- * evicted: ~420 rows at steady state. The stack has the Gram matrix
- * of the full design, so the fit is the full design's up to rounding
- * (docs/PERFORMANCE.md "Compressed refits").
+ * fills. The closed blocks' factors are kept merged
+ * (linalg::mergeFactors) in a two-stack sliding window, so a refit
+ * stacks the offline factor, at most two merged factors and the raw
+ * rows of the block still filling and of the oldest one, which the
+ * ring has partly evicted: ~59 rows at steady state. The stack has
+ * the Gram matrix of the full design, so the fit is the full design's
+ * up to rounding (docs/PERFORMANCE.md "Compressed refits" and
+ * "Two-stack refits").
  */
 
 #ifndef PCON_CORE_RECALIBRATION_H
@@ -175,10 +178,11 @@ class OnlineRecalibrator
 
     /**
      * Online samples per closed block: each block is reduced to its
-     * triangular factor once, when its last sample arrives, and goes
-     * back to raw rows when the ring evicts its first sample.
+     * triangular factor once, when its last sample arrives, and merged
+     * into the sliding window's back aggregate; it goes back to raw
+     * rows when the ring evicts its first sample.
      */
-    static constexpr std::size_t kRefitBlockRows = 128;
+    static constexpr std::size_t kRefitBlockRows = 32;
 
     /**
      * @param sampler Metric/model-series source (must be started).
@@ -214,6 +218,9 @@ class OnlineRecalibrator
 
     /** Number of online samples currently held. */
     std::size_t onlineSampleCount() const { return online_.size(); }
+
+    /** Online samples ever absorbed, evicted ones included. */
+    std::uint64_t onlineSamplesAbsorbed() const { return absorbed_; }
 
     /** Offline samples every refit includes (active watts). */
     const std::vector<CalibrationSample> &offlineSamples() const
@@ -263,12 +270,16 @@ class OnlineRecalibrator
         util::Watts watts{0};
     };
 
-    /** A closed block of online samples, reduced to its factor. */
+    /** A closed block of online samples in the sliding window. */
     struct ClosedBlock
     {
         /** Absorption ordinal of the block's first sample. */
         std::uint64_t first = 0;
-        /** linalg::triangularFactor of the block's unscaled rows. */
+        /**
+         * Unscaled factor: on the back stack the block's own
+         * (linalg::triangularFactor of its rows); on the front stack
+         * the block's merged with every newer block's on that stack.
+         */
         linalg::Matrix factor;
     };
 
@@ -278,6 +289,7 @@ class OnlineRecalibrator
     void alignNow();
     void absorbAlignedSamples();
     void addOnlineSample(const CalibrationSample &sample);
+    void flipBlocks();
     void refitNow();
 
     ModelPowerSampler &sampler_;
@@ -305,8 +317,17 @@ class OnlineRecalibrator
     std::vector<Metric> cols_;
     /** Factor of the offline samples (no rows when there are none). */
     linalg::Matrix offlineFactor_;
-    /** Closed blocks whose first sample is still in the ring. */
-    std::deque<ClosedBlock> closed_;
+    /**
+     * Closed blocks whose first sample is still in the ring, as a
+     * two-stack queue. front_ holds the older blocks, the oldest on
+     * top (last); back_ the blocks closed since it was last refilled,
+     * oldest first, and backFactor_ their merged factor (no rows while
+     * back_ is empty). So the top of front_ and backFactor_ together
+     * stand for every closed block.
+     */
+    std::vector<ClosedBlock> front_;
+    std::vector<ClosedBlock> back_;
+    linalg::Matrix backFactor_;
     std::vector<RefitObserver> refitObservers_;
     sim::EventId alignEvent_ = sim::InvalidEventId;
     sim::EventId refitEvent_ = sim::InvalidEventId;

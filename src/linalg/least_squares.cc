@@ -274,6 +274,28 @@ triangularFactor(const Matrix &a, const Vector &b)
     return kFixedWidthFactors[a.cols() - 1](a, b);
 }
 
+Matrix
+mergeFactors(const Matrix &upper, const Matrix &lower)
+{
+    const std::size_t w = upper.cols();
+    fatalIf(w < 2 || upper.rows() != w || lower.rows() != w ||
+                lower.cols() != w,
+            "merge factors: ", upper.rows(), " x ", w, " and ",
+            lower.rows(), " x ", lower.cols(),
+            " are not two factors of one width");
+    Matrix a(2 * w, w - 1);
+    Vector b(2 * w);
+    for (std::size_t i = 0; i < w; ++i) {
+        for (std::size_t c = 0; c + 1 < w; ++c) {
+            a(i, c) = upper(i, c);
+            a(w + i, c) = lower(i, c);
+        }
+        b[i] = upper(i, w - 1);
+        b[w + i] = lower(i, w - 1);
+    }
+    return triangularFactor(a, b);
+}
+
 LsqResult
 solveLeastSquares(const Matrix &a, const Vector &b,
                   std::size_t represented_rows)

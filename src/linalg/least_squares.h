@@ -12,12 +12,13 @@
  * accumulators stay in registers (docs/PERFORMANCE.md "Fixed-width
  * refits"). A solve makes two passes per column over every row:
  * ~0.15-0.25 ms for a 4,672 x 8 non-negative fit on a 4-vCPU x86-64
- * VM, ~16-23 us for 416 rows. The online recalibrator keeps its refits
+ * VM, ~2-3 us for 59 rows. The online recalibrator keeps its refits
  * at the second figure by solving a compressed stack instead of its
  * full design: triangularFactor() reduces each closed block of rows
- * to n + 1 rows once, and a refit stacks those factors with the few
- * rows not yet in one (core/recalibration.h, docs/PERFORMANCE.md
- * "Compressed refits"). A solve does not compute the RMSE;
+ * to n + 1 rows once, mergeFactors() keeps those factors merged, and
+ * a refit stacks the merged factors with the few rows not yet in one
+ * (core/recalibration.h, docs/PERFORMANCE.md "Compressed refits" and
+ * "Two-stack refits"). A solve does not compute the RMSE;
  * residualRmse() does, for the callers that report it.
  *
  * Contract: the results are a fixed function of the input bits. Every
@@ -78,6 +79,15 @@ struct LsqResult
  * @param b Their targets, length a.rows().
  */
 Matrix triangularFactor(const Matrix &a, const Vector &b);
+
+/**
+ * The factor of the rows two factors stand for: triangularFactor of
+ * `upper` stacked on top of `lower`. Its Gram matrix is the sum of
+ * theirs, up to rounding.
+ *
+ * @param upper, lower (n+1) x (n+1) factors of the same n features.
+ */
+Matrix mergeFactors(const Matrix &upper, const Matrix &lower);
 
 /**
  * Solve min ||A x - b||_2 by Householder QR. Falls back to ridge

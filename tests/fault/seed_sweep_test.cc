@@ -512,5 +512,57 @@ TEST(CompressedRefit, MatchesTheFullDesignThroughEvictionAndRidge)
     EXPECT_EQ(replay.rankDeficient, replay.replayed);
 }
 
+/**
+ * The closed blocks' two-stack window over more than three ring
+ * lengths of online samples: blocks leave the ring through the front
+ * stack, which is refilled from the back stack three times, and each
+ * refit stacks the merged factors of both. The sweep's world and
+ * tolerance, with every refit replayed through the uncompressed
+ * design. Once the ring is full, the stack is the offline factor, at
+ * most two merged factors and at most one block of raw rows.
+ */
+TEST(CompressedRefit, MatchesTheFullDesignAcrossFlips)
+{
+    auto model = std::make_shared<core::LinearPowerModel>(
+        calibrator().fit(core::ModelKind::WithChipShare));
+    wl::ServerWorld world(hw::sandyBridgeConfig(), model);
+    world.attachRecalibration(
+        wl::toActiveSamples(calibrator(), model->idleW()));
+    core::OnlineRecalibrator &recal = *world.recalibrator();
+    RefitReplay replay;
+    replay.tolerance = 1e-10;
+    checkEveryRefit(world, replay);
+    const std::size_t ring = core::RecalibratorConfig{}.maxOnlineSamples;
+    std::size_t full_ring_refits = 0;
+    std::size_t most_full_ring_rows = 0;
+    recal.onRefit(
+        [&](const core::OnlineRecalibrator::RefitEvent &event) {
+            if (event.onlineSamples < ring)
+                return;
+            ++full_ring_refits;
+            most_full_ring_rows =
+                std::max(most_full_ring_rows, event.solverRows);
+        });
+
+    auto app = wl::makeApp("WeBWorK", 406);
+    app->deploy(world.kernel());
+    wl::LoadClient client(*app, world.kernel(),
+                          wl::LoadClient::forUtilization(
+                              *app, world.kernel(), 0.5, 407));
+    client.start();
+    world.run(sec(13));
+    client.stop();
+
+    replay.print();
+    EXPECT_GT(recal.onlineSamplesAbsorbed(), 3 * ring);
+    EXPECT_EQ(replay.replayed, recal.refits());
+    EXPECT_GT(full_ring_refits, 800u);
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < core::NumMetrics; ++i)
+        n += model->usesMetric(static_cast<core::Metric>(i)) ? 1 : 0;
+    EXPECT_LE(most_full_ring_rows,
+              3 * (n + 1) + core::OnlineRecalibrator::kRefitBlockRows);
+}
+
 } // namespace
 } // namespace pcon

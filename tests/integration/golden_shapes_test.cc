@@ -273,11 +273,12 @@ webworkShapes(Shapes &out)
 /**
  * recal.solver_rows_per_refit: rows the refit solver sees per refit
  * once the 4,096-sample online ring is full — the offline factor, the
- * closed-block factors and the raw rows of the block still filling
- * and of the partly evicted oldest one, against 64 + 4,096 rows
- * uncompressed (docs/PERFORMANCE.md "Compressed refits"). WeBWorK at
- * half load on SandyBridge, with 64 synthetic offline samples; the
- * mean is over the 100 refits after a 5-second pre-roll.
+ * merged factors of the closed blocks' two stacks and the raw rows of
+ * the block still filling and of the partly evicted oldest one,
+ * against 64 + 4,096 rows uncompressed (docs/PERFORMANCE.md
+ * "Compressed refits" and "Two-stack refits"). WeBWorK at half load
+ * on SandyBridge, with 64 synthetic offline samples; the mean is over
+ * the 100 refits after a 5-second pre-roll.
  */
 void
 recalShapes(Shapes &out)

@@ -632,6 +632,33 @@ TEST(TriangularFactor, StepsOverAnAllZeroColumn)
     }
 }
 
+TEST(TriangularFactor, MergingTwoFactorsKeepsTheGramMatrixOfBoth)
+{
+    // The recalibrator merges block factors into sliding-window
+    // aggregates, over blocks where an idle device's column is zero
+    // and, merged again, over their aggregates.
+    for (std::size_t zero : {kMaxFeatures, std::size_t{0}, std::size_t{5},
+                             std::size_t{7}}) {
+        SCOPED_TRACE(::testing::Message() << "zero column " << zero);
+        Design older = seededDesign(32, 8, 500 + zero, zero);
+        Design newer = seededDesign(96, 8, 600 + zero, zero);
+        Design newest = seededDesign(32, 8, 700 + zero);
+        Matrix merged = mergeFactors(triangularFactor(older.a, older.b),
+                                     triangularFactor(newer.a, newer.b));
+        expectFactorOf(stack({{older, 1.0}, {newer, 1.0}}), merged);
+        if (zero < 8) {
+            EXPECT_EQ(merged(zero, zero), 0.0);
+        }
+        expectFactorOf(
+            stack({{older, 1.0}, {newer, 1.0}, {newest, 1.0}}),
+            mergeFactors(merged, triangularFactor(newest.a, newest.b)));
+    }
+    EXPECT_THROW(mergeFactors(Matrix(9, 9), Matrix(5, 5)),
+                 util::FatalError);
+    EXPECT_THROW(mergeFactors(Matrix(9, 9), Matrix(9, 8)),
+                 util::FatalError);
+}
+
 TEST(TriangularFactor, FewerRowsThanColumnsLeavesZeroRows)
 {
     Design d = seededDesign(3, 8, 5);
